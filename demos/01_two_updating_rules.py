@@ -14,7 +14,6 @@ from credal import (
     ProbabilityVector,
     ScoreVector,
     UpdateRule,
-    brute_force_normalize_oracle,
     conservative_normalize,
     inferential_update,
     likelihood_score,
@@ -39,10 +38,12 @@ print("\nadditive update with scores", add_scores.scores)
 print("posterior:", result.posterior.values)
 print(f"normalization constant d = {result.d}, zeroed indices = {sorted(result.zeroed)}")
 
-# the normalization is exactly 'shift by the smallest d that works':
-# enumerating every possible zero-count gives the same answer
-check = brute_force_normalize_oracle(prior.values + add_scores.scores)
-print("enumeration oracle agrees:", np.allclose(check.posterior.values, result.posterior.values))
+# the normalization is exactly 'shift by the smallest d that works, clip at zero'
+raw_sum = prior.values + add_scores.scores
+print(
+    "posterior equals max(prior + scores + d, 0):",
+    np.array_equal(np.maximum(raw_sum + result.d, 0.0), result.posterior.values),
+)
 
 # shifting all scores by a constant changes nothing but d
 shifted = predictive_update(prior, ScoreVector(add_scores.scores + 5.0, Mode.ADDITIVE))

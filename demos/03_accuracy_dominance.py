@@ -11,7 +11,6 @@ import numpy as np
 
 from credal import (
     Credibility,
-    Divergence,
     ProbabilityVector,
     conservative_normalize,
     divergence,
@@ -19,8 +18,6 @@ from credal import (
     project_to_simplex,
     verify_dominance,
 )
-
-SQ = Divergence.SQUARED_EUCLIDEAN
 
 c = Credibility([0.6, 0.6])
 print("candidate credibility:", c.values, "(sums to 1.2)")
@@ -32,7 +29,7 @@ for j in range(2):
     vertex = ideal_credibility(j, 2)
     print(
         f"  if hypothesis {j} is best: candidate divergence "
-        f"{divergence(SQ, c, vertex):.3f} vs dominator {divergence(SQ, report.dominator, vertex):.3f}"
+        f"{divergence(c, vertex):.3f} vs dominator {divergence(report.dominator, vertex):.3f}"
         f"  (gap {report.per_vertex_gap[j]:+.3f})"
     )
 
@@ -46,12 +43,21 @@ print(f"\nsearch over 20000 candidates against {p.values}: dominated = {rep.domi
 print("best candidate's worst vertex gap:", rep.per_vertex_gap.min())
 print("(negative: every candidate loses at some vertex -- evidence, not proof)")
 
-# the projection is the same operation as the additive rule's normalization,
-# computed by a different algorithm
+# the projection is the same map as the additive rule's normalization:
+# shift by the minimal constant d and clip at zero
+q = np.array([1.0, 0.85, 0.05])
+proj = project_to_simplex(q)
+norm = conservative_normalize(q)
+print(f"\nprojection of {q}: {proj.values}")
+print(
+    f"conservative normalization: {norm.posterior.values} "
+    f"(d = {norm.d:+.3f}, zeroed {sorted(norm.zeroed)})"
+)
+
+# and it is the nearest point of the simplex
 rng = np.random.default_rng(7)
-worst = 0.0
-for _ in range(1000):
-    q = rng.normal(0.0, 1.5, rng.integers(1, 9))
-    gap = np.abs(project_to_simplex(q).values - conservative_normalize(q).posterior.values)
-    worst = max(worst, float(gap.max()))
-print(f"\nprojection vs conservative normalization over 1000 raw vectors: max diff {worst:.2e}")
+closest = min(divergence(q, other) for other in rng.dirichlet(np.ones(3), 1000))
+print(
+    f"distance to the projection {divergence(q, proj):.4f}; "
+    f"closest of 1000 random simplex points {closest:.4f}"
+)

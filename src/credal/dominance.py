@@ -1,4 +1,4 @@
-"""Accuracy dominance at desk scale: divergences, simplex projection, search.
+"""Accuracy dominance at desk scale: divergence, simplex projection, search.
 
 The ideal credibility function is a vertex of the simplex (probability 1 on
 the best hypothesis).  A candidate is dominated when some other function is
@@ -11,21 +11,11 @@ find none (evidence, not proof).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import DEFAULT_EPS, ProbabilityVector, as_values, is_probabilistic
-
-
-class Divergence(Enum):
-    """Divergence family used to measure distance to the ideal function.
-
-    Squared Euclidean distance is the only instance implemented; the enum is
-    the extension point for other choices.
-    """
-
-    SQUARED_EUCLIDEAN = "squared_euclidean"
+from .updating import _simplex_projection
 
 
 @dataclass(frozen=True)
@@ -57,45 +47,25 @@ class DominanceReport:
         }
 
 
-def divergence(d: Divergence, a, b) -> float:
-    """Divergence between two vectors; squared Euclidean: sum((a-b)^2)."""
+def divergence(a, b) -> float:
+    """Squared Euclidean divergence between two vectors: sum((a-b)^2)."""
     av, bv = as_values(a), as_values(b)
     if av.size != bv.size:
         raise ValueError("vectors must have the same length")
     if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
         raise ValueError("entries must be finite")
-    if d is Divergence.SQUARED_EUCLIDEAN:
-        diff = av - bv
-        return float(np.dot(diff, diff))
-    raise ValueError(f"unsupported divergence: {d!r}")
+    diff = av - bv
+    return float(np.dot(diff, diff))
 
 
 def project_to_simplex(v) -> ProbabilityVector:
     """Euclidean projection onto the probability simplex.
 
-    Uses the iterative active-set method (Michelot): start from the full
-    support, repeatedly shift the active entries by the constant that makes
-    them sum to one and drop those that fall to zero or below, until the
-    active set is stable.  Deliberately a different algorithm from the
-    sort-and-scan normalization in :mod:`credal.updating` so the two can
-    cross-check each other.
+    The same map as the additive rule's conservative normalization
+    (:func:`credal.updating.conservative_normalize`), computed by the same
+    kernel; only the projected vector is returned.
     """
-    vv = as_values(v)
-    if not np.all(np.isfinite(vv)):
-        raise ValueError("entries must be finite")
-    active = np.ones(vv.size, dtype=bool)
-    while True:
-        k = int(active.sum())
-        tau = (float(np.sum(vv[active])) - 1.0) / k
-        nxt = active & (vv > tau)
-        if np.array_equal(nxt, active):
-            break
-        if not nxt.any():  # only reachable when 1/k underflows against the entries
-            raise ValueError("projection did not converge; entries exceed representable range")
-        active = nxt
-    out = np.zeros(vv.size)
-    out[active] = vv[active] - tau
-    return ProbabilityVector(out)
+    return ProbabilityVector(_simplex_projection(v)[0])
 
 
 def _gaps_against_vertices(c: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -34,8 +34,9 @@ from .measures import (
     Forecast,
     Gaussian,
     LossValue,
+    Mode,
+    ScoreVector,
     crps,
-    crps_measure,
     forecast_from_json,
     forecast_to_json,
     likelihood_score,
@@ -97,6 +98,13 @@ def _rule_to_json(rule: UpdateRule):
     return rule.kind.value
 
 
+def _json_int(obj: dict, key: str, default: int | None = None) -> int:
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"invalid experiment config: {key}: must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one simulation; identical configs give identical output."""
@@ -141,18 +149,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """Parse a config object; unknown keys and non-integer counts are rejected."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"invalid experiment config: unknown keys {unknown}")
         return cls(
-            seed=int(obj["seed"]),
+            seed=_json_int(obj, "seed"),
             truth=forecast_from_json(obj["truth"]),
             models=tuple(
                 ModelSpec(str(m["label"]), forecast_from_json(m["forecast"]))
                 for m in obj["models"]
             ),
-            horizon=int(obj["horizon"]),
+            horizon=_json_int(obj, "horizon"),
             rules=tuple(_parse_rule(r) for r in obj["rules"]),
             a=float(obj.get("a", -1.0)),
             likelihood_floor=float(obj.get("likelihood_floor", 1e-300)),
-            replications=int(obj.get("replications", 1)),
+            replications=_json_int(obj, "replications", 1),
         )
 
     @classmethod
@@ -273,19 +285,23 @@ def _gaussian_density(f: Gaussian, x: float) -> float:
 
 
 def _step_posterior(
-    rule: UpdateRule, p: ProbabilityVector, cfg: ExperimentConfig, x: float
+    rule: UpdateRule,
+    p: ProbabilityVector,
+    cfg: ExperimentConfig,
+    x: float,
+    per_model: np.ndarray,
 ) -> ProbabilityVector:
+    """One update of ``p`` at observation ``x``; ``per_model`` holds each model's CRPS at x."""
     if rule.kind is RuleKind.INFERENTIAL:
         dens = [
             max(cfg.likelihood_floor, _gaussian_density(m.forecast, x)) for m in cfg.models
         ]
         return inferential_update(p, likelihood_score(dens))
     if rule.kind is RuleKind.GENERAL_BAYES:
-        losses = [LossValue(crps(m.forecast, x), rule.learning_rate) for m in cfg.models]
+        losses = [LossValue(float(c), rule.learning_rate) for c in per_model]
         return general_bayes_update(p, losses)
     if rule.kind is RuleKind.PREDICTIVE:
-        scores = crps_measure([m.forecast for m in cfg.models], x, cfg.a)
-        return predictive_update(p, scores).posterior
+        return predictive_update(p, ScoreVector(cfg.a * per_model, Mode.ADDITIVE)).posterior
     raise ValueError(f"unsupported rule: {rule!r}")
 
 
@@ -301,10 +317,13 @@ def run_experiment(cfg: ExperimentConfig, mc_samples: int = 1000) -> ExperimentR
     records: list[StepRecord] = []
     aggregates: list[RuleAggregate] = []
     forecasts = [m.forecast for m in cfg.models]
+    observations = [
+        generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
+        for rep in range(cfg.replications)
+    ]
     for rule_index, rule in enumerate(cfg.rules):
         rep_means: list[float] = []
-        for rep in range(cfg.replications):
-            xs = generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
+        for rep, xs in enumerate(observations):
             p = uniform(len(cfg.models))
             step_scores: list[float] = []
             for t, x_raw in enumerate(xs, start=1):
@@ -313,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig, mc_samples: int = 1000) -> ExperimentR
                 mixture = weighted_predictive_score(
                     p, cfg.models, x, mc_samples, seed=_subkey(cfg.seed, rule_index, rep, t)
                 )
-                p = _step_posterior(rule, p, cfg, x)
+                p = _step_posterior(rule, p, cfg, x, per_model)
                 records.append(
                     StepRecord(rule.kind.value, rep, t, p.values, per_model, mixture)
                 )

@@ -114,63 +114,55 @@ def combine_additive(p: ProbabilityVector, s: ScoreVector) -> np.ndarray:
     return p.values + s.scores
 
 
-def conservative_normalize(q) -> NormalizationResult:
-    """Renormalize a raw vector by the minimal additive constant.
+def _simplex_projection(q) -> tuple[np.ndarray, float, np.ndarray]:
+    """Euclidean projection of q onto the probability simplex.
 
-    Finds the unique posterior of the form ``max(q + d, 0)`` on the largest
-    possible support: sort q descending, take the longest prefix whose last
-    entry stays strictly positive after adding d = (1 - prefix sum)/prefix
-    length, and zero the rest.  Minimizing the number of zeroed entries and
-    minimizing d coincide.  Runs in O(n log n).
-
-    Entries landing exactly on zero are reported as zeroed.  Equal entries
-    at the threshold are kept in index order (lower index survives first);
-    in exact arithmetic a tied pair is never split, so this only fixes the
-    reported bookkeeping.
+    Returns ``(posterior, d, keep)``: ``posterior`` is ``q + d`` where the
+    survivor mask ``keep`` is set and 0 elsewhere.  Sort-and-threshold (Duchi et al.
+    2008; Condat 2016): sort the values descending, take the longest prefix
+    whose last entry stays strictly positive after adding
+    d = (1 - prefix sum)/prefix length.  The prefix sums depend only on the
+    sorted values, so survivors are then picked from q directly: every
+    entry above the cut value, then entries equal to it in index order
+    until the prefix length is reached (the stable-sort tie rule).
     """
     qv = as_values(q)
     if not np.all(np.isfinite(qv)):
         raise ValueError("entries must be finite")
     n = qv.size
-    order = np.argsort(-qv, kind="stable")  # descending, ties by ascending index
-    u = qv[order]
+    u = np.sort(qv)[::-1]
     csum = np.cumsum(u)
     ranks = np.arange(1, n + 1, dtype=float)
     cond = u + (1.0 - csum) / ranks > 0.0
     cond[0] = True  # u1 + (1 - u1) = 1 > 0 identically
     rho = int(np.nonzero(cond)[0][-1]) + 1
     d = (1.0 - float(csum[rho - 1])) / rho
-    posterior = np.zeros(n)
-    survivors = order[:rho]
-    posterior[survivors] = qv[survivors] + d
-    zeroed = frozenset(int(i) for i in order[rho:])
-    return NormalizationResult(ProbabilityVector(posterior), d, zeroed, n - rho)
+    cut = u[rho - 1]
+    keep = qv >= cut
+    extra = int(np.count_nonzero(keep)) - rho
+    if extra:  # a tie split at the cut: the highest-index equal entries go
+        keep[np.flatnonzero(qv == cut)[-extra:]] = False
+    posterior = np.where(keep, qv + d, 0.0)
+    return posterior, d, keep
 
 
-def brute_force_normalize_oracle(q) -> NormalizationResult:
-    """Reference normalization by direct enumeration of zero counts.
+def conservative_normalize(q) -> NormalizationResult:
+    """Renormalize a raw vector by the minimal additive constant.
 
-    For m = 0, 1, ... zero the m smallest entries (ties resolved so the
-    lower index survives first), set d = (1 - survivor sum)/(n - m), and
-    return the first m for which every survivor stays strictly positive.
-    Guarded to small n; must agree with :func:`conservative_normalize`.
+    Finds the unique posterior of the form ``max(q + d, 0)`` on the largest
+    possible support, which is the Euclidean projection of q onto the
+    simplex.  Minimizing the number of zeroed entries and minimizing d
+    coincide.  Runs in O(n log n).
+
+    Entries landing exactly on zero are reported as zeroed.  Equal entries
+    at the threshold are kept in index order (lower index survives first).
+    Only rounding can split a tied pair (the survivor then sits a rounding
+    error above zero), so this fixes the reported bookkeeping, not the
+    posterior.
     """
-    qv = as_values(q)
-    if not np.all(np.isfinite(qv)):
-        raise ValueError("entries must be finite")
-    n = qv.size
-    if n > 12:
-        raise ValueError("oracle is limited to n <= 12")
-    order = np.argsort(-qv, kind="stable")
-    for m in range(n):
-        survivors = order[: n - m]
-        d = (1.0 - float(np.sum(qv[survivors]))) / (n - m)
-        if np.all(qv[survivors] + d > 0.0):
-            posterior = np.zeros(n)
-            posterior[survivors] = qv[survivors] + d
-            zeroed = frozenset(int(i) for i in order[n - m :])
-            return NormalizationResult(ProbabilityVector(posterior), d, zeroed, m)
-    raise AssertionError("unreachable: m = n - 1 always leaves one positive survivor")
+    posterior, d, keep = _simplex_projection(q)
+    zeroed = frozenset(np.flatnonzero(~keep).tolist())
+    return NormalizationResult(ProbabilityVector(posterior), d, zeroed, len(zeroed))
 
 
 def predictive_update(p: ProbabilityVector, s: ScoreVector) -> NormalizationResult:

@@ -9,6 +9,7 @@ import operator
 import time
 
 import numpy as np
+from oracles import brute_force_normalize_oracle, michelot_projection
 
 from credal import (
     Credibility,
@@ -22,7 +23,6 @@ from credal import (
     ProbabilityVector,
     ScoreVector,
     UpdateRule,
-    brute_force_normalize_oracle,
     check_combination_axioms,
     check_commutation,
     conservative_normalize,
@@ -34,7 +34,6 @@ from credal import (
     inferential_update,
     likelihood_score,
     predictive_update,
-    project_to_simplex,
     run_experiment,
     uniform,
     verify_dominance,
@@ -120,7 +119,7 @@ def test_criterion_2_normalization_oracle_equivalence():
 def test_criterion_3_projection_coincidence():
     worst = 0.0
     for q in _same_instances():
-        proj = project_to_simplex(q).values
+        proj = michelot_projection(q)
         norm = conservative_normalize(q).posterior.values
         worst = max(worst, float(np.max(np.abs(proj - norm))))
     report(

@@ -113,6 +113,30 @@ def test_config_json_round_trip():
     ]
 
 
+def test_config_json_rejects_unknown_keys():
+    obj = small_config().to_json()
+    obj["replication"] = 20
+    obj["sead"] = 1
+    with pytest.raises(ValueError, match=r"unknown keys \['replication', 'sead'\]"):
+        ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["seed", "horizon", "replications"])
+def test_config_json_rejects_non_integer_counts(key):
+    obj = small_config().to_json()
+    obj[key] = 3.7
+    with pytest.raises(ValueError, match=f"{key}: must be an integer, got 3.7"):
+        ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["seed", "horizon", "replications"])
+def test_config_json_rejects_boolean_counts(key):
+    obj = small_config().to_json()
+    obj[key] = True
+    with pytest.raises(ValueError, match=f"{key}: must be an integer, got True"):
+        ExperimentConfig.from_json(obj)
+
+
 def test_single_model_posterior_pinned():
     cfg = small_config(
         models=(ModelSpec("only", Gaussian(0.0, 1.0)),),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import brute_force_normalize_oracle
 
 from credal import (
     LossValue,
@@ -12,7 +13,6 @@ from credal import (
     ScoreVector,
     UnderflowError,
     UpdateRule,
-    brute_force_normalize_oracle,
     combine_additive,
     conservative_normalize,
     exp_loss_score,
@@ -122,8 +122,11 @@ def test_oracle_examples():
 
 
 def test_normalize_agrees_with_oracle():
+    # a tie split at the cut: index 3 survives at 2.8e-17, its twin index 5 is zeroed
+    split_tie = np.array([0.5, -1.9, -0.9, -0.2, 0.1, -0.2])
+    assert conservative_normalize(split_tie).zeroed == frozenset({1, 2, 5})
     rng = np.random.default_rng(202)
-    for q in random_raw_vectors(rng, 2000):
+    for q in [split_tie, *random_raw_vectors(rng, 2000)]:
         fast = conservative_normalize(q)
         slow = brute_force_normalize_oracle(q)
         np.testing.assert_allclose(fast.posterior.values, slow.posterior.values, atol=1e-12)
