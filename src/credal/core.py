@@ -11,6 +11,7 @@ is needed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +154,13 @@ def uniform(n: int) -> ProbabilityVector:
 _CSV_HEADER = ["label", "value"]
 
 
+def reject_unknown_keys(obj: dict, allowed, what: str) -> None:
+    """Raise ``ValueError`` naming every key of a parsed literal outside ``allowed``."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {unknown}")
+
+
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -170,14 +178,30 @@ def write_labeled_csv(path, labels, values) -> None:
 
 
 def read_labeled_csv(path) -> tuple[HypothesisSet, np.ndarray]:
-    with open(Path(path), newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [s.strip() for s in rows[0]] != _CSV_HEADER:
-        raise ValueError(f"{path}: expected header 'label,value'")
+    """Read a ``label,value`` CSV; a leading byte-order mark is skipped.
+
+    Blank lines, rows without exactly two fields and values that are not
+    finite numbers are rejected with the path and line named.
+    """
     labels, values = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValueError(f"{path}: line {i}: expected two fields")
-        labels.append(row[0])
-        values.append(float(row[1]))
+    with open(Path(path), newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [s.strip() for s in header] != _CSV_HEADER:
+            raise ValueError(f"{path}: expected header 'label,value'")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if not row:
+                raise ValueError(f"{where}: blank line")
+            if len(row) != 2:
+                raise ValueError(f"{where}: expected two fields")
+            label, text = row
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"{where}: value for {label!r} is not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: value for {label!r} is not finite: {text!r}")
+            labels.append(label)
+            values.append(value)
     return HypothesisSet(tuple(labels)), np.asarray(values, dtype=float)

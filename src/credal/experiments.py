@@ -11,11 +11,13 @@ a mixture prediction that is scored against the incoming observation
 * additive updating adds ``a * CRPS`` and conservatively renormalizes,
   zeroing persistently inaccurate models.
 
-All randomness flows through counter-based Philox streams keyed by
-(seed, purpose, replication[, rule, step]), so replications are order-free
-and reruns are bit-reproducible.  Whether one rule predicts better than
-another is an empirical matter; results report means with standard errors
-and assert no ordering.
+The mixture score is exact (see :class:`~credal.measures.MixtureCRPS`), so
+every rule is scored without sampling noise.  Randomness drives only the
+data: each replication's observations come from a counter-based Philox
+stream keyed by (seed, replication), so every rule sees the same data,
+replications are order-free and reruns are bit-reproducible.  Whether one
+rule predicts better than another is an empirical matter; results report
+means with standard errors and assert no ordering.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProbabilityVector, format_float, uniform
+from .core import ProbabilityVector, format_float, reject_unknown_keys, uniform
 from .measures import (
-    Empirical,
     Forecast,
     Gaussian,
     LossValue,
+    MixtureCRPS,
     Mode,
     ScoreVector,
     crps,
@@ -45,7 +47,6 @@ from .measures import (
 from .updating import RuleKind, UpdateRule, general_bayes_update, inferential_update, predictive_update
 
 _DATA_STREAM = 0
-_MIXTURE_STREAM = 1
 
 CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
 
@@ -53,11 +54,6 @@ CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
 def _rng(seed: int, *key: int) -> np.random.Generator:
     words = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(k) for k in key]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
-
-
-def _subkey(seed: int, *key: int) -> int:
-    words = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(k) for k in key]
-    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -72,6 +68,9 @@ class ModelSpec:
             raise ValueError("model label must be non-empty")
 
 
+_RULE_KEYS = {"inferential": {"kind"}, "predictive": {"kind"}, "general_bayes": {"kind", "rate"}}
+
+
 def _parse_rule(obj) -> UpdateRule:
     if isinstance(obj, str):
         kind = obj
@@ -79,6 +78,8 @@ def _parse_rule(obj) -> UpdateRule:
     elif isinstance(obj, dict):
         kind = obj.get("kind")
         rate = obj.get("rate")
+        if kind in _RULE_KEYS:
+            reject_unknown_keys(obj, _RULE_KEYS[kind], f"{kind} rule literal")
     else:
         raise ValueError(f"cannot parse rule literal: {obj!r}")
     if kind == "inferential":
@@ -90,6 +91,13 @@ def _parse_rule(obj) -> UpdateRule:
             raise ValueError("general_bayes rule literal needs a 'rate'")
         return UpdateRule.general_bayes(float(rate))
     raise ValueError(f"unknown rule kind: {kind!r}")
+
+
+def _parse_model(obj) -> ModelSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"cannot parse model literal: {obj!r}")
+    reject_unknown_keys(obj, {"label", "forecast"}, f"model literal {obj.get('label')!r}")
+    return ModelSpec(str(obj["label"]), forecast_from_json(obj["forecast"]))
 
 
 def _rule_to_json(rule: UpdateRule):
@@ -149,17 +157,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Parse a config object; unknown keys and non-integer counts are rejected."""
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"invalid experiment config: unknown keys {unknown}")
+        """Parse a config object; non-integer counts and unknown keys, also in
+        the rule, model and forecast literals, are rejected."""
+        reject_unknown_keys(obj, {f.name for f in fields(cls)}, "invalid experiment config")
         return cls(
             seed=_json_int(obj, "seed"),
             truth=forecast_from_json(obj["truth"]),
-            models=tuple(
-                ModelSpec(str(m["label"]), forecast_from_json(m["forecast"]))
-                for m in obj["models"]
-            ),
+            models=tuple(_parse_model(m) for m in obj["models"]),
             horizon=_json_int(obj, "horizon"),
             rules=tuple(_parse_rule(r) for r in obj["rules"]),
             a=float(obj.get("a", -1.0)),
@@ -200,32 +204,18 @@ def generate_data(seed: int, truth: Forecast, horizon: int, replication: int = 0
 
 
 def weighted_predictive_score(
-    posterior: ProbabilityVector,
-    models: Sequence[ModelSpec],
-    x: float,
-    mc_samples: int = 1000,
-    seed: int = 0,
+    posterior: ProbabilityVector, models: Sequence[ModelSpec], x: float
 ) -> float:
-    """CRPS of the posterior-weighted mixture forecast at outcome ``x``.
+    """Exact CRPS of the posterior-weighted mixture forecast at outcome ``x``.
 
-    Estimated by sampling a model index per draw with posterior weights
-    (zero-weight models are never sampled), drawing from the chosen model,
-    and applying the empirical CRPS evaluator to the pooled draws.
+    The one-call form of the score :func:`run_experiment` records; it builds
+    the models' pairwise matrix on every call, where the harness builds it
+    once per run.
     """
     if len(posterior) != len(models):
         raise ValueError("posterior and models must have the same length")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be at least 1")
-    rng = _rng(seed, _MIXTURE_STREAM)
-    weights = posterior.values
-    component = rng.choice(len(models), size=mc_samples, p=weights / weights.sum())
-    draws = np.empty(mc_samples)
-    for i, model in enumerate(models):
-        mask = component == i
-        k = int(mask.sum())
-        if k:
-            draws[mask] = sample_forecast(model.forecast, rng, k)
-    return crps(Empirical(draws), x)
+    forecasts = [m.forecast for m in models]
+    return MixtureCRPS(forecasts).score(posterior.values, [crps(f, x) for f in forecasts])
 
 
 @dataclass(frozen=True)
@@ -305,38 +295,44 @@ def _step_posterior(
     raise ValueError(f"unsupported rule: {rule!r}")
 
 
-def run_experiment(cfg: ExperimentConfig, mc_samples: int = 1000) -> ExperimentResult:
+def _model_crps(forecasts: Sequence[Forecast], xs: np.ndarray) -> np.ndarray:
+    """Read-only ``[horizon, models]`` matrix of each model's CRPS at each observation."""
+    table = np.array([[crps(f, x) for f in forecasts] for x in xs.tolist()])
+    table.flags.writeable = False
+    return table
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured rule over every replication; deterministic given cfg.
 
     At each step the pre-update posterior's mixture forecast is scored
     against the incoming observation, then the posterior is updated and
     recorded along with each model's own CRPS at that observation.
     Aggregates are the mean and standard error, across replications, of the
-    per-replication mean mixture CRPS.
+    per-replication mean mixture CRPS.  The data, the per-model CRPS and
+    the mixture's pairwise matrix do not depend on the rule, so each is
+    computed once and shared by all rules.
     """
     records: list[StepRecord] = []
     aggregates: list[RuleAggregate] = []
     forecasts = [m.forecast for m in cfg.models]
+    mixture = MixtureCRPS(forecasts)
     observations = [
         generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
         for rep in range(cfg.replications)
     ]
-    for rule_index, rule in enumerate(cfg.rules):
+    model_crps = [_model_crps(forecasts, xs) for xs in observations]
+    for rule in cfg.rules:
         rep_means: list[float] = []
         for rep, xs in enumerate(observations):
             p = uniform(len(cfg.models))
             step_scores: list[float] = []
-            for t, x_raw in enumerate(xs, start=1):
-                x = float(x_raw)
-                per_model = np.array([crps(f, x) for f in forecasts])
-                mixture = weighted_predictive_score(
-                    p, cfg.models, x, mc_samples, seed=_subkey(cfg.seed, rule_index, rep, t)
-                )
+            for t, x in enumerate(xs.tolist(), start=1):
+                per_model = model_crps[rep][t - 1]
+                score = mixture.score(p.values, per_model)
                 p = _step_posterior(rule, p, cfg, x, per_model)
-                records.append(
-                    StepRecord(rule.kind.value, rep, t, p.values, per_model, mixture)
-                )
-                step_scores.append(mixture)
+                records.append(StepRecord(rule.kind.value, rep, t, p.values, per_model, score))
+                step_scores.append(score)
             rep_means.append(float(np.mean(step_scores)))
         mean = float(np.mean(rep_means))
         if len(rep_means) > 1:

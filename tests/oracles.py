@@ -1,14 +1,18 @@
 """Independent reference implementations the library is checked against.
 
-Neither is used by the library itself: the enumeration oracle tries every
-zero count directly, and the Michelot projection reaches the same map by
-an active-set iteration instead of a sort-and-threshold scan.
+None is used by the library itself: the enumeration oracle tries every
+zero count directly, the Michelot projection reaches the same map by
+an active-set iteration instead of a sort-and-threshold scan, and the
+mixture CRPS is estimated by sampling instead of the pairwise closed form.
 """
+
+import math
 
 import numpy as np
 
 from credal import NormalizationResult, ProbabilityVector
 from credal.core import as_values
+from credal.measures import sample_forecast
 
 
 def brute_force_normalize_oracle(q) -> NormalizationResult:
@@ -60,3 +64,32 @@ def michelot_projection(v) -> np.ndarray:
     out = np.zeros(vv.size)
     out[active] = vv[active] - tau
     return out
+
+
+def sample_mixture(posterior, models, rng, size) -> np.ndarray:
+    """Draws from the posterior-weighted mixture of the models' forecasts.
+
+    A model index is drawn per sample with the posterior weights (zero-weight
+    models are never chosen), then a value from the chosen model.
+    """
+    weights = as_values(posterior)
+    component = rng.choice(len(models), size=size, p=weights / weights.sum())
+    draws = np.empty(size)
+    for i, model in enumerate(models):
+        mask = component == i
+        k = int(mask.sum())
+        if k:
+            draws[mask] = sample_forecast(model.forecast, rng, k)
+    return draws
+
+
+def monte_carlo_mixture_crps(posterior, models, x, n_draws, seed) -> tuple[float, float]:
+    """Monte-Carlo mixture CRPS, ``(estimate, standard_error)``.
+
+    Averages |X - x| - |X1 - X2|/2 over i.i.d. mixture triples, the
+    defining expectations of the CRPS.
+    """
+    rng = np.random.default_rng(seed)
+    draws = sample_mixture(posterior, models, rng, 3 * n_draws).reshape(3, n_draws)
+    stat = np.abs(draws[0] - x) - 0.5 * np.abs(draws[1] - draws[2])
+    return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(n_draws))

@@ -118,3 +118,26 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("name,prob\na,0.5\n")
     with pytest.raises(ValueError):
         read_labeled_csv(path)
+
+
+def test_csv_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbflabel,value\na,0.25\nb,0.75\n")
+    hs, values = read_labeled_csv(path)
+    assert hs.labels == ("a", "b")
+    np.testing.assert_array_equal(values, [0.25, 0.75])
+
+
+def test_csv_rejects_blank_line(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("label,value\na,0.5\n\nb,0.5\n")
+    with pytest.raises(ValueError, match=r"blank\.csv: line 3: blank line"):
+        read_labeled_csv(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+def test_csv_rejects_non_finite_values(tmp_path, text):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"label,value\na,0.5\nb,{text}\n")
+    with pytest.raises(ValueError, match=rf"nonfinite\.csv: line 3: value for 'b' is not finite"):
+        read_labeled_csv(path)

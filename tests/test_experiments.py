@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import monte_carlo_mixture_crps
 
 from credal import (
     ExperimentConfig,
@@ -58,13 +61,13 @@ def test_generate_data_varies_by_replication():
 def test_weighted_score_single_component():
     models = [ModelSpec("m1", PointMass(3.0)), ModelSpec("m2", Gaussian(0.0, 1.0))]
     p = ProbabilityVector([1.0, 0.0])
-    assert weighted_predictive_score(p, models, 5.0, mc_samples=500, seed=1) == 2.0
+    assert weighted_predictive_score(p, models, 5.0) == 2.0
 
 
 def test_weighted_score_identical_components():
     models = [ModelSpec("m1", PointMass(1.0)), ModelSpec("m2", PointMass(1.0))]
     p = ProbabilityVector([0.5, 0.5])
-    assert weighted_predictive_score(p, models, 4.0, mc_samples=500, seed=1) == 3.0
+    assert weighted_predictive_score(p, models, 4.0) == 3.0
 
 
 def test_weighted_score_two_atom_mixture():
@@ -76,8 +79,51 @@ def test_weighted_score_two_atom_mixture():
     assert crps(mix, 0.0) == 0.5
     est, se = crps_monte_carlo(mix, 0.0, n_draws=200_000, seed=2)
     assert abs(est - 0.5) <= 3 * se
-    score = weighted_predictive_score(p, models, 0.0, mc_samples=4000, seed=3)
-    assert score == pytest.approx(0.5, abs=0.05)
+    score = weighted_predictive_score(p, models, 0.0)
+    assert score == pytest.approx(0.5, abs=1e-15)
+
+
+MIXED_MODELS = (
+    ModelSpec("gauss", Gaussian(0.3, 1.2)),
+    ModelSpec("atom", PointMass(-1.0)),
+    ModelSpec("sample", Empirical([-0.5, 0.1, 0.4, 2.0, 2.0])),
+    ModelSpec("wide", Gaussian(-2.0, 0.5)),
+    ModelSpec("pair", Empirical([1.5, -3.0])),
+)
+
+
+@pytest.mark.parametrize("x", [-2.5, 0.0, 0.7, 4.0])
+def test_weighted_score_one_hot_is_component_crps(x):
+    for i, model in enumerate(MIXED_MODELS):
+        w = np.zeros(len(MIXED_MODELS))
+        w[i] = 1.0
+        score = weighted_predictive_score(ProbabilityVector(w), MIXED_MODELS, x)
+        assert score == crps(model.forecast, x)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weighted_score_matches_monte_carlo_oracle(seed):
+    rng = np.random.default_rng(seed)
+    p = ProbabilityVector(rng.dirichlet(np.ones(len(MIXED_MODELS))))
+    x = float(rng.normal())
+    exact = weighted_predictive_score(p, MIXED_MODELS, x)
+    est, se = monte_carlo_mixture_crps(p, MIXED_MODELS, x, n_draws=200_000, seed=seed)
+    assert abs(est - exact) <= 3 * se
+
+
+def test_every_rule_records_the_same_model_crps():
+    cfg = small_config(
+        rules=(UpdateRule.inferential(), UpdateRule.predictive(), UpdateRule.general_bayes(1.0)),
+        horizon=5,
+        replications=2,
+    )
+    result = run_experiment(cfg)
+    for rep in range(cfg.replications):
+        xs = generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
+        expected = [[crps(m.forecast, float(x)) for m in cfg.models] for x in xs]
+        for rule in ("inferential", "predictive", "general_bayes"):
+            rows = [r.crps.tolist() for r in result.records if r.rule == rule and r.replication == rep]
+            assert rows == expected
 
 
 def test_config_validation_lists_fields():
@@ -121,6 +167,47 @@ def test_config_json_rejects_unknown_keys():
         ExperimentConfig.from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "rule, key",
+    [
+        ({"kind": "general_bayes", "rate": 1, "rtae": 2}, "rtae"),
+        ({"kind": "predictive", "rate": 1}, "rate"),
+        ({"kind": "inferential", "a": -1}, "a"),
+    ],
+)
+def test_config_json_rejects_unknown_rule_keys(rule, key):
+    obj = small_config().to_json()
+    obj["rules"] = ["predictive", rule]
+    with pytest.raises(ValueError, match=rf"{rule['kind']} rule literal: unknown keys \['{key}'\]"):
+        ExperimentConfig.from_json(obj)
+
+
+def test_config_json_rejects_unknown_model_keys():
+    obj = small_config().to_json()
+    obj["models"][1]["lable"] = "near2"
+    with pytest.raises(ValueError, match=r"model literal 'near': unknown keys \['lable'\]"):
+        ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("where", ["truth", "model"])
+def test_config_json_rejects_unknown_forecast_keys(where):
+    obj = small_config().to_json()
+    literal = obj["truth"] if where == "truth" else obj["models"][0]["forecast"]
+    literal["sigmaa"] = 3
+    with pytest.raises(ValueError, match=r"gaussian forecast literal: unknown keys \['sigmaa'\]"):
+        ExperimentConfig.from_json(obj)
+
+
+def test_readme_config_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    cfg = ExperimentConfig.from_json(dict(json.loads(blocks[0]), horizon=4, replications=2))
+    result = run_experiment(cfg)
+    assert len(result.records) == len(cfg.rules) * 2 * 4
+    assert {agg.rule for agg in result.aggregates} == {r.kind.value for r in cfg.rules}
+
+
 @pytest.mark.parametrize("key", ["seed", "horizon", "replications"])
 def test_config_json_rejects_non_integer_counts(key):
     obj = small_config().to_json()
@@ -144,7 +231,7 @@ def test_single_model_posterior_pinned():
         horizon=5,
         replications=2,
     )
-    result = run_experiment(cfg, mc_samples=50)
+    result = run_experiment(cfg)
     for rec in result.records:
         np.testing.assert_array_equal(rec.posterior, [1.0])
 
@@ -156,20 +243,20 @@ def test_identical_models_stay_symmetric():
         horizon=5,
         replications=2,
     )
-    result = run_experiment(cfg, mc_samples=50)
+    result = run_experiment(cfg)
     for rec in result.records:
         np.testing.assert_allclose(rec.posterior, [0.5, 0.5], atol=1e-15)
 
 
 def test_recorded_posteriors_are_probabilistic():
-    result = run_experiment(small_config(), mc_samples=50)
+    result = run_experiment(small_config())
     assert result.records
     for rec in result.records:
         assert is_probabilistic(rec.posterior, 1e-9)
 
 
 def test_inferential_never_zeroes_predictive_eliminates():
-    result = run_experiment(small_config(horizon=20), mc_samples=50)
+    result = run_experiment(small_config(horizon=20))
     far = 2
     inf_rows = [r for r in result.records if r.rule == "inferential"]
     pred_rows = [r for r in result.records if r.rule == "predictive"]
@@ -184,14 +271,14 @@ def test_inferential_never_zeroes_predictive_eliminates():
 
 def test_reruns_are_byte_identical():
     cfg = small_config(horizon=6, replications=2)
-    a = run_experiment(cfg, mc_samples=60).to_csv_text()
-    b = run_experiment(cfg, mc_samples=60).to_csv_text()
+    a = run_experiment(cfg).to_csv_text()
+    b = run_experiment(cfg).to_csv_text()
     assert a == b
 
 
 def test_csv_layout():
     cfg = small_config(horizon=2, replications=2)
-    text = run_experiment(cfg, mc_samples=10).to_csv_text()
+    text = run_experiment(cfg).to_csv_text()
     lines = text.strip().split("\n")
     assert lines[0] == "rule,replication,t,model,posterior,crps,mixture_crps"
     # one row per (rule, replication, t, model), in that order
@@ -203,7 +290,7 @@ def test_csv_layout():
 
 
 def test_aggregates_have_standard_errors():
-    result = run_experiment(small_config(horizon=4, replications=3), mc_samples=40)
+    result = run_experiment(small_config(horizon=4, replications=3))
     assert {agg.rule for agg in result.aggregates} == {"inferential", "predictive"}
     for agg in result.aggregates:
         assert len(agg.replication_means) == 3

@@ -22,6 +22,7 @@ from credal import (
     likelihood_score,
     min_abs_error_score,
 )
+from credal.measures import expected_abs_difference
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
 STD_NORMAL_CRPS_AT_MEAN = 2.0 / math.sqrt(2.0 * math.pi) - 1.0 / math.sqrt(math.pi)
@@ -88,6 +89,27 @@ def test_empirical_estimator_matches_naive_double_sum():
         x = float(rng.normal())
         naive = np.mean(np.abs(s - x)) - np.abs(s[:, None] - s[None, :]).sum() / (2 * m * m)
         assert crps(Empirical(s), x) == pytest.approx(naive, abs=1e-12)
+
+
+def test_expected_abs_difference_matches_naive_forms():
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(0.0, 2.0, 7), rng.normal(1.0, 1.0, 12)
+    forecasts = [Empirical(a), Empirical(b), PointMass(0.4), Gaussian(-0.5, 1.5), Gaussian(2.0, 0.5)]
+    pair = expected_abs_difference(forecasts)
+    np.testing.assert_array_equal(pair, pair.T)
+    assert pair[0, 1] == pytest.approx(np.abs(a[:, None] - b[None, :]).mean(), abs=1e-12)
+    assert pair[0, 0] == pytest.approx(np.abs(a[:, None] - a[None, :]).mean(), abs=1e-12)
+    assert pair[1, 2] == pytest.approx(np.abs(b - 0.4).mean(), abs=1e-12)
+    assert pair[2, 2] == 0.0
+    # E|X - Y| = crps(F, y) + E|X - X'|/2 for a Gaussian X and an atom y
+    for i, g in ((3, forecasts[3]), (4, forecasts[4])):
+        half_self = 0.5 * pair[i, i]
+        assert pair[i, 2] == pytest.approx(crps(g, 0.4) + half_self, abs=1e-12)
+        expected = np.mean([crps(g, v) for v in a]) + half_self
+        assert pair[i, 0] == pytest.approx(expected, abs=1e-12)
+    # Gaussian pair: the difference D is N(-2.5, 1.5^2 + 0.5^2), E|D - D'|/2 = sd/sqrt(pi)
+    sd = math.hypot(1.5, 0.5)
+    assert pair[3, 4] == pytest.approx(crps(Gaussian(-2.5, sd), 0.0) + sd / math.sqrt(math.pi), abs=1e-12)
 
 
 def test_empirical_converges_to_gaussian_closed_form():
@@ -193,3 +215,16 @@ def test_forecast_json_literals():
     assert forecast_to_json(forecast_from_json(cases[0][0])) == cases[0][0]
     with pytest.raises(ValueError):
         forecast_from_json({"kind": "cauchy", "loc": 0.0})
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ({"kind": "gaussian", "mu": 0, "sigma": 1, "sigmaa": 3}, "sigmaa"),
+        ({"kind": "pointmass", "loc": 1.0, "location": 2.0}, "location"),
+        ({"kind": "empirical", "samples": [1.0], "weights": [1.0]}, "weights"),
+    ],
+)
+def test_forecast_literal_rejects_unknown_keys(obj, key):
+    with pytest.raises(ValueError, match=rf"{obj['kind']} forecast literal: unknown keys \['{key}'\]"):
+        forecast_from_json(obj)
