@@ -161,8 +161,28 @@ def reject_unknown_keys(obj: dict, allowed, what: str) -> None:
         raise ValueError(f"{what}: unknown keys {unknown}")
 
 
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings and other types are
+    rejected with ``what`` (the key) named."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what}: must be a number, got {value!r}")
+    return float(value)
+
+
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def format_floats(values: np.ndarray) -> list:
+    """:func:`format_float` of every entry, as nested lists shaped like ``values``.
+
+    Entries equal to +0.0 (every bit clear; -0.0 still prints as ``-0``)
+    share one string, since updates zero many weights.
+    """
+    text = np.full(values.shape, "0", dtype=object)
+    nonzero = values.view(np.int64) != 0
+    text[nonzero] = [f"{v:.17g}" for v in values[nonzero].tolist()]
+    return text.tolist()
 
 
 def write_labeled_csv(path, labels, values) -> None:

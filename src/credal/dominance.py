@@ -65,7 +65,7 @@ def project_to_simplex(v) -> ProbabilityVector:
     (:func:`credal.updating.conservative_normalize`), computed by the same
     kernel; only the projected vector is returned.
     """
-    return ProbabilityVector(_simplex_projection(v)[0])
+    return ProbabilityVector(_simplex_projection(as_values(v))[0])
 
 
 def _gaps_against_vertices(c: np.ndarray, p: np.ndarray) -> np.ndarray:

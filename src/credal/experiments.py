@@ -11,6 +11,15 @@ a mixture prediction that is scored against the incoming observation
 * additive updating adds ``a * CRPS`` and conservatively renormalizes,
   zeroing persistently inaccurate models.
 
+The harness is array-native.  The per-model CRPS and density matrices are
+built once over the whole (replication, t) grid; each rule then advances all
+replications one step of t at a time through the update kernels of
+:mod:`credal.updating`, which work on the last axis of ``[replications,
+models]`` arrays.  Results are kept as columns (:class:`ExperimentResult`),
+and the CSV encoder formats each distinct value once and streams the file
+in (rule, replication) blocks; its bytes are those of the per-step loop it
+replaced.
+
 The mixture score is exact (see :class:`~credal.measures.MixtureCRPS`), so
 every rule is scored without sampling noise.  Randomness drives only the
 data: each replication's observations come from a counter-based Philox
@@ -26,29 +35,28 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ProbabilityVector, format_float, reject_unknown_keys, uniform
+from .core import ProbabilityVector, format_floats, json_number, reject_unknown_keys
 from .measures import (
     Forecast,
     Gaussian,
-    LossValue,
     MixtureCRPS,
-    Mode,
-    ScoreVector,
     crps,
+    crps_matrix,
     forecast_from_json,
     forecast_to_json,
-    likelihood_score,
+    gaussian_density_matrix,
     sample_forecast,
 )
-from .updating import RuleKind, UpdateRule, general_bayes_update, inferential_update, predictive_update
+from .updating import RuleKind, UpdateRule, _ratio_update, _simplex_projection
 
 _DATA_STREAM = 0
 
 CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
+_CSV_SPECIAL = ',"\r\n'
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -64,8 +72,15 @@ class ModelSpec:
     forecast: Forecast
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"model label: must be a string, got {self.label!r}")
         if not self.label:
             raise ValueError("model label must be non-empty")
+        # results.csv writes labels unquoted
+        if any(c in self.label for c in _CSV_SPECIAL):
+            raise ValueError(
+                f"model label {self.label!r}: must not contain a comma, a double quote or a line break"
+            )
 
 
 _RULE_KEYS = {"inferential": {"kind"}, "predictive": {"kind"}, "general_bayes": {"kind", "rate"}}
@@ -89,7 +104,7 @@ def _parse_rule(obj) -> UpdateRule:
     if kind == "general_bayes":
         if rate is None:
             raise ValueError("general_bayes rule literal needs a 'rate'")
-        return UpdateRule.general_bayes(float(rate))
+        return UpdateRule.general_bayes(json_number(rate, "general_bayes rule literal: rate"))
     raise ValueError(f"unknown rule kind: {kind!r}")
 
 
@@ -97,7 +112,7 @@ def _parse_model(obj) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse model literal: {obj!r}")
     reject_unknown_keys(obj, {"label", "forecast"}, f"model literal {obj.get('label')!r}")
-    return ModelSpec(str(obj["label"]), forecast_from_json(obj["forecast"]))
+    return ModelSpec(obj["label"], forecast_from_json(obj["forecast"]))
 
 
 def _rule_to_json(rule: UpdateRule):
@@ -111,6 +126,10 @@ def _json_int(obj: dict, key: str, default: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"invalid experiment config: {key}: must be an integer, got {value!r}")
     return value
+
+
+def _json_number(obj: dict, key: str, default: float) -> float:
+    return json_number(obj.get(key, default), f"invalid experiment config: {key}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +176,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Parse a config object; non-integer counts and unknown keys, also in
-        the rule, model and forecast literals, are rejected."""
+        """Parse a config object; non-integer counts, numbers given as booleans
+        or strings, non-string labels and unknown keys, also in the rule,
+        model and forecast literals, are rejected."""
         reject_unknown_keys(obj, {f.name for f in fields(cls)}, "invalid experiment config")
         return cls(
             seed=_json_int(obj, "seed"),
@@ -166,8 +186,8 @@ class ExperimentConfig:
             models=tuple(_parse_model(m) for m in obj["models"]),
             horizon=_json_int(obj, "horizon"),
             rules=tuple(_parse_rule(r) for r in obj["rules"]),
-            a=float(obj.get("a", -1.0)),
-            likelihood_floor=float(obj.get("likelihood_floor", 1e-300)),
+            a=_json_number(obj, "a", -1.0),
+            likelihood_floor=_json_number(obj, "likelihood_floor", 1e-300),
             replications=_json_int(obj, "replications", 1),
         )
 
@@ -242,64 +262,81 @@ class RuleAggregate:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Results as read-only columns, indexed by position in ``config``.
+
+    ``posterior[rule, replication, t, model]`` is the posterior after step
+    ``t + 1``; ``crps[replication, t, model]`` is each model's own CRPS at
+    that step's observation, the same for every rule;
+    ``mixture_crps[rule, replication, t]`` is the CRPS of the pre-update
+    mixture at that step.
+    """
+
     config: ExperimentConfig
-    records: tuple[StepRecord, ...]
+    posterior: np.ndarray
+    crps: np.ndarray
+    mixture_crps: np.ndarray
     aggregates: tuple[RuleAggregate, ...]
 
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        """One :class:`StepRecord` per (rule, replication, t), in CSV order,
+        built on each access from views of the columns."""
+        return tuple(
+            StepRecord(rule.kind.value, rep, t + 1, post[t], self.crps[rep, t], mix[t])
+            for k, rule in enumerate(self.config.rules)
+            for rep, (post, mix) in enumerate(zip(self.posterior[k], self.mixture_crps[k].tolist()))
+            for t in range(self.config.horizon)
+        )
+
+    def _csv_blocks(self) -> Iterator[str]:
+        """The CSV text as the header line, then one block per (rule, replication).
+
+        Each value is formatted once: ``crps`` per (replication, t, model)
+        for every rule, ``mixture_crps`` and the row prefix per step.  A
+        step's rows are joined by the text that ends one row and starts the
+        next.
+        """
+        yield CSV_HEADER + "\n"
+        labels = [m.label for m in self.config.models]
+        crps_text = format_floats(self.crps)
+        mixture_text = format_floats(self.mixture_crps)
+        for k, rule in enumerate(r.kind.value for r in self.config.rules):
+            for rep, crps_rows in enumerate(crps_text):
+                parts = []
+                steps = zip(format_floats(self.posterior[k, rep]), crps_rows, mixture_text[k][rep])
+                for t, (post_row, crps_row, mix) in enumerate(steps, start=1):
+                    head = f"{rule},{rep},{t},"
+                    tail = f",{mix}\n"
+                    cells = map(",".join, zip(labels, post_row, crps_row))
+                    parts.append(head + (tail + head).join(cells) + tail)
+                yield "".join(parts)
+
     def to_csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for rec in self.records:
-            for i, model in enumerate(self.config.models):
-                lines.append(
-                    ",".join(
-                        [
-                            rec.rule,
-                            str(rec.replication),
-                            str(rec.t),
-                            model.label,
-                            format_float(rec.posterior[i]),
-                            format_float(rec.crps[i]),
-                            format_float(rec.mixture_crps),
-                        ]
-                    )
-                )
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_blocks())
 
     def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv_text())
+        """Write :meth:`to_csv_text`'s bytes, one (rule, replication) block at a time."""
+        with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(self._csv_blocks())
 
 
-def _gaussian_density(f: Gaussian, x: float) -> float:
-    z = (x - f.mu) / f.sigma
-    return math.exp(-0.5 * z * z) / (f.sigma * math.sqrt(2.0 * math.pi))
-
-
-def _step_posterior(
-    rule: UpdateRule,
-    p: ProbabilityVector,
-    cfg: ExperimentConfig,
-    x: float,
-    per_model: np.ndarray,
-) -> ProbabilityVector:
-    """One update of ``p`` at observation ``x``; ``per_model`` holds each model's CRPS at x."""
+def _score_grid(
+    rule: UpdateRule, cfg: ExperimentConfig, xs: np.ndarray, model_crps: np.ndarray
+) -> np.ndarray:
+    """Every model's evidential score under ``rule`` at every (replication, t),
+    shaped like ``model_crps``."""
     if rule.kind is RuleKind.INFERENTIAL:
-        dens = [
-            max(cfg.likelihood_floor, _gaussian_density(m.forecast, x)) for m in cfg.models
-        ]
-        return inferential_update(p, likelihood_score(dens))
+        forecasts = [m.forecast for m in cfg.models]
+        dens = gaussian_density_matrix(forecasts, xs.ravel()).reshape(model_crps.shape)
+        return np.fmax(cfg.likelihood_floor, dens)
     if rule.kind is RuleKind.GENERAL_BAYES:
-        losses = [LossValue(float(c), rule.learning_rate) for c in per_model]
-        return general_bayes_update(p, losses)
-    if rule.kind is RuleKind.PREDICTIVE:
-        return predictive_update(p, ScoreVector(cfg.a * per_model, Mode.ADDITIVE)).posterior
-    raise ValueError(f"unsupported rule: {rule!r}")
+        return np.exp(-rule.learning_rate * model_crps)
+    return cfg.a * model_crps
 
 
-def _model_crps(forecasts: Sequence[Forecast], xs: np.ndarray) -> np.ndarray:
-    """Read-only ``[horizon, models]`` matrix of each model's CRPS at each observation."""
-    table = np.array([[crps(f, x) for f in forecasts] for x in xs.tolist()])
-    table.flags.writeable = False
-    return table
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -311,33 +348,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Aggregates are the mean and standard error, across replications, of the
     per-replication mean mixture CRPS.  The data, the per-model CRPS and
     the mixture's pairwise matrix do not depend on the rule, so each is
-    computed once and shared by all rules.
+    computed once and shared by all rules.  A rule advances all
+    replications together, one step of t at a time, on ``[replications,
+    models]`` arrays; the mixture score is taken row by row, since a
+    batched matrix product would sum in another order.
     """
-    records: list[StepRecord] = []
-    aggregates: list[RuleAggregate] = []
+    n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
     forecasts = [m.forecast for m in cfg.models]
-    mixture = MixtureCRPS(forecasts)
-    observations = [
-        generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
-        for rep in range(cfg.replications)
-    ]
-    model_crps = [_model_crps(forecasts, xs) for xs in observations]
-    for rule in cfg.rules:
-        rep_means: list[float] = []
-        for rep, xs in enumerate(observations):
-            p = uniform(len(cfg.models))
-            step_scores: list[float] = []
-            for t, x in enumerate(xs.tolist(), start=1):
-                per_model = model_crps[rep][t - 1]
-                score = mixture.score(p.values, per_model)
-                p = _step_posterior(rule, p, cfg, x, per_model)
-                records.append(StepRecord(rule.kind.value, rep, t, p.values, per_model, score))
-                step_scores.append(score)
-            rep_means.append(float(np.mean(step_scores)))
+    score_mixture = MixtureCRPS(forecasts).score
+    xs = np.array([generate_data(cfg.seed, cfg.truth, horizon, replication=rep) for rep in range(reps)])
+    model_crps = _readonly(crps_matrix(forecasts, xs.ravel()).reshape(reps, horizon, n))
+    posterior = np.empty((len(cfg.rules), reps, horizon, n))
+    mixture_crps = np.empty((len(cfg.rules), reps, horizon))
+    aggregates: list[RuleAggregate] = []
+    for k, rule in enumerate(cfg.rules):
+        scores = _score_grid(rule, cfg, xs, model_crps)
+        p = np.full((reps, n), 1.0 / n)
+        for t in range(horizon):
+            mixture_crps[k, :, t] = [score_mixture(w, c) for w, c in zip(p, model_crps[:, t])]
+            if rule.kind is RuleKind.PREDICTIVE:
+                p = _simplex_projection(p + scores[:, t])[0]
+            else:
+                p = _ratio_update(p, scores[:, t])
+            posterior[k, :, t] = p
+        rep_means = [float(np.mean(row)) for row in mixture_crps[k]]
         mean = float(np.mean(rep_means))
         if len(rep_means) > 1:
             se = float(np.std(rep_means, ddof=1) / math.sqrt(len(rep_means)))
         else:
             se = 0.0
         aggregates.append(RuleAggregate(rule.kind.value, mean, se, tuple(rep_means)))
-    return ExperimentResult(cfg, tuple(records), tuple(aggregates))
+    return ExperimentResult(
+        cfg, _readonly(posterior), model_crps, _readonly(mixture_crps), tuple(aggregates)
+    )

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import reject_unknown_keys
+from .core import json_number, reject_unknown_keys
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -133,19 +133,24 @@ _FORECAST_KEYS = {
 def forecast_from_json(obj: dict) -> Forecast:
     """Parse a forecast literal like ``{"kind": "gaussian", "mu": 0, "sigma": 1}``.
 
-    Unknown keys are rejected by name.
+    Unknown keys are rejected by name, and so are parameters and samples
+    that are not JSON numbers (booleans and strings included).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse forecast literal: {obj!r}")
     kind = obj.get("kind")
+    what = f"{kind} forecast literal"
     if kind in _FORECAST_KEYS:
-        reject_unknown_keys(obj, _FORECAST_KEYS[kind], f"{kind} forecast literal")
+        reject_unknown_keys(obj, _FORECAST_KEYS[kind], what)
     if kind == "gaussian":
-        return Gaussian(float(obj["mu"]), float(obj["sigma"]))
+        return Gaussian(json_number(obj["mu"], f"{what}: mu"), json_number(obj["sigma"], f"{what}: sigma"))
     if kind == "pointmass":
-        return PointMass(float(obj["loc"]))
+        return PointMass(json_number(obj["loc"], f"{what}: loc"))
     if kind == "empirical":
-        return Empirical(obj["samples"])
+        samples = obj["samples"]
+        if not isinstance(samples, list):
+            raise ValueError(f"{what}: samples: must be a list of numbers, got {samples!r}")
+        return Empirical([json_number(v, f"{what}: samples") for v in samples])
     raise ValueError(f"unknown forecast kind: {kind!r}")
 
 
@@ -170,12 +175,17 @@ def sample_forecast(f: Forecast, rng: np.random.Generator, size: int) -> np.ndar
     raise TypeError(f"cannot sample from {f!r}")
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / _SQRT_2))
+def _gaussian_crps(mu, sigma, x, erf, exp):
+    """sigma * (z*(2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)) with z = (x - mu)/sigma.
 
-
-def _norm_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
+    Written once for scalars (``math.erf``/``math.exp``) and for arrays
+    (their elementwise forms): the same operations in the same order, so
+    both give the same bits.
+    """
+    z = (x - mu) / sigma
+    cdf = 0.5 * (1.0 + erf(z / _SQRT_2))
+    pdf = exp(-0.5 * z * z) / _SQRT_2PI
+    return sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / _SQRT_PI)
 
 
 def crps(f: Forecast, x: float) -> float:
@@ -197,8 +207,7 @@ def crps(f: Forecast, x: float) -> float:
     if isinstance(f, PointMass):
         return abs(f.location - x)
     if isinstance(f, Gaussian):
-        z = (x - f.mu) / f.sigma
-        return f.sigma * (z * (2.0 * _norm_cdf(z) - 1.0) + 2.0 * _norm_pdf(z) - 1.0 / _SQRT_PI)
+        return _gaussian_crps(f.mu, f.sigma, x, math.erf, math.exp)
     if isinstance(f, Empirical):
         s = np.sort(f.samples)
         m = s.size
@@ -228,7 +237,51 @@ def crps_monte_carlo(
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(n_draws))
 
 
-_erf = np.frompyfunc(math.erf, 1, 1)
+def _elementwise(fn):
+    """``fn`` applied to each entry of a float array; numpy's own ``exp``
+    differs from ``math.exp`` in the last bit on some inputs."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda a: ufunc(a).astype(float)
+
+
+_erf = _elementwise(math.erf)
+_exp = _elementwise(math.exp)
+
+
+def crps_matrix(forecasts: Sequence[Forecast], xs) -> np.ndarray:
+    """``[len(xs), len(forecasts)]`` matrix of :func:`crps` at every outcome.
+
+    Entry for entry equal to ``crps(forecasts[j], xs[i])``: Gaussian and
+    point-mass columns are computed over the whole grid at once with the
+    same operations, empirical columns by :func:`crps` itself.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("observed outcome must be finite")
+    out = np.empty((xs.size, len(forecasts)))
+    x = xs[:, None]
+    gauss = [j for j, f in enumerate(forecasts) if isinstance(f, Gaussian)]
+    if gauss:
+        mu = np.array([forecasts[j].mu for j in gauss])
+        sigma = np.array([forecasts[j].sigma for j in gauss])
+        out[:, gauss] = _gaussian_crps(mu, sigma, x, _erf, _exp)
+    point = [j for j, f in enumerate(forecasts) if isinstance(f, PointMass)]
+    if point:
+        out[:, point] = np.abs(np.array([forecasts[j].location for j in point]) - x)
+    for j, f in enumerate(forecasts):
+        if not isinstance(f, (Gaussian, PointMass)):
+            out[:, j] = [crps(f, v) for v in xs.tolist()]
+    return out
+
+
+def gaussian_density_matrix(forecasts: Sequence[Gaussian], xs) -> np.ndarray:
+    """``[len(xs), len(forecasts)]`` matrix of each Gaussian's density at every outcome."""
+    if not all(isinstance(f, Gaussian) for f in forecasts):
+        raise TypeError("densities need Gaussian forecasts")
+    mu = np.array([f.mu for f in forecasts])
+    sigma = np.array([f.sigma for f in forecasts])
+    z = (np.asarray(xs, dtype=float)[:, None] - mu) / sigma
+    return _exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
 
 
 def _abs_normal_mean(m, s) -> np.ndarray:
@@ -240,7 +293,7 @@ def _abs_normal_mean(m, s) -> np.ndarray:
     m = np.abs(m)
     s = np.asarray(s, dtype=float)
     z = m / np.where(s > 0.0, s, 1.0)
-    erf = np.asarray(_erf(z / _SQRT_2), dtype=float)
+    erf = _erf(z / _SQRT_2)
     return np.where(s > 0.0, 2.0 * s * np.exp(-0.5 * z * z) / _SQRT_2PI + m * erf, m)
 
 

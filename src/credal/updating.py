@@ -87,6 +87,22 @@ def _require_mode(s: ScoreVector, mode: Mode, op: str) -> None:
         raise ModeMismatchError(f"{op} needs a {mode.value} score vector, got {s.mode.value}")
 
 
+def _ratio_update(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Ratio-form update along the last axis: ``w = s*p; w / w.sum(-1)``.
+
+    Works on any ``[..., n]`` pair of arrays; each row's denominator is
+    numpy's pairwise sum of that row, as for a 1-d vector.  A denominator
+    that is zero or not finite makes the update undefined and raises
+    :class:`UnderflowError`.
+    """
+    w = s * p
+    denom = w.sum(axis=-1, keepdims=True)
+    ok = (denom > 0.0) & (denom < np.inf)
+    if not ok.all():
+        raise UnderflowError(f"posterior weights sum to {float(denom[~ok][0])!r}")
+    return w / denom
+
+
 def inferential_update(p: ProbabilityVector, s: ScoreVector) -> ProbabilityVector:
     """Multiplicative update: posterior[i] = s[i]*p[i] / sum_j s[j]*p[j].
 
@@ -99,11 +115,7 @@ def inferential_update(p: ProbabilityVector, s: ScoreVector) -> ProbabilityVecto
     pv = p.values
     if pv.size != len(s):
         raise ValueError("prior and scores must have the same length")
-    w = s.scores * pv
-    denom = float(np.sum(w))
-    if denom <= 0.0 or not np.isfinite(denom):
-        raise UnderflowError(f"posterior weights sum to {denom!r}")
-    return ProbabilityVector(w / denom)
+    return ProbabilityVector(_ratio_update(pv, s.scores))
 
 
 def combine_additive(p: ProbabilityVector, s: ScoreVector) -> np.ndarray:
@@ -114,36 +126,44 @@ def combine_additive(p: ProbabilityVector, s: ScoreVector) -> np.ndarray:
     return p.values + s.scores
 
 
-def _simplex_projection(q) -> tuple[np.ndarray, float, np.ndarray]:
-    """Euclidean projection of q onto the probability simplex.
+def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euclidean projection of each row of q onto the probability simplex.
 
-    Returns ``(posterior, d, keep)``: ``posterior`` is ``q + d`` where the
-    survivor mask ``keep`` is set and 0 elsewhere.  Sort-and-threshold (Duchi et al.
-    2008; Condat 2016): sort the values descending, take the longest prefix
-    whose last entry stays strictly positive after adding
-    d = (1 - prefix sum)/prefix length.  The prefix sums depend only on the
-    sorted values, so survivors are then picked from q directly: every
-    entry above the cut value, then entries equal to it in index order
-    until the prefix length is reached (the stable-sort tie rule).
+    ``q`` is any ``[..., n]`` float array; each slice along the last axis
+    is projected on its own.  Returns ``(posterior, d, keep)``:
+    ``posterior`` is ``q + d`` where the survivor mask ``keep`` is set and
+    0 elsewhere, and ``d`` has the shape of ``q`` without its last axis.
+    Sort-and-threshold (Duchi et al. 2008; Condat 2016): sort the values
+    descending, take the longest prefix whose last entry stays strictly
+    positive after adding d = (1 - prefix sum)/prefix length.  The prefix
+    sums depend only on the sorted values, so survivors are then picked
+    from q directly: every entry above the cut value, then entries equal
+    to it in index order until the prefix length is reached (the
+    stable-sort tie rule).
     """
-    qv = as_values(q)
-    if not np.all(np.isfinite(qv)):
+    if not np.isfinite(q).all():
         raise ValueError("entries must be finite")
-    n = qv.size
-    u = np.sort(qv)[::-1]
-    csum = np.cumsum(u)
-    ranks = np.arange(1, n + 1, dtype=float)
-    cond = u + (1.0 - csum) / ranks > 0.0
-    cond[0] = True  # u1 + (1 - u1) = 1 > 0 identically
-    rho = int(np.nonzero(cond)[0][-1]) + 1
-    d = (1.0 - float(csum[rho - 1])) / rho
-    cut = u[rho - 1]
-    keep = qv >= cut
-    extra = int(np.count_nonzero(keep)) - rho
-    if extra:  # a tie split at the cut: the highest-index equal entries go
-        keep[np.flatnonzero(qv == cut)[-extra:]] = False
-    posterior = np.where(keep, qv + d, 0.0)
-    return posterior, d, keep
+    shape = q.shape
+    n = shape[-1]
+    q = q.reshape(-1, n)
+    s = np.sort(q)
+    u = s[:, ::-1]
+    shift = (1.0 - u.cumsum(-1)) / np.arange(1.0, n + 1.0)  # d for each prefix length
+    cond = u + shift > 0.0
+    cond[:, 0] = True  # u1 + (1 - u1) = 1 > 0 identically
+    last = (n - 1) - cond[:, ::-1].argmax(-1)  # where each row's longest prefix ends
+    row_start = np.arange(0, q.size, n)
+    d = shift.take(row_start + last)
+    cut = s.take(row_start + ((n - 1) - last))
+    keep = q >= cut[:, None]
+    if np.count_nonzero(keep) != last.sum() + len(last):
+        # more entries reach the cut than the prefixes hold: a tie is split
+        # at the cut, and its highest-index entries go
+        extra = keep.sum(-1) - (last + 1)
+        for r in np.flatnonzero(extra).tolist():
+            keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
+    posterior = np.where(keep, q + d[:, None], 0.0)
+    return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
 
 
 def conservative_normalize(q) -> NormalizationResult:
@@ -160,9 +180,9 @@ def conservative_normalize(q) -> NormalizationResult:
     error above zero), so this fixes the reported bookkeeping, not the
     posterior.
     """
-    posterior, d, keep = _simplex_projection(q)
+    posterior, d, keep = _simplex_projection(as_values(q))
     zeroed = frozenset(np.flatnonzero(~keep).tolist())
-    return NormalizationResult(ProbabilityVector(posterior), d, zeroed, len(zeroed))
+    return NormalizationResult(ProbabilityVector(posterior), float(d), zeroed, len(zeroed))
 
 
 def predictive_update(p: ProbabilityVector, s: ScoreVector) -> NormalizationResult:
@@ -188,11 +208,7 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     if any(lv.learning_rate != rate for lv in losses):
         raise ValueError("all losses must share the same learning rate")
     values = np.array([lv.value for lv in losses], dtype=float)
-    w = np.exp(-rate * values) * pv
-    denom = float(np.sum(w))
-    if denom <= 0.0 or not np.isfinite(denom):
-        raise UnderflowError(f"posterior weights sum to {denom!r}")
-    return ProbabilityVector(w / denom)
+    return ProbabilityVector(_ratio_update(pv, np.exp(-rate * values)))
 
 
 def sequential_update(

@@ -2,17 +2,36 @@
 
 None is used by the library itself: the enumeration oracle tries every
 zero count directly, the Michelot projection reaches the same map by
-an active-set iteration instead of a sort-and-threshold scan, and the
-mixture CRPS is estimated by sampling instead of the pairwise closed form.
+an active-set iteration instead of a sort-and-threshold scan, the
+mixture CRPS is estimated by sampling instead of the pairwise closed form,
+and the reference harness runs a simulation one (rule, replication, step)
+at a time through the public 1-d updates instead of on arrays.
 """
 
 import math
 
 import numpy as np
 
-from credal import NormalizationResult, ProbabilityVector
-from credal.core import as_values
-from credal.measures import sample_forecast
+from credal import (
+    LossValue,
+    Mode,
+    NormalizationResult,
+    ProbabilityVector,
+    RuleAggregate,
+    ScoreVector,
+    StepRecord,
+    crps,
+    general_bayes_update,
+    generate_data,
+    inferential_update,
+    likelihood_score,
+    predictive_update,
+    uniform,
+)
+from credal.core import as_values, format_float
+from credal.experiments import CSV_HEADER
+from credal.measures import MixtureCRPS, sample_forecast
+from credal.updating import RuleKind
 
 
 def brute_force_normalize_oracle(q) -> NormalizationResult:
@@ -93,3 +112,60 @@ def monte_carlo_mixture_crps(posterior, models, x, n_draws, seed) -> tuple[float
     draws = sample_mixture(posterior, models, rng, 3 * n_draws).reshape(3, n_draws)
     stat = np.abs(draws[0] - x) - 0.5 * np.abs(draws[1] - draws[2])
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(n_draws))
+
+
+def _gaussian_density(f, x: float) -> float:
+    z = (x - f.mu) / f.sigma
+    return math.exp(-0.5 * z * z) / (f.sigma * math.sqrt(2.0 * math.pi))
+
+
+def _step_posterior(rule, p, cfg, x, per_model):
+    """One update of ``p`` at observation ``x``; ``per_model`` holds each model's CRPS at x."""
+    if rule.kind is RuleKind.INFERENTIAL:
+        dens = [max(cfg.likelihood_floor, _gaussian_density(m.forecast, x)) for m in cfg.models]
+        return inferential_update(p, likelihood_score(dens))
+    if rule.kind is RuleKind.GENERAL_BAYES:
+        losses = [LossValue(float(c), rule.learning_rate) for c in per_model]
+        return general_bayes_update(p, losses)
+    if rule.kind is RuleKind.PREDICTIVE:
+        return predictive_update(p, ScoreVector(cfg.a * per_model, Mode.ADDITIVE)).posterior
+    raise ValueError(f"unsupported rule: {rule!r}")
+
+
+def reference_harness(cfg) -> tuple[str, tuple]:
+    """``(results.csv text, aggregates)`` of a simulation run step by step.
+
+    Each (rule, replication, step) scores the mixture, updates a
+    ``ProbabilityVector`` through the public 1-d update functions and keeps
+    one ``StepRecord``; every field of every row is formatted on its own.
+    """
+    forecasts = [m.forecast for m in cfg.models]
+    mixture = MixtureCRPS(forecasts)
+    observations = [
+        generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
+        for rep in range(cfg.replications)
+    ]
+    model_crps = [np.array([[crps(f, x) for f in forecasts] for x in xs.tolist()]) for xs in observations]
+    records, aggregates = [], []
+    for rule in cfg.rules:
+        rep_means = []
+        for rep, xs in enumerate(observations):
+            p = uniform(len(cfg.models))
+            step_scores = []
+            for t, x in enumerate(xs.tolist(), start=1):
+                per_model = model_crps[rep][t - 1]
+                score = mixture.score(p.values, per_model)
+                p = _step_posterior(rule, p, cfg, x, per_model)
+                records.append(StepRecord(rule.kind.value, rep, t, p.values, per_model, score))
+                step_scores.append(score)
+            rep_means.append(float(np.mean(step_scores)))
+        mean = float(np.mean(rep_means))
+        se = float(np.std(rep_means, ddof=1) / math.sqrt(len(rep_means))) if len(rep_means) > 1 else 0.0
+        aggregates.append(RuleAggregate(rule.kind.value, mean, se, tuple(rep_means)))
+    lines = [CSV_HEADER]
+    for rec in records:
+        for i, model in enumerate(cfg.models):
+            fields = [rec.rule, str(rec.replication), str(rec.t), model.label]
+            fields += [format_float(rec.posterior[i]), format_float(rec.crps[i]), format_float(rec.mixture_crps)]
+            lines.append(",".join(fields))
+    return "\n".join(lines) + "\n", tuple(aggregates)

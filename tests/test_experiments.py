@@ -296,3 +296,67 @@ def test_aggregates_have_standard_errors():
         assert len(agg.replication_means) == 3
         assert agg.se_mixture_crps >= 0.0
         assert agg.mean_mixture_crps == pytest.approx(np.mean(agg.replication_means))
+
+
+def _set_rate(obj, value):
+    obj["rules"] = [{"kind": "general_bayes", "rate": value}]
+
+
+def _set_forecast(kind, key, value):
+    literals = {
+        "gaussian": {"kind": "gaussian", "mu": 0.0, "sigma": 1.0},
+        "pointmass": {"kind": "pointmass", "loc": 0.0},
+        "empirical": {"kind": "empirical", "samples": [0.0, 1.0]},
+    }
+
+    def mutate(obj):
+        literal = dict(literals[kind], **{key: value})
+        obj["rules"] = ["predictive"]
+        obj["models"][1]["forecast"] = literal
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o: o.update(a=True), r"config: a: must be a number, got True"),
+        (lambda o: o.update(a="-1"), r"config: a: must be a number, got '-1'"),
+        (lambda o: o.update(likelihood_floor=True), r"likelihood_floor: must be a number, got True"),
+        (lambda o: _set_rate(o, True), r"general_bayes rule literal: rate: must be a number, got True"),
+        (lambda o: _set_rate(o, "1"), r"general_bayes rule literal: rate: must be a number, got '1'"),
+        (_set_forecast("gaussian", "mu", "0"), r"gaussian forecast literal: mu: must be a number, got '0'"),
+        (_set_forecast("gaussian", "sigma", True), r"gaussian forecast literal: sigma: must be a number, got True"),
+        (_set_forecast("pointmass", "loc", False), r"pointmass forecast literal: loc: must be a number, got False"),
+        (_set_forecast("empirical", "samples", [0.5, "1"]), r"empirical forecast literal: samples: must be a number, got '1'"),
+        (_set_forecast("empirical", "samples", [True]), r"empirical forecast literal: samples: must be a number, got True"),
+        (_set_forecast("empirical", "samples", "01"), r"empirical forecast literal: samples: must be a list of numbers"),
+        (lambda o: o["truth"].update(mu="0"), r"gaussian forecast literal: mu: must be a number, got '0'"),
+        (lambda o: o["models"][0].update(label=3), r"model label: must be a string, got 3"),
+    ],
+)
+def test_config_json_rejects_non_numbers_and_non_string_labels(mutate, message):
+    obj = small_config().to_json()
+    mutate(obj)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(obj)
+
+
+def test_config_json_accepts_integer_numbers():
+    obj = small_config().to_json()
+    obj.update(a=-2, likelihood_floor=1)
+    obj["rules"] = [{"kind": "general_bayes", "rate": 2}]
+    obj["models"][0]["forecast"] = {"kind": "gaussian", "mu": 0, "sigma": 1}
+    cfg = ExperimentConfig.from_json(obj)
+    assert (cfg.a, cfg.likelihood_floor, cfg.rules[0].learning_rate) == (-2.0, 1.0, 2.0)
+    assert cfg.models[0].forecast == Gaussian(0.0, 1.0)
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", "\n"])
+def test_labels_that_would_break_the_csv_are_rejected(label):
+    obj = small_config().to_json()
+    obj["models"][2]["label"] = label
+    with pytest.raises(ValueError, match=re.escape(f"model label {label!r}: must not contain")):
+        ExperimentConfig.from_json(obj)
+    with pytest.raises(ValueError, match="must not contain"):
+        ModelSpec(label, Gaussian(0.0, 1.0))

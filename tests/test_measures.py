@@ -22,7 +22,7 @@ from credal import (
     likelihood_score,
     min_abs_error_score,
 )
-from credal.measures import expected_abs_difference
+from credal.measures import crps_matrix, expected_abs_difference
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
 STD_NORMAL_CRPS_AT_MEAN = 2.0 / math.sqrt(2.0 * math.pi) - 1.0 / math.sqrt(math.pi)
@@ -228,3 +228,17 @@ def test_forecast_json_literals():
 def test_forecast_literal_rejects_unknown_keys(obj, key):
     with pytest.raises(ValueError, match=rf"{obj['kind']} forecast literal: unknown keys \['{key}'\]"):
         forecast_from_json(obj)
+
+
+def test_crps_matrix_equals_scalar_crps_bit_for_bit():
+    # numpy's own exp differs from math.exp in the last bit on some inputs;
+    # the grid must not
+    rng = np.random.default_rng(41)
+    forecasts = [Gaussian(float(m), float(s)) for m, s in zip(rng.normal(0, 2, 6), rng.uniform(0.1, 3, 6))]
+    forecasts += [PointMass(0.25), Empirical([-1.0, 0.5, 0.5, 4.0]), PointMass(-3.0)]
+    xs = np.concatenate([rng.normal(0.0, 3.0, 3000), [0.0, 0.25, -40.0, 40.0]])
+    table = crps_matrix(forecasts, xs)
+    expected = [[crps(f, x) for f in forecasts] for x in xs.tolist()]
+    assert table.tolist() == expected
+    with pytest.raises(ValueError, match="finite"):
+        crps_matrix(forecasts, [0.0, math.inf])

@@ -22,6 +22,7 @@ from credal import (
     sequential_update,
     uniform,
 )
+from credal.updating import _ratio_update, _simplex_projection
 
 
 def random_raw_vectors(rng, count, n_max=12):
@@ -133,6 +134,49 @@ def test_normalize_agrees_with_oracle():
         assert fast.zeroed == slow.zeroed
         assert fast.m == slow.m
         assert fast.d == pytest.approx(slow.d, abs=1e-12)
+
+
+def test_batched_projection_matches_rows():
+    # rows that keep different numbers of survivors, projected in one call
+    fixed = np.array(
+        [
+            [0.5, -1.9, -0.9, -0.2, 0.1, -0.2],  # tie split at the cut: zeroed {1, 2, 5}
+            [4.0, -1.0, 0.0, 0.3, -2.0, 0.1],  # a single survivor
+            [0.2, 0.1, 0.15, 0.25, 0.2, 0.1],  # already on the simplex: all six survive
+            [0.5, 0.5, -1.0, -1.0, 0.2, 0.2],  # a tie at the cut kept whole
+            [-0.2, 0.1, -0.2, 0.5, -0.9, -1.9],  # the split tie again, in another order
+        ]
+    )
+    rng = np.random.default_rng(31)
+    grid = np.round(rng.normal(0.0, 1.0, (300, 6)), 1)  # coarse grid forces ties
+    scaled = rng.normal(0.5, 3.0, (300, 6)) * 10.0 ** rng.integers(-2, 3, (300, 1))
+    q = np.concatenate([fixed, grid, scaled])
+    posterior, d, keep = _simplex_projection(q)
+    assert sorted(np.flatnonzero(~keep[0]).tolist()) == [1, 2, 5]
+    assert np.count_nonzero(keep[1]) == 1 and keep[2].all()
+    assert len({int(k) for k in keep.sum(axis=1)}) == 6  # every survivor count from 1 to 6
+    for i, row in enumerate(q):
+        one = conservative_normalize(row)
+        np.testing.assert_array_equal(posterior[i], one.posterior.values)
+        assert d[i] == one.d
+        assert set(np.flatnonzero(~keep[i]).tolist()) == one.zeroed
+    # any leading shape: each slice along the last axis is projected on its own
+    stacked = _simplex_projection(q.reshape(5, -1, 6))
+    for whole, part in zip((posterior, d, keep), stacked):
+        np.testing.assert_array_equal(whole, part.reshape(whole.shape))
+
+
+def test_batched_ratio_update_matches_rows():
+    rng = np.random.default_rng(32)
+    p = rng.dirichlet(np.ones(7), size=40)
+    s = rng.uniform(0.1, 3.0, (40, 7)) * 10.0 ** rng.integers(-200, 0, (40, 1))
+    batch = _ratio_update(p, s)
+    for i in range(40):
+        one = inferential_update(ProbabilityVector(p[i]), ScoreVector(s[i], Mode.MULTIPLICATIVE))
+        np.testing.assert_array_equal(batch[i], one.values)
+    s[3] = 1e-300  # one row's weights underflow to zero
+    with pytest.raises(UnderflowError):
+        _ratio_update(p * 1e-30, s)
 
 
 def test_boundary_entries_are_zeroed():
