@@ -21,7 +21,7 @@ from .axioms import (
     general_bayes_equivalence_report,
     regularity_violation_report,
 )
-from .core import Credibility, ProbabilityVector, read_labeled_csv, write_labeled_csv
+from .core import DEFAULT_EPS, Credibility, ProbabilityVector, read_labeled_csv, write_labeled_csv
 from .dominance import verify_dominance
 from .experiments import ExperimentConfig, run_experiment
 from .measures import LossValue, Mode, ModeMismatchError, ScoreVector
@@ -48,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dom = sub.add_parser("dominance", help="accuracy-dominance report for a credibility CSV")
     dom.add_argument("--cred", required=True, help="credibility CSV (label,value)")
-    dom.add_argument("--eps", type=float, default=1e-9)
-    dom.add_argument("--seed", type=int, default=0)
-    dom.add_argument("--perturbations", type=int, default=10_000)
+    dom.add_argument("--eps", type=float, default=DEFAULT_EPS)
     dom.set_defaults(func=_cmd_dominance)
 
     pr = sub.add_parser("props", help="run the axiom suites")
@@ -116,9 +114,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_dominance(args) -> int:
     hyps, values = read_labeled_csv(args.cred)
-    report = verify_dominance(
-        Credibility(values), eps=args.eps, n_perturbations=args.perturbations, seed=args.seed
-    )
+    report = verify_dominance(Credibility(values), eps=args.eps)
     out = {"labels": list(hyps.labels)}
     out.update(report.to_json())
     print(json.dumps(out))

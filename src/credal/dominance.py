@@ -1,11 +1,12 @@
-"""Accuracy dominance at desk scale: divergence, simplex projection, search.
+"""Accuracy dominance at desk scale: divergence, simplex projection, certificates.
 
 The ideal credibility function is a vertex of the simplex (probability 1 on
 the best hypothesis).  A candidate is dominated when some other function is
-strictly closer to every vertex.  Non-probabilistic vectors are always
-dominated by their Euclidean projection onto the simplex; for probabilistic
-vectors a seeded randomized search looks for a dominator and is expected to
-find none (evidence, not proof).
+strictly closer to every vertex.  Both answers are exact closed forms:
+non-probabilistic vectors are dominated by their Euclidean projection onto
+the simplex, and a probabilistic vector is undominated with itself as the
+certificate, since its weights average every rival's per-vertex gaps to
+minus the squared distance between the two.
 """
 
 from __future__ import annotations
@@ -24,8 +25,15 @@ class DominanceReport:
 
     ``per_vertex_gap[j]`` is divergence(candidate, vertex j) minus
     divergence(dominator, vertex j); all gaps are strictly positive exactly
-    when the candidate is dominated.  When no dominator was found the gaps
-    reported are those of the best candidate tried.
+    when the candidate is dominated.
+
+    An undominated report carries no dominator and all-zero gaps (the
+    candidate against itself).  Its certificate is the candidate ``c``
+    itself, so the report holds no copy of it: for any rival ``c'`` with
+    gaps ``gap_j(c') = divergence(c, e_j) - divergence(c', e_j)``,
+    ``sum_j c_j gap_j(c') = -|c - c'|^2 + delta (|c|^2 - |c'|^2)`` where
+    ``sum(c) = 1 + delta``.  At ``delta = 0`` the weighted sum is
+    ``-|c - c'|^2 <= 0``, so no ``c'`` is closer to every vertex.
     """
 
     dominated: bool
@@ -68,51 +76,37 @@ def project_to_simplex(v) -> ProbabilityVector:
     return ProbabilityVector(_simplex_projection(as_values(v))[0])
 
 
-def _gaps_against_vertices(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # divergence to vertex j expands to sum(v^2) - 2*v[j] + 1; the +1 cancels
-    return (float(np.dot(c, c)) - 2.0 * c) - (float(np.dot(p, p)) - 2.0 * p)
-
-
 def verify_dominance(
     c,
     eps: float = DEFAULT_EPS,
-    n_perturbations: int = 10_000,
-    seed: int = 0,
+    *,
+    n_perturbations: int | None = None,
+    seed: int | None = None,
 ) -> DominanceReport:
-    """Check whether a credibility vector is accuracy-dominated.
+    """Check whether a credibility vector is accuracy-dominated, in closed form.
 
-    Non-probabilistic input: its simplex projection is returned as the
-    dominator together with the per-vertex gaps, all of which are strictly
-    positive (projection onto a convex set never moves farther from any of
-    its points, and here it moves strictly closer).
+    Non-probabilistic input: its simplex projection ``p`` is returned as the
+    dominator.  With the projection's shift ``d`` and its ``k`` survivors,
+    the per-vertex gaps are ``k d^2 + sum_{i not kept} c_i^2 +
+    2 max(0, -(c_j + d))``: every term is non-negative and the sum is
+    strictly positive unless ``c`` already lies on the simplex, so no
+    difference of nearly equal terms is taken.
 
-    Probabilistic input: a seeded randomized search over perturbed and
-    fresh candidates looks for a dominator.  Finding none reports
-    ``dominated=False`` with the gaps of the best candidate tried; this is
-    sampled evidence of undominatedness, not a proof.
+    Probabilistic input (entries non-negative, ``sum(c) = 1 + delta`` with
+    ``|delta| <= eps``): ``dominated=False`` with no dominator and zero
+    gaps, in O(n).  The certificate is ``c`` itself (Predd et al. 2009):
+    ``sum_j c_j gap_j(c') = -|c - c'|^2 + delta (|c|^2 - |c'|^2)`` for any
+    ``c'``, so at ``delta = 0`` no ``c'`` is strictly closer to every
+    vertex, and otherwise none is closer to every vertex by more than
+    ``(delta |c| / (1 + delta))^2``.
+
+    ``n_perturbations`` and ``seed`` are ignored; they are accepted so that
+    callers written for the former randomized search keep working.
     """
     cv = as_values(c)
-    if not is_probabilistic(cv, eps):
-        dominator = project_to_simplex(cv)
-        gaps = _gaps_against_vertices(cv, dominator.values)
-        return DominanceReport(bool(np.all(gaps > 0.0)), dominator, gaps)
-
-    rng = np.random.default_rng(seed)
-    n = cv.size
-    half = n_perturbations // 2
-    scales = np.array([1e-3, 1e-2, 1e-1, 0.5])
-    noise = rng.standard_normal((half, n)) * scales[rng.integers(0, scales.size, (half, 1))]
-    candidates = np.vstack(
-        [np.clip(cv + noise, 0.0, 1.0), rng.uniform(0.0, 1.0, (n_perturbations - half, n))]
-    )
-    base = float(np.dot(cv, cv)) - 2.0 * cv
-    gaps_all = base[None, :] - (np.sum(candidates * candidates, axis=1)[:, None] - 2.0 * candidates)
-    min_gaps = gaps_all.min(axis=1)
-    best = int(np.argmax(min_gaps))
-    if min_gaps[best] > 0.0:
-        # a dominating candidate's projection dominates at least as strictly
-        dominator = project_to_simplex(candidates[best])
-        gaps = _gaps_against_vertices(cv, dominator.values)
-        if np.all(gaps > 0.0):
-            return DominanceReport(True, dominator, gaps)
-    return DominanceReport(False, None, gaps_all[best])
+    if is_probabilistic(cv, eps):
+        return DominanceReport(False, None, np.zeros(cv.size))
+    posterior, d, keep = _simplex_projection(cv)
+    dropped = cv[~keep]
+    gaps = np.count_nonzero(keep) * d * d + np.dot(dropped, dropped) + 2.0 * np.maximum(0.0, -(cv + d))
+    return DominanceReport(bool(np.all(gaps > 0.0)), ProbabilityVector(posterior), gaps)

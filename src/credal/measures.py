@@ -324,17 +324,20 @@ def expected_abs_difference(forecasts: Sequence[Forecast]) -> np.ndarray:
 
     A difference of two normal atoms is N(m_i - m_j, s_i^2 + s_j^2), so
     every entry between Gaussian and point-mass forecasts is one
-    E|N(m, s^2)|, evaluated over the whole grid at once.  An entry with an
-    empirical forecast averages over its samples; between two forecasts
-    without spread (empirical or point mass) it is the sorted-sample mean
-    of |a_i - b_j|.
+    E|N(m, s^2)|, evaluated at once over the upper triangle of the grid and
+    mirrored (the matrix is symmetric).  An entry with an empirical forecast
+    averages over its samples; between two forecasts without spread
+    (empirical or point mass) it is the sorted-sample mean of |a_i - b_j|.
     """
     atoms = [_atoms(f) for f in forecasts]
     if not atoms:
         raise ValueError("need at least one forecast")
     loc = np.array([xs[0] for xs, _ in atoms])
     sd = np.array([s for _, s in atoms])
-    pair = _abs_normal_mean(loc[:, None] - loc[None, :], np.hypot(sd[:, None], sd[None, :]))
+    rows, cols = np.triu_indices(loc.size)
+    pair = np.empty((loc.size, loc.size))
+    upper = _abs_normal_mean(loc[rows] - loc[cols], np.hypot(sd[rows], sd[cols]))
+    pair[rows, cols] = pair[cols, rows] = upper
     for i, (xs, s) in enumerate(atoms):
         if xs.size == 1:
             continue

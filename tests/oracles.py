@@ -4,8 +4,10 @@ None is used by the library itself: the enumeration oracle tries every
 zero count directly, the Michelot projection reaches the same map by
 an active-set iteration instead of a sort-and-threshold scan, the
 mixture CRPS is estimated by sampling instead of the pairwise closed form,
-and the reference harness runs a simulation one (rule, replication, step)
-at a time through the public 1-d updates instead of on arrays.
+the reference harness runs a simulation one (rule, replication, step)
+at a time through the public 1-d updates instead of on arrays, and the
+dominator search tries random candidates instead of using the closed-form
+dominance certificates.
 """
 
 import math
@@ -83,6 +85,31 @@ def michelot_projection(v) -> np.ndarray:
     out = np.zeros(vv.size)
     out[active] = vv[active] - tau
     return out
+
+
+def random_dominator_search(c, n_perturbations, seed) -> tuple[np.ndarray | None, np.ndarray]:
+    """Seeded randomized search for a vector strictly closer than ``c`` to every vertex.
+
+    Half the candidates are ``c`` plus Gaussian noise at a scale drawn from
+    1e-3 ... 0.5, clipped to [0, 1]; the rest are uniform on [0, 1]^n.
+    Returns ``(dominator, gaps)``: the candidate whose worst per-vertex gap
+    ``divergence(c, e_j) - divergence(candidate, e_j)`` is largest, or
+    None when even that gap is not positive, and that candidate's gaps.
+    """
+    cv = as_values(c)
+    rng = np.random.default_rng(seed)
+    n = cv.size
+    half = n_perturbations // 2
+    scales = np.array([1e-3, 1e-2, 1e-1, 0.5])
+    noise = rng.standard_normal((half, n)) * scales[rng.integers(0, scales.size, (half, 1))]
+    candidates = np.vstack(
+        [np.clip(cv + noise, 0.0, 1.0), rng.uniform(0.0, 1.0, (n_perturbations - half, n))]
+    )
+    # divergence to vertex j expands to sum(v^2) - 2*v[j] + 1; the +1 cancels
+    base = float(np.dot(cv, cv)) - 2.0 * cv
+    gaps = base[None, :] - (np.sum(candidates * candidates, axis=1)[:, None] - 2.0 * candidates)
+    best = int(np.argmax(gaps.min(axis=1)))
+    return (candidates[best] if gaps[best].min() > 0.0 else None), gaps[best]
 
 
 def sample_mixture(posterior, models, rng, size) -> np.ndarray:

@@ -106,10 +106,17 @@ def test_dominance_json(tmp_path, capsys):
 def test_dominance_probabilistic_input(tmp_path, capsys):
     cred = tmp_path / "c.csv"
     write_labeled_csv(cred, ["H1", "H2"], [0.5, 0.5])
-    assert dispatch(["dominance", "--cred", str(cred), "--perturbations", "500"]) == 0
+    assert dispatch(["dominance", "--cred", str(cred)]) == 0
     report = json.loads(capsys.readouterr().out.strip())
     assert report["dominated"] is False
     assert report["dominator"] is None
+
+
+def test_dominance_search_flags_removed(tmp_path, capsys):
+    cred = tmp_path / "c.csv"
+    write_labeled_csv(cred, ["H1", "H2"], [0.5, 0.5])
+    assert dispatch(["dominance", "--cred", str(cred), "--seed", "5"]) == 2
+    assert dispatch(["dominance", "--cred", str(cred), "--perturbations", "500"]) == 2
 
 
 def test_props_suites_pass(capsys):
@@ -137,9 +144,9 @@ def test_props_detects_forced_failure(capsys):
 def test_dispatch_deterministic(tmp_path, capsys):
     cred = tmp_path / "c.csv"
     write_labeled_csv(cred, ["H1", "H2", "H3"], [0.2, 0.9, 0.4])
-    dispatch(["dominance", "--cred", str(cred), "--seed", "5"])
+    dispatch(["dominance", "--cred", str(cred)])
     first = capsys.readouterr().out
-    dispatch(["dominance", "--cred", str(cred), "--seed", "5"])
+    dispatch(["dominance", "--cred", str(cred)])
     assert capsys.readouterr().out == first
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import michelot_projection
+from oracles import michelot_projection, random_dominator_search
 
 from credal import (
     Credibility,
@@ -75,6 +75,24 @@ def test_dominance_examples():
     assert not verify_dominance(Credibility([0.5, 0.5])).dominated
     assert not verify_dominance(Credibility([1.0, 0.0])).dominated  # already ideal at vertex 0
 
+    rep = verify_dominance([1.2, -0.2])  # sums to 1 but has a negative entry
+    assert rep.dominated
+    np.testing.assert_allclose(rep.dominator.values, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rep.per_vertex_gap, [0.08, 0.88], atol=1e-15)
+
+
+def test_probabilistic_report_is_the_certificate():
+    p = ProbabilityVector([0.3, 0.45, 0.25])
+    rep = verify_dominance(p)
+    assert not rep.dominated
+    assert rep.dominator is None
+    np.testing.assert_array_equal(rep.per_vertex_gap, np.zeros(3))
+    # the former search arguments are accepted and change nothing
+    again = verify_dominance(p, n_perturbations=7, seed=3)
+    np.testing.assert_array_equal(again.per_vertex_gap, rep.per_vertex_gap)
+    with pytest.raises(TypeError):
+        verify_dominance(p, 1e-9, 10_000)
+
 
 def test_non_probabilistic_vectors_are_dominated():
     rng = np.random.default_rng(21)
@@ -96,14 +114,76 @@ def test_non_probabilistic_vectors_are_dominated():
             assert rep.per_vertex_gap[j] == pytest.approx(direct, abs=1e-12)
 
 
+def test_gaps_near_the_simplex_stay_positive():
+    # sums 1 +- delta just outside eps: the gaps are tiny but must not cancel
+    rng = np.random.default_rng(24)
+    for delta in np.geomspace(2e-9, 1e-3, 25):
+        for sign in (1.0, -1.0):
+            for _ in range(8):
+                n = int(rng.integers(2, 9))
+                c = rng.dirichlet(np.ones(n)) * (1.0 + sign * delta)
+                rep = verify_dominance(Credibility(c))
+                assert rep.dominated
+                assert np.all(rep.per_vertex_gap > 0.0)
+                for j in range(n):
+                    direct = divergence(c, ideal_credibility(j, n)) - divergence(
+                        rep.dominator, ideal_credibility(j, n)
+                    )
+                    assert rep.per_vertex_gap[j] == pytest.approx(direct, abs=1e-12)
+
+
 def test_probabilistic_vectors_never_dominated_in_search():
     rng = np.random.default_rng(22)
     for i in range(150):
         n = int(rng.integers(2, 6))
         p = ProbabilityVector(rng.dirichlet(np.ones(n)))
-        rep = verify_dominance(p, n_perturbations=2000, seed=i)
-        assert not rep.dominated
-        assert rep.dominator is None
+        dominator, gaps = random_dominator_search(p, n_perturbations=2000, seed=i)
+        assert dominator is None
+        assert gaps.min() <= 0.0
+        assert not verify_dominance(p).dominated
+
+
+def test_search_oracle_finds_dominators_well_off_the_simplex():
+    rng = np.random.default_rng(23)
+    found = 0
+    while found < 100:
+        n = int(rng.integers(2, 6))
+        c = rng.uniform(0.0, 1.0, n)
+        if c.sum() < 1.3:
+            continue
+        found += 1
+        dominator, gaps = random_dominator_search(c, n_perturbations=2000, seed=found)
+        assert dominator is not None
+        for j in range(n):
+            direct = divergence(c, ideal_credibility(j, n)) - divergence(dominator, ideal_credibility(j, n))
+            assert direct > 0.0
+            assert gaps[j] == pytest.approx(direct, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 512),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["uniform", "near", "dirichlet", "normal"]),
+    st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+)
+def test_certificate_identity(n, seed, rival, scale):
+    # sum_j c_j gap_j(c') = -|c - c'|^2 + delta (|c|^2 - |c'|^2), sum(c) = 1 + delta
+    rng = np.random.default_rng(seed)
+    c = rng.dirichlet(np.ones(n)) * (1.0 + scale)
+    other = {
+        "uniform": lambda: rng.uniform(-1.0, 2.0, n),
+        "near": lambda: c + rng.normal(0.0, 1e-3, n),
+        "dirichlet": lambda: rng.dirichlet(np.ones(n)),
+        "normal": lambda: rng.normal(0.0, 1.0, n),
+    }[rival]()
+    vertices = np.eye(n)
+    gaps = ((c - vertices) ** 2).sum(axis=1) - ((other - vertices) ** 2).sum(axis=1)
+    delta = c.sum() - 1.0
+    expected = -divergence(c, other) + delta * (c @ c - other @ other)
+    assert c @ gaps == pytest.approx(expected, abs=1e-12 * (1.0 + other @ other))
+    if scale == 0.0:
+        assert c @ gaps <= 1e-12 * (1.0 + other @ other)
 
 
 def test_dominance_report_json():

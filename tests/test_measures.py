@@ -111,6 +111,24 @@ def test_expected_abs_difference_matches_naive_forms():
     sd = math.hypot(1.5, 0.5)
     assert pair[3, 4] == pytest.approx(crps(Gaussian(-2.5, sd), 0.0) + sd / math.sqrt(math.pi), abs=1e-12)
 
+    # a larger mixed list: every grid entry, above and below the diagonal
+    mixed = [Empirical(a)]
+    for k in range(30):
+        loc = float(rng.normal(0.0, 3.0))
+        mixed.append(PointMass(loc) if k % 3 == 0 else Gaussian(loc, float(rng.uniform(0.2, 2.0))))
+    pair = expected_abs_difference(mixed)
+    assert np.array_equal(pair, pair.T)
+    for i, f in enumerate(mixed[1:], start=1):
+        for j, g in enumerate(mixed[1:], start=1):
+            if isinstance(f, PointMass) and isinstance(g, PointMass):
+                assert pair[i, j] == abs(f.location - g.location)
+            elif isinstance(f, PointMass):
+                assert pair[i, j] == pytest.approx(crps(g, f.location) + 0.5 * pair[j, j], abs=1e-12)
+            elif isinstance(g, Gaussian):
+                sd = math.hypot(f.sigma, g.sigma)
+                expected = crps(Gaussian(f.mu - g.mu, sd), 0.0) + sd / math.sqrt(math.pi)
+                assert pair[i, j] == pytest.approx(expected, abs=1e-12)
+
 
 def test_empirical_converges_to_gaussian_closed_form():
     rng = np.random.default_rng(42)
