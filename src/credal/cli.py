@@ -83,6 +83,9 @@ def _cmd_update(args) -> int:
         return 0
 
     write_labeled_csv(args.out, hyps.labels, posterior.values)
+    # the ratio-form rules never zero a weight; the smallest one shows how
+    # close the update came to underflow
+    print(json.dumps({"rule": args.rule, "min_posterior": float(posterior.values.min())}))
     return 0
 
 

@@ -100,9 +100,13 @@ def verify_dominance(
     vertex, and otherwise none is closer to every vertex by more than
     ``(delta |c| / (1 + delta))^2``.
 
-    ``n_perturbations`` and ``seed`` are ignored; they are accepted so that
-    callers written for the former randomized search keep working.
+    ``eps`` must be non-negative; a negative or NaN ``eps`` raises
+    ``ValueError``.  ``n_perturbations`` and ``seed`` are ignored; they are
+    accepted so that callers written for the former randomized search keep
+    working.
     """
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be non-negative, got {eps!r}")
     cv = as_values(c)
     if is_probabilistic(cv, eps):
         return DominanceReport(False, None, np.zeros(cv.size))

@@ -15,10 +15,11 @@ The harness is array-native.  The per-model CRPS and density matrices are
 built once over the whole (replication, t) grid; each rule then advances all
 replications one step of t at a time through the update kernels of
 :mod:`credal.updating`, which work on the last axis of ``[replications,
-models]`` arrays.  Results are kept as columns (:class:`ExperimentResult`),
-and the CSV encoder formats each distinct value once and streams the file
-in (rule, replication) blocks; its bytes are those of the per-step loop it
-replaced.
+models]`` arrays, and afterwards scores its whole grid of pre-update
+mixtures in one last-axis call.  Results are kept as columns
+(:class:`ExperimentResult`), and the CSV encoder formats each distinct
+value once and streams the file in (rule, replication) blocks; its bytes
+are those of the per-step loop it replaced.
 
 The mixture score is exact (see :class:`~credal.measures.MixtureCRPS`), so
 every rule is scored without sampling noise.  Randomness drives only the
@@ -350,27 +351,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     the mixture's pairwise matrix do not depend on the rule, so each is
     computed once and shared by all rules.  A rule advances all
     replications together, one step of t at a time, on ``[replications,
-    models]`` arrays; the mixture score is taken row by row, since a
-    batched matrix product would sum in another order.
+    models]`` arrays.  Once a rule's loop is done, its pre-update weights
+    (the uniform prior, then the posteriors of steps 1 .. horizon - 1) are
+    scored in one last-axis :meth:`MixtureCRPS.score` call, bit for bit as
+    row by row.
     """
     n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
     forecasts = [m.forecast for m in cfg.models]
     score_mixture = MixtureCRPS(forecasts).score
     xs = np.array([generate_data(cfg.seed, cfg.truth, horizon, replication=rep) for rep in range(reps)])
     model_crps = _readonly(crps_matrix(forecasts, xs.ravel()).reshape(reps, horizon, n))
-    posterior = np.empty((len(cfg.rules), reps, horizon, n))
+    # weights[..., t, :] is the prior of step t + 1, so the posterior column
+    # and the pre-update grid are both views of it
+    weights = np.empty((len(cfg.rules), reps, horizon + 1, n))
+    weights[:, :, 0] = 1.0 / n
+    posterior = weights[:, :, 1:]
     mixture_crps = np.empty((len(cfg.rules), reps, horizon))
     aggregates: list[RuleAggregate] = []
     for k, rule in enumerate(cfg.rules):
         scores = _score_grid(rule, cfg, xs, model_crps)
-        p = np.full((reps, n), 1.0 / n)
+        p = weights[k, :, 0]
         for t in range(horizon):
-            mixture_crps[k, :, t] = [score_mixture(w, c) for w, c in zip(p, model_crps[:, t])]
             if rule.kind is RuleKind.PREDICTIVE:
                 p = _simplex_projection(p + scores[:, t])[0]
             else:
                 p = _ratio_update(p, scores[:, t])
             posterior[k, :, t] = p
+        mixture_crps[k] = score_mixture(weights[k, :, :-1], model_crps)
         rep_means = [float(np.mean(row)) for row in mixture_crps[k]]
         mean = float(np.mean(rep_means))
         if len(rep_means) > 1:

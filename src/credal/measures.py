@@ -358,7 +358,8 @@ class MixtureCRPS:
     & Johnson 2006).  Since crps(F_i, x) = E|X_i - x| - P[i, i]/2, the
     mixture's score at x is w.c + w.h - w'Pw/2 from the components' own
     scores c at x and h = diag(P)/2.  P depends on the forecasts alone and
-    is built once; a score then costs a dot product and a mat-vec.
+    is built once.  :meth:`score` works on the last axis: weights and
+    component scores of shape ``[..., n]`` give one score per row.
     """
 
     __slots__ = ("pair", "half_self")
@@ -367,11 +368,24 @@ class MixtureCRPS:
         self.pair = expected_abs_difference(forecasts)
         self.half_self = 0.5 * np.diag(self.pair)
 
-    def score(self, weights, component_crps) -> float:
-        """Mixture CRPS at an outcome where the components score ``component_crps``."""
+    def score(self, weights, component_crps):
+        """Mixture CRPS of each row of ``weights`` at an outcome where the
+        components score the matching row of ``component_crps``.
+
+        Both are ``[..., n]``; the result is ``[...]``, a ``float`` for 1-d
+        input.  Each row is a stack of ``[1, n] @ [n, 1]`` and ``[n, n] @
+        [n, 1]`` products, which numpy evaluates with the same dot and
+        mat-vec routines as the 1-d products, so a row scores bit for bit
+        as it would on its own.
+        """
         w = np.asarray(weights, dtype=float)
+        row = w[..., None, :]
+        wc = (row @ np.asarray(component_crps, dtype=float)[..., :, None])[..., 0, 0]
+        wh = (row @ self.half_self[:, None])[..., 0, 0]
+        wpw = (row @ (self.pair @ w[..., :, None]))[..., 0, 0]
         # grouped so that one-hot weights return that component's score exactly
-        return float(w @ component_crps + (w @ self.half_self - 0.5 * (w @ (self.pair @ w))))
+        out = wc + (wh - 0.5 * wpw)
+        return float(out) if out.ndim == 0 else out
 
 
 def crps_measure(forecasts: Sequence[Forecast], x: float, a: float) -> ScoreVector:

@@ -4,8 +4,10 @@ None is used by the library itself: the enumeration oracle tries every
 zero count directly, the Michelot projection reaches the same map by
 an active-set iteration instead of a sort-and-threshold scan, the
 mixture CRPS is estimated by sampling instead of the pairwise closed form,
-the reference harness runs a simulation one (rule, replication, step)
-at a time through the public 1-d updates instead of on arrays, and the
+or taken from that closed form one 1-d weight vector at a time instead of
+over a last-axis grid, the reference harness runs a simulation one (rule,
+replication, step) at a time through the public 1-d updates instead of on
+arrays, and the
 dominator search tries random candidates instead of using the closed-form
 dominance certificates.
 """
@@ -141,6 +143,16 @@ def monte_carlo_mixture_crps(posterior, models, x, n_draws, seed) -> tuple[float
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(n_draws))
 
 
+def mixture_score_reference(pair, half_self, w, c) -> float:
+    """Mixture CRPS ``w.c + (w.h - w'Pw/2)`` of one 1-d weight vector.
+
+    ``pair`` is the forecasts' matrix ``P[i, j] = E|X_i - X_j|`` and
+    ``half_self`` its halved diagonal; ``c`` holds the components' own
+    scores at the outcome.
+    """
+    return float(w @ c + (w @ half_self - 0.5 * (w @ (pair @ w))))
+
+
 def _gaussian_density(f, x: float) -> float:
     z = (x - f.mu) / f.sigma
     return math.exp(-0.5 * z * z) / (f.sigma * math.sqrt(2.0 * math.pi))
@@ -181,7 +193,7 @@ def reference_harness(cfg) -> tuple[str, tuple]:
             step_scores = []
             for t, x in enumerate(xs.tolist(), start=1):
                 per_model = model_crps[rep][t - 1]
-                score = mixture.score(p.values, per_model)
+                score = mixture_score_reference(mixture.pair, mixture.half_self, p.values, per_model)
                 p = _step_posterior(rule, p, cfg, x, per_model)
                 records.append(StepRecord(rule.kind.value, rep, t, p.values, per_model, score))
                 step_scores.append(score)

@@ -26,6 +26,9 @@ def test_update_inferential(tmp_path, capsys):
     assert code == 0
     _, values = read_labeled_csv(out)
     np.testing.assert_allclose(values, [0.8, 0.2], rtol=1e-15)
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert summary == {"rule": "inferential", "min_posterior": values.min()}
+    assert summary["min_posterior"] == pytest.approx(0.2, rel=1e-15)
 
 
 def test_update_predictive_prints_summary(tmp_path, prior_csv, capsys):
@@ -52,7 +55,7 @@ def test_update_predictive_with_scale(tmp_path, prior_csv):
     assert dispatch(args + ["--a", "-1.0"]) == 0
 
 
-def test_update_general_bayes(tmp_path):
+def test_update_general_bayes(tmp_path, capsys):
     prior = tmp_path / "p.csv"
     losses = tmp_path / "l.csv"
     out = tmp_path / "post.csv"
@@ -65,6 +68,9 @@ def test_update_general_bayes(tmp_path):
     assert code == 0
     _, values = read_labeled_csv(out)
     np.testing.assert_allclose(values, [16.0 / 17.0, 1.0 / 17.0], rtol=1e-15)
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert summary == {"rule": "general-bayes", "min_posterior": values.min()}
+    assert summary["min_posterior"] == pytest.approx(1.0 / 17.0, rel=1e-15)
 
 
 def test_usage_errors_exit_2(tmp_path, prior_csv):
@@ -117,6 +123,16 @@ def test_dominance_search_flags_removed(tmp_path, capsys):
     write_labeled_csv(cred, ["H1", "H2"], [0.5, 0.5])
     assert dispatch(["dominance", "--cred", str(cred), "--seed", "5"]) == 2
     assert dispatch(["dominance", "--cred", str(cred), "--perturbations", "500"]) == 2
+
+
+def test_dominance_negative_eps_exit_2(tmp_path, capsys):
+    cred = tmp_path / "c.csv"
+    write_labeled_csv(cred, ["H1", "H2"], [0.5, 0.5])
+    assert dispatch(["dominance", "--cred", str(cred), "--eps", "-1"]) == 2
+    assert dispatch(["dominance", "--cred", str(cred), "--eps", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("eps must be non-negative") == 2
 
 
 def test_props_suites_pass(capsys):

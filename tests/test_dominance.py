@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,3 +194,11 @@ def test_dominance_report_json():
     assert obj["dominated"] is True
     assert obj["dominator"] == [0.5, 0.5]
     assert len(obj["per_vertex_gap"]) == 2
+
+
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan])
+def test_negative_or_nan_eps_rejected(eps):
+    # such an eps made every input non-probabilistic, so [0.5, 0.5] came
+    # back undominated with a dominator
+    with pytest.raises(ValueError, match="eps must be non-negative"):
+        verify_dominance([0.5, 0.5], eps=eps)

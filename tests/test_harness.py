@@ -1,10 +1,12 @@
 """The array-native harness against the step-by-step reference harness."""
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_harness
 
 from credal import Empirical, ExperimentConfig, Gaussian, ModelSpec, PointMass, UpdateRule, run_experiment
+from credal.measures import MixtureCRPS
 
 # few distinct parameters, so that models tie and projections cut through ties
 LOCATIONS = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
@@ -82,3 +84,46 @@ def test_write_csv_streams_the_text_bytes(tmp_path):
     path = tmp_path / "results.csv"
     result.write_csv(path)
     assert path.read_bytes() == result.to_csv_text().encode("utf-8")
+
+
+# acceptance criterion 9's models plus five Gaussians, the shape of the
+# benchmark's sim-medium workload
+MEDIUM_MODELS = (
+    ModelSpec("good", Gaussian(0.0, 1.0)),
+    ModelSpec("near", Gaussian(0.5, 1.0)),
+    ModelSpec("far", Gaussian(5.0, 1.0)),
+    ModelSpec("m1", Gaussian(-1.2, 0.7)),
+    ModelSpec("m2", Gaussian(0.3, 1.9)),
+    ModelSpec("m3", Gaussian(1.4, 1.1)),
+    ModelSpec("m4", Gaussian(-0.4, 0.5)),
+    ModelSpec("m5", Gaussian(0.9, 1.6)),
+)
+
+
+def test_harness_matches_reference_at_medium_shape():
+    # at horizon 200 the ratio-form weights reach subnormals and exact
+    # zeros, which the small configs above never do
+    cfg = ExperimentConfig(0, Gaussian(0.0, 1.0), MEDIUM_MODELS, 200, ALL_RULES, replications=2)
+    result = run_experiment(cfg)
+    ratio_form = result.posterior[[0, 2]]
+    assert np.any(ratio_form == 0.0)
+    assert np.any((ratio_form > 0.0) & (ratio_form < np.finfo(float).tiny))
+    text, aggregates = reference_harness(cfg)
+    # compared as lines: pytest then names the first differing row, where its
+    # diff of two texts this long takes minutes
+    assert result.to_csv_text().splitlines(keepends=True) == text.splitlines(keepends=True)
+    assert result.aggregates == aggregates
+
+
+def test_mixture_scored_once_per_rule(monkeypatch):
+    calls = []
+    score = MixtureCRPS.score
+
+    def counting_score(self, weights, component_crps):
+        calls.append(np.shape(weights))
+        return score(self, weights, component_crps)
+
+    monkeypatch.setattr(MixtureCRPS, "score", counting_score)
+    cfg = ExperimentConfig(1, Gaussian(0.0, 1.0), MEDIUM_MODELS, 7, ALL_RULES, replications=3)
+    run_experiment(cfg)
+    assert calls == [(3, 7, 8)] * 3

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import mixture_score_reference
 
 from credal import (
     Empirical,
@@ -22,7 +23,7 @@ from credal import (
     likelihood_score,
     min_abs_error_score,
 )
-from credal.measures import crps_matrix, expected_abs_difference
+from credal.measures import MixtureCRPS, crps_matrix, expected_abs_difference
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
 STD_NORMAL_CRPS_AT_MEAN = 2.0 / math.sqrt(2.0 * math.pi) - 1.0 / math.sqrt(math.pi)
@@ -260,3 +261,63 @@ def test_crps_matrix_equals_scalar_crps_bit_for_bit():
     assert table.tolist() == expected
     with pytest.raises(ValueError, match="finite"):
         crps_matrix(forecasts, [0.0, math.inf])
+
+
+def _kernel_weights(rng, kind, shape):
+    """Weights of ``shape`` in one of the patterns the harness produces."""
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    w = np.zeros(shape)
+    if kind == "one_hot":
+        np.put_along_axis(w, rng.integers(0, shape[-1], shape[:-1] + (1,)), 1.0, axis=-1)
+    elif kind == "zero_heavy":
+        keep = rng.random(shape) < 0.1
+        w[keep] = rng.random(int(keep.sum()))
+    else:  # subnormal: a dominant weight next to weights at or below the smallest normal
+        w = rng.uniform(0.0, 2.2250738585072014e-308, shape)
+        w[rng.random(shape) < 0.3] = 0.0
+        np.put_along_axis(w, rng.integers(0, shape[-1], shape[:-1] + (1,)), 1.0, axis=-1)
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 4), max_size=2),
+    st.integers(1, 512),
+    st.sampled_from(["dirichlet", "one_hot", "zero_heavy", "subnormal"]),
+    st.sampled_from(["contiguous", "drop_last_row", "drop_last_column", "every_other_column"]),
+)
+@example(0, [3, 5], 512, "subnormal", "drop_last_row")
+@example(1, [2], 1, "one_hot", "drop_last_column")
+@example(2, [], 8, "zero_heavy", "every_other_column")
+def test_mixture_score_equals_1d_oracle_bit_for_bit(seed, lead, n, kind, layout):
+    # the last-axis score must send each row through the same numpy dot and
+    # mat-vec as the 1-d expression; a numpy that sums a stacked product in
+    # another order fails here instead of changing results.csv
+    rng = np.random.default_rng(seed)
+    forecasts = [
+        PointMass(float(loc)) if i % 5 == 4 else Gaussian(float(loc), float(rng.uniform(0.3, 2.0)))
+        for i, loc in enumerate(rng.uniform(-3.0, 3.0, n))
+    ]
+    mixture = MixtureCRPS(forecasts)
+    lead = tuple(lead)
+    if layout == "drop_last_row" and lead:  # like the harness's posterior[k, :, :-1]
+        shape, view = lead[:-1] + (lead[-1] + 1, n), (..., slice(None, -1), slice(None))
+    elif layout == "drop_last_column":
+        shape, view = lead + (n + 1,), (..., slice(None, -1))
+    elif layout == "every_other_column":
+        shape, view = lead + (2 * n,), (..., slice(None, None, 2))
+    else:
+        shape, view = lead + (n,), (...,)
+    w = _kernel_weights(rng, kind, shape)[view]
+    c = rng.uniform(0.0, 4.0, shape)[view]
+    assert w.shape == c.shape == lead + (n,)
+
+    out = mixture.score(w, c)
+    expected = [mixture_score_reference(mixture.pair, mixture.half_self, w[i], c[i]) for i in np.ndindex(lead)]
+    if lead:
+        assert out.shape == lead
+        assert np.array_equal(out, np.reshape(expected, lead))
+    else:
+        assert type(out) is float and out == expected[0]
