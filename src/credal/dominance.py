@@ -105,8 +105,6 @@ def verify_dominance(
     accepted so that callers written for the former randomized search keep
     working.
     """
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps!r}")
     cv = as_values(c)
     if is_probabilistic(cv, eps):
         return DominanceReport(False, None, np.zeros(cv.size))

@@ -17,9 +17,12 @@ replications one step of t at a time through the update kernels of
 :mod:`credal.updating`, which work on the last axis of ``[replications,
 models]`` arrays, and afterwards scores its whole grid of pre-update
 mixtures in one last-axis call.  Results are kept as columns
-(:class:`ExperimentResult`), and the CSV encoder formats each distinct
-value once and streams the file in (rule, replication) blocks; its bytes
-are those of the per-step loop it replaced.
+(:class:`ExperimentResult`).  The CSV encoder formats each distinct value
+once with the vectorized, exact ``%.17g`` of
+:func:`~credal.core.format_floats`, lays the rows out as byte matrices of
+NUL-padded fields and streams the file in chunks of at most 4096 posterior
+values with the NULs dropped; no Python code runs per row or per value,
+and its bytes are those of the per-step loop it replaced.
 
 The mixture score is exact (see :class:`~credal.measures.MixtureCRPS`), so
 every rule is scored without sampling noise.  Randomness drives only the
@@ -40,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ProbabilityVector, format_floats, json_number, reject_unknown_keys
+from .core import FLOAT_FIELD, ProbabilityVector, format_floats, json_number, reject_unknown_keys
 from .measures import (
     Forecast,
     Gaussian,
@@ -57,7 +60,9 @@ from .updating import RuleKind, UpdateRule, _ratio_update, _simplex_projection
 _DATA_STREAM = 0
 
 CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
-_CSV_SPECIAL = ',"\r\n'
+# a NUL would also end a label's fixed-width byte field in the encoder
+_CSV_SPECIAL = ',"\r\n\x00'
+_CSV_CHUNK = 4096  # posterior values formatted and encoded at a time
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -80,7 +85,7 @@ class ModelSpec:
         # results.csv writes labels unquoted
         if any(c in self.label for c in _CSV_SPECIAL):
             raise ValueError(
-                f"model label {self.label!r}: must not contain a comma, a double quote or a line break"
+                f"model label {self.label!r}: must not contain a comma, a double quote, a line break or a NUL"
             )
 
 
@@ -289,36 +294,59 @@ class ExperimentResult:
             for t in range(self.config.horizon)
         )
 
-    def _csv_blocks(self) -> Iterator[str]:
-        """The CSV text as the header line, then one block per (rule, replication).
+    def _csv_blocks(self) -> Iterator[bytes]:
+        """The CSV bytes as the header line, then chunks of rows in CSV order.
 
-        Each value is formatted once: ``crps`` per (replication, t, model)
-        for every rule, ``mixture_crps`` and the row prefix per step.  A
-        step's rows are joined by the text that ends one row and starts the
-        next.
+        A chunk is a byte matrix of NUL-padded fields, one row per (rule,
+        replication, t, model), and its bytes are the matrix with the NULs
+        dropped, so no Python code runs per row or per value.  ``crps`` is
+        formatted once per run and ``mixture_crps`` once per rule, by
+        :func:`~credal.core.format_floats`; posteriors are formatted and
+        encoded a chunk of at most 4096 values (or one step) at a time.
         """
-        yield CSV_HEADER + "\n"
-        labels = [m.label for m in self.config.models]
-        crps_text = format_floats(self.crps)
-        mixture_text = format_floats(self.mixture_crps)
-        for k, rule in enumerate(r.kind.value for r in self.config.rules):
-            for rep, crps_rows in enumerate(crps_text):
-                parts = []
-                steps = zip(format_floats(self.posterior[k, rep]), crps_rows, mixture_text[k][rep])
-                for t, (post_row, crps_row, mix) in enumerate(steps, start=1):
-                    head = f"{rule},{rep},{t},"
-                    tail = f",{mix}\n"
-                    cells = map(",".join, zip(labels, post_row, crps_row))
-                    parts.append(head + (tail + head).join(cells) + tail)
-                yield "".join(parts)
+        yield (CSV_HEADER + "\n").encode()
+        cfg = self.config
+        n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
+        rule_text = _as_bytes(np.array([r.kind.value.encode() for r in cfg.rules]))
+        rep_text = _as_bytes(np.arange(reps).astype(f"S{len(str(reps - 1))}"))
+        t_text = _as_bytes(np.arange(1, horizon + 1).astype(f"S{len(str(horizon))}"))
+        label_text = _as_bytes(np.array([m.label.encode() for m in cfg.models]))
+        crps_text = _as_bytes(format_floats(self.crps))
+        # a row is its seven fields, each followed by a separator byte
+        texts = (rule_text, rep_text, t_text, label_text)
+        widths = np.array([t.shape[-1] for t in texts] + [FLOAT_FIELD] * 3) + 1
+        ends = np.cumsum(widths)
+        rule_col, rep_col, t_col, label_col, post_col, crps_col, mix_col = map(slice, ends - widths, ends - 1)
+        steps = max(1, _CSV_CHUNK // n)
+        rows = np.zeros((steps, n, ends[-1]), np.uint8)
+        rows[..., ends[:-1] - 1] = ord(",")
+        rows[..., -1] = ord("\n")
+        rows[..., label_col] = label_text
+        for k in range(len(cfg.rules)):
+            rows[..., rule_col] = rule_text[k]
+            mixture_text = _as_bytes(format_floats(self.mixture_crps[k]))
+            for start in range(0, reps * horizon, steps):
+                rep, t = divmod(np.arange(start, min(start + steps, reps * horizon)), horizon)
+                chunk = rows[: rep.size]
+                chunk[..., rep_col] = rep_text[rep, None]
+                chunk[..., t_col] = t_text[t, None]
+                chunk[..., post_col] = _as_bytes(format_floats(self.posterior[k, rep, t]))
+                chunk[..., crps_col] = crps_text[rep, t]
+                chunk[..., mix_col] = mixture_text[rep, t, None]
+                yield chunk[chunk != 0].tobytes()
 
     def to_csv_text(self) -> str:
-        return "".join(self._csv_blocks())
+        return b"".join(self._csv_blocks()).decode("utf-8")
 
     def write_csv(self, path) -> None:
-        """Write :meth:`to_csv_text`'s bytes, one (rule, replication) block at a time."""
-        with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        """Write :meth:`to_csv_text`'s bytes, one chunk at a time."""
+        with open(Path(path), "wb") as fh:
             fh.writelines(self._csv_blocks())
+
+
+def _as_bytes(text: np.ndarray) -> np.ndarray:
+    """A fixed-width bytes array as its bytes, along a new last axis."""
+    return text[..., None].view(np.uint8)
 
 
 def _score_grid(

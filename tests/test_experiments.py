@@ -352,7 +352,7 @@ def test_config_json_accepts_integer_numbers():
     assert cfg.models[0].forecast == Gaussian(0.0, 1.0)
 
 
-@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", "\n"])
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", "\n", "a\x00b"])
 def test_labels_that_would_break_the_csv_are_rejected(label):
     obj = small_config().to_json()
     obj["models"][2]["label"] = label

@@ -63,7 +63,8 @@ MIXED = (
 def test_harness_matches_step_by_step_reference(cfg):
     text, aggregates = reference_harness(cfg)
     result = run_experiment(cfg)
-    assert result.to_csv_text() == text
+    # compared as lines, so that a failing example is reported in seconds
+    assert result.to_csv_text().splitlines(keepends=True) == text.splitlines(keepends=True)
     assert result.aggregates == aggregates
 
 
