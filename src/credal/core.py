@@ -189,7 +189,7 @@ _CHUNK = 4096
 # 10**k in long double for k in [-_POW_LO, _POW_HI]: 16 - X ranges over
 # [-292, 340] for the decimal exponents X of positive doubles, one more
 # either way after the exponent is corrected
-_POW_LO, _POW_HI = 294, 342
+_POW_LO, _POW_HI = 293, 341
 _U = float(np.finfo(np.longdouble).eps) / 2
 # |D - exact| <= (2u + u^2) * 1e17 for the two roundings of D = x * 10**k;
 # doubled, as margin
