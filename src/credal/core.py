@@ -192,8 +192,10 @@ _CHUNK = 4096
 _POW_LO, _POW_HI = 293, 341
 _U = float(np.finfo(np.longdouble).eps) / 2
 # |D - exact| <= (2u + u^2) * 1e17 for the two roundings of D = x * 10**k;
-# doubled, as margin
-_HALF_TOL = 2 * (2 * _U + _U * _U) * 1e17
+# doubled, as margin.  The bound needs correctly rounded operations: x87
+# extended (63-bit fraction) or binary128 (112); a long double that is a
+# double, or PowerPC's double-double, sends every entry to the fallback
+_HALF_TOL = 2 * (2 * _U + _U * _U) * 1e17 if np.finfo(np.longdouble).nmant in (63, 112) else math.inf
 _MAX_FLOAT = np.finfo(float).max
 _tables = None
 
@@ -336,9 +338,10 @@ def format_floats(values) -> np.ndarray:
     within twice that of .5, the rounding could go either way, so the entry
     falls back to :func:`format_float`; so do zeros with the sign bit set,
     negative and non-finite entries.  Where ``longdouble`` is only
-    ``double`` the bound exceeds .5 and every entry falls back: the output
-    is the same, only slower.  +0.0 is ``b"0"``.  Work is done in chunks of
-    4096 entries, so temporaries stay small.
+    ``double`` the bound exceeds .5, and PowerPC's double-double does not
+    round its operations correctly, so there every entry falls back: the
+    output is the same, only slower.  +0.0 is ``b"0"``.  Work is done in
+    chunks of 4096 entries, so temporaries stay small.
     """
     values = np.asarray(values, dtype=float)
     flat = np.ascontiguousarray(values).reshape(-1)
