@@ -3,9 +3,9 @@
 Combining evidential scores must be commutative, associative, and have a
 constant mixed partial derivative; sampled finite-difference checks confirm
 multiplication and addition qualify and show how other candidates fail.
-The same goes for the rescaling step (it must commute with combination) and
-for the ordered-group view of score combination.  Finally, the additive
-route provably zeroes hypotheses: the violation is constructive.
+The same goes for the rescaling step: it must commute with combination.
+Finally, the additive route provably zeroes hypotheses: the violation is
+constructive.
 """
 
 import operator
@@ -15,7 +15,6 @@ from credal import (
     ScoreVector,
     check_combination_axioms,
     check_commutation,
-    check_group_axioms,
     construct_regularity_violation,
     predictive_update,
 )
@@ -40,10 +39,6 @@ print("\nrescalings that must commute with the combination:")
 show("multiplicative with f(x) = 0.5x", check_commutation(Mode.MULTIPLICATIVE, lambda x: 0.5 * x, seed=0))
 show("additive with f(x) = x - 0.3", check_commutation(Mode.ADDITIVE, lambda x: x - 0.3, seed=0))
 show("multiplicative with f(x) = x^2", check_commutation(Mode.MULTIPLICATIVE, lambda x: x * x, seed=0))
-
-print("\nscores under a combination form a totally ordered Archimedean group:")
-show("(positive reals, *)", check_group_axioms(Mode.MULTIPLICATIVE, seed=0))
-show("(reals, +)", check_group_axioms(Mode.ADDITIVE, seed=0))
 
 print("\nconstructive failure of never-zeroing on the additive route:")
 e = ScoreVector([0.0, 0.3, 0.6], Mode.ADDITIVE)

@@ -4,8 +4,10 @@ Two updating rules over pluggable evidential measures: ratio-form
 (multiplicative) updating, which never zeroes a hypothesis, and additive
 updating with conservative renormalization, which zeroes as few hypotheses
 as possible.  Plus: CRPS-based forecast scoring, accuracy-dominance checks,
-sampled verification of the algebraic axioms behind the rules, and a seeded
-simulation harness for comparing the rules on predictive tasks.
+sampled checks that candidate combination and rescaling functions meet the
+requirements behind the rules, a constructive witness that the additive rule
+must zero hypotheses, and a seeded simulation harness for comparing the
+rules on predictive tasks.
 """
 
 from .axioms import (
@@ -13,11 +15,8 @@ from .axioms import (
     AxiomReport,
     check_combination_axioms,
     check_commutation,
-    check_group_axioms,
     construct_regularity_violation,
-    general_bayes_equivalence_report,
     regularity_violation_report,
-    verify_general_bayes_equivalence,
 )
 from .core import (
     DEFAULT_EPS,
@@ -39,7 +38,6 @@ from .experiments import (
     StepRecord,
     generate_data,
     run_experiment,
-    weighted_predictive_score,
 )
 from .measures import (
     Empirical,
@@ -102,7 +100,6 @@ __all__ = [
     "UpdateRule",
     "check_combination_axioms",
     "check_commutation",
-    "check_group_axioms",
     "combine_additive",
     "conservative_normalize",
     "construct_regularity_violation",
@@ -113,7 +110,6 @@ __all__ = [
     "exp_loss_score",
     "forecast_from_json",
     "forecast_to_json",
-    "general_bayes_equivalence_report",
     "general_bayes_update",
     "generate_data",
     "ideal_credibility",
@@ -130,7 +126,5 @@ __all__ = [
     "sequential_update",
     "uniform",
     "verify_dominance",
-    "verify_general_bayes_equivalence",
-    "weighted_predictive_score",
     "write_labeled_csv",
 ]

@@ -4,23 +4,22 @@ Any combination function worth using must be commutative, associative, and
 have a constant mixed partial derivative; that pins it down to addition or
 multiplication.  The rescaling used to normalize must commute with the
 combination; that pins it to x + k for addition and k*x for multiplication.
-This module turns those requirements (plus the ordered-group axioms that
-give an alternative route to the same conclusion) into seeded finite-sample
-checks with explicit residuals, and provides the constructive witness that
-the additive route must zero hypotheses.
+This module turns those requirements into seeded finite-sample checks of
+caller-supplied functions, with explicit residuals, and provides the
+constructive witness that credal's additive rule must zero hypotheses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import ProbabilityVector
-from .measures import LossValue, Mode, ModeMismatchError, ScoreVector, exp_loss_score
-from .updating import general_bayes_update, inferential_update, predictive_update
+from .measures import Mode, ModeMismatchError, ScoreVector
+from .updating import predictive_update
 
 
 @dataclass(frozen=True)
@@ -230,88 +229,6 @@ def check_commutation(
     return AxiomReport(checks, n_samples, seed)
 
 
-def check_group_axioms(
-    structure: Mode,
-    n_samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
-    archimedean_bound: int = 10**6,
-    domain: tuple[float, float] | None = None,
-) -> AxiomReport:
-    """Sampled check that evidential scores form a totally ordered Archimedean group.
-
-    ``structure`` selects (positive reals, *) or (reals, +).  Seven checks:
-    closure, associativity, identity, inverse, commutativity, total order
-    (trichotomy), and the Archimedean property.  The Archimedean witness
-    search is bounded; pairs without a witness inside the bound are noted
-    rather than failed, since the axiom is existential and unbounded.
-    Multiplicative sampling stays away from zero so inverses are tame.
-    """
-    if structure is Mode.MULTIPLICATIVE:
-        lo, hi = domain if domain is not None else (0.1, 10.0)
-        if lo <= 0.0:
-            raise ValueError("multiplicative domain must be positive")
-        op, identity, inv = (lambda a, b: a * b), 1.0, (lambda a: 1.0 / a)
-        in_carrier = lambda v: math.isfinite(v) and v > 0.0
-        above_identity_lo = max(1.01, lo)
-    elif structure is Mode.ADDITIVE:
-        lo, hi = domain if domain is not None else (-10.0, 10.0)
-        op, identity, inv = (lambda a, b: a + b), 0.0, (lambda a: -a)
-        in_carrier = math.isfinite
-        above_identity_lo = 0.01
-    else:
-        raise ValueError(f"unsupported structure: {structure!r}")
-    if above_identity_lo >= hi:
-        raise ValueError("domain too small to sample elements above the identity")
-
-    rng = np.random.default_rng(seed)
-    e1 = rng.uniform(lo, hi, n_samples)
-    e2 = rng.uniform(lo, hi, n_samples)
-    e3 = rng.uniform(lo, hi, n_samples)
-    growers = rng.uniform(above_identity_lo, hi, n_samples)  # strictly above the identity
-
-    closure_res, closure_note = 0.0, ""
-    assoc_res = ident_res = inverse_res = comm_res = order_res = 0.0
-    for a, b, c3 in zip(e1, e2, e3):
-        a, b, c3 = float(a), float(b), float(c3)
-        ab = op(a, b)
-        if not in_carrier(ab):
-            closure_res, closure_note = math.inf, f"op({a:.6g}, {b:.6g}) left the carrier"
-            break
-        v = abs(op(ab, c3) - op(a, op(b, c3)))
-        assoc_res = max(assoc_res, v / max(1.0, abs(op(ab, c3))))
-        ident_res = max(ident_res, abs(op(a, identity) - a), abs(op(identity, a) - a))
-        inverse_res = max(inverse_res, abs(op(a, inv(a)) - identity), abs(op(inv(a), a) - identity))
-        comm_res = max(comm_res, abs(ab - op(b, a)))
-        order_res = max(order_res, 0.0 if (a > b) != (a <= b) else 1.0)  # trichotomy
-
-    missing, max_witness = 0, 0
-    for target, step in zip(e1, growers):
-        target, step = float(target), float(step)
-        acc, nsteps = step, 1
-        while acc <= target and nsteps < archimedean_bound:
-            # doubling keeps the bounded search cheap; any exceeding power suffices
-            acc, nsteps = op(acc, acc), nsteps * 2
-        if acc > target:
-            max_witness = max(max_witness, nsteps)
-        else:
-            missing += 1
-    arch_note = f"max witness n = {max_witness}"
-    if missing:
-        arch_note += f"; {missing} pair(s) without witness within bound {archimedean_bound}"
-
-    checks = (
-        AxiomCheck("closure", math.isfinite(closure_res), closure_res, note=closure_note),
-        AxiomCheck("associativity", assoc_res <= tol, assoc_res),
-        AxiomCheck("identity", ident_res <= tol, ident_res),
-        AxiomCheck("inverse", inverse_res <= tol, inverse_res),
-        AxiomCheck("commutativity", comm_res <= tol, comm_res),
-        AxiomCheck("total_order", order_res == 0.0, order_res),
-        AxiomCheck("archimedean", True, 0.0, note=arch_note),
-    )
-    return AxiomReport(checks, n_samples, seed)
-
-
 def construct_regularity_violation(e: ScoreVector) -> tuple[ProbabilityVector, int]:
     """Build a prior that the additive rule must zero at the weakest score.
 
@@ -339,34 +256,6 @@ def construct_regularity_violation(e: ScoreVector) -> tuple[ProbabilityVector, i
     return ProbabilityVector(prior), weakest
 
 
-def verify_general_bayes_equivalence(
-    p: ProbabilityVector,
-    losses: Sequence[LossValue],
-    n_random_pairs: int = 1000,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> bool:
-    """Confirm the loss-based rule is the exponential-score special case.
-
-    Checks (a) that the direct loss-based update agrees with the ratio-form
-    update fed exponential-loss scores, entrywise within ``tol``; and (b)
-    that the score map g(x) = exp(-rate*x) satisfies g(x)g(y) = g(x+y) on
-    seeded random pairs within ``tol``.  Returns the conjunction.
-    """
-    losses = list(losses)
-    direct = general_bayes_update(p, losses)
-    composed = inferential_update(p, exp_loss_score(losses))
-    if float(np.max(np.abs(direct.values - composed.values))) > tol:
-        return False
-    rate = losses[0].learning_rate
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 10.0, n_random_pairs)
-    ys = rng.uniform(0.0, 10.0, n_random_pairs)
-    lhs = np.exp(-rate * xs) * np.exp(-rate * ys)
-    rhs = np.exp(-rate * (xs + ys))
-    return float(np.max(np.abs(lhs - rhs))) <= tol
-
-
 def regularity_violation_report(n_instances: int = 1000, seed: int = 0) -> AxiomReport:
     """Batch check: every constructed violation yields at least one exact zero.
 
@@ -392,29 +281,5 @@ def regularity_violation_report(n_instances: int = 1000, seed: int = 0) -> Axiom
     checks = (
         AxiomCheck("every_instance_zeroes_some_hypothesis", no_zero == 0, float(no_zero)),
         AxiomCheck("predicted_index_is_zeroed", wrong_index == 0, float(wrong_index)),
-    )
-    return AxiomReport(checks, n_instances, seed)
-
-
-def general_bayes_equivalence_report(
-    n_instances: int = 200, seed: int = 0, tol: float = 1e-12
-) -> AxiomReport:
-    """Batch check of the loss-based/ratio-form equivalence on random instances."""
-    rng = np.random.default_rng(seed)
-    worst_id = 0.0
-    ok = True
-    for i in range(n_instances):
-        n = int(rng.integers(2, 9))
-        prior = rng.dirichlet(np.ones(n))
-        rate = float(rng.uniform(0.1, 3.0))
-        losses = [LossValue(float(v), rate) for v in rng.uniform(0.0, 5.0, n)]
-        p = ProbabilityVector(prior)
-        direct = general_bayes_update(p, losses)
-        composed = inferential_update(p, exp_loss_score(losses))
-        worst_id = max(worst_id, float(np.max(np.abs(direct.values - composed.values))))
-        ok = ok and verify_general_bayes_equivalence(p, losses, n_random_pairs=50, tol=tol, seed=i)
-    checks = (
-        AxiomCheck("loss_rule_equals_exponential_score_rule", worst_id <= tol, worst_id),
-        AxiomCheck("exponential_law_on_random_pairs", ok, 0.0 if ok else math.inf),
     )
     return AxiomReport(checks, n_instances, seed)

@@ -39,16 +39,15 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .core import FLOAT_FIELD, ProbabilityVector, format_floats, json_number, reject_unknown_keys
+from .core import FLOAT_FIELD, format_floats, json_number, reject_unknown_keys
 from .measures import (
     Forecast,
     Gaussian,
     MixtureCRPS,
-    crps,
     crps_matrix,
     forecast_from_json,
     forecast_to_json,
@@ -227,21 +226,6 @@ def generate_data(seed: int, truth: Forecast, horizon: int, replication: int = 0
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     return sample_forecast(truth, _rng(seed, _DATA_STREAM, replication), horizon)
-
-
-def weighted_predictive_score(
-    posterior: ProbabilityVector, models: Sequence[ModelSpec], x: float
-) -> float:
-    """Exact CRPS of the posterior-weighted mixture forecast at outcome ``x``.
-
-    The one-call form of the score :func:`run_experiment` records; it builds
-    the models' pairwise matrix on every call, where the harness builds it
-    once per run.
-    """
-    if len(posterior) != len(models):
-        raise ValueError("posterior and models must have the same length")
-    forecasts = [m.forecast for m in models]
-    return MixtureCRPS(forecasts).score(posterior.values, [crps(f, x) for f in forecasts])
 
 
 @dataclass(frozen=True)

@@ -419,6 +419,17 @@ class LossValue:
             raise ValueError("learning rate must be positive")
 
 
+def _shared_rate_losses(losses: Sequence[LossValue]) -> tuple[float, np.ndarray]:
+    """``(rate, values)`` of a non-empty loss list whose entries share one learning rate."""
+    losses = list(losses)
+    if not losses:
+        raise ValueError("need at least one loss")
+    rate = losses[0].learning_rate
+    if any(lv.learning_rate != rate for lv in losses):
+        raise ValueError("all losses must share the same learning rate")
+    return rate, np.array([lv.value for lv in losses], dtype=float)
+
+
 def exp_loss_score(losses: Sequence[LossValue]) -> ScoreVector:
     """Multiplicative scores ``exp(-rate * loss)`` from a shared-rate loss list.
 
@@ -426,13 +437,7 @@ def exp_loss_score(losses: Sequence[LossValue]) -> ScoreVector:
     f(x) * f(y) = f(x + y), which is what makes losses additive across
     independent evidence while scores stay multiplicative.
     """
-    losses = list(losses)
-    if not losses:
-        raise ValueError("need at least one loss")
-    rate = losses[0].learning_rate
-    if any(lv.learning_rate != rate for lv in losses):
-        raise ValueError("all losses must share the same learning rate")
-    values = np.array([lv.value for lv in losses], dtype=float)
+    rate, values = _shared_rate_losses(losses)
     return ScoreVector(np.exp(-rate * values), Mode.MULTIPLICATIVE)
 
 

@@ -13,14 +13,15 @@ fewest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .core import ProbabilityVector, as_values
-from .measures import LossValue, Mode, ModeMismatchError, ScoreVector
+from .measures import LossValue, Mode, ModeMismatchError, ScoreVector, _shared_rate_losses
 
 
 class UnderflowError(ArithmeticError):
@@ -68,18 +69,23 @@ class UpdateRule:
 class NormalizationResult:
     """Outcome of the additive normalization step.
 
-    ``posterior[i]`` equals ``q[i] + d`` for survivors and 0 for the indices
-    in ``zeroed``; ``m`` is the number of zeroed hypotheses.
+    ``posterior[i]`` equals ``q[i] + d`` where the survivor mask ``keep`` is
+    set and 0 elsewhere.  ``zeroed``, the indices outside ``keep``, is built
+    on first access; ``m`` is their count.  ``==`` compares ``posterior``
+    and ``d`` only.
     """
 
     posterior: ProbabilityVector
     d: float
-    zeroed: frozenset[int]
-    m: int
+    keep: np.ndarray = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.m != len(self.zeroed):
-            raise ValueError("m must equal the number of zeroed indices")
+    @cached_property
+    def zeroed(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(~self.keep).tolist())
+
+    @property
+    def m(self) -> int:
+        return int(self.keep.size - np.count_nonzero(self.keep))
 
 
 def _require_mode(s: ScoreVector, mode: Mode, op: str) -> None:
@@ -181,8 +187,8 @@ def conservative_normalize(q) -> NormalizationResult:
     posterior.
     """
     posterior, d, keep = _simplex_projection(as_values(q))
-    zeroed = frozenset(np.flatnonzero(~keep).tolist())
-    return NormalizationResult(ProbabilityVector(posterior), float(d), zeroed, len(zeroed))
+    keep.flags.writeable = False
+    return NormalizationResult(ProbabilityVector(posterior), float(d), keep)
 
 
 def predictive_update(p: ProbabilityVector, s: ScoreVector) -> NormalizationResult:
@@ -198,16 +204,15 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     """Loss-based update: posterior[i] proportional to exp(-rate*L[i]) * p[i].
 
     Equals :func:`inferential_update` with :func:`~credal.measures.exp_loss_score`
-    scores; kept as a direct evaluation so the identity can be checked.
+    scores, bit for bit.  The scores go to the kernel without a
+    :class:`~credal.measures.ScoreVector`, which rejects a score that
+    underflowed to zero, so an update whose weights all vanish raises
+    :class:`UnderflowError`.
     """
-    losses = list(losses)
+    rate, values = _shared_rate_losses(losses)
     pv = p.values
-    if pv.size != len(losses):
+    if pv.size != values.size:
         raise ValueError("prior and losses must have the same length")
-    rate = losses[0].learning_rate
-    if any(lv.learning_rate != rate for lv in losses):
-        raise ValueError("all losses must share the same learning rate")
-    values = np.array([lv.value for lv in losses], dtype=float)
     return ProbabilityVector(_ratio_update(pv, np.exp(-rate * values)))
 
 

@@ -59,8 +59,9 @@ def brute_force_normalize_oracle(q) -> NormalizationResult:
         if np.all(qv[survivors] + d > 0.0):
             posterior = np.zeros(n)
             posterior[survivors] = qv[survivors] + d
-            zeroed = frozenset(int(i) for i in order[n - m :])
-            return NormalizationResult(ProbabilityVector(posterior), d, zeroed, m)
+            keep = np.zeros(n, dtype=bool)
+            keep[survivors] = True
+            return NormalizationResult(ProbabilityVector(posterior), d, keep)
     raise AssertionError("unreachable: m = n - 1 always leaves one positive survivor")
 
 

@@ -5,19 +5,15 @@ import numpy as np
 import pytest
 
 from credal import (
-    LossValue,
     Mode,
     ModeMismatchError,
     ProbabilityVector,
     ScoreVector,
     check_combination_axioms,
     check_commutation,
-    check_group_axioms,
     construct_regularity_violation,
-    general_bayes_equivalence_report,
     predictive_update,
     regularity_violation_report,
-    verify_general_bayes_equivalence,
 )
 
 
@@ -86,20 +82,6 @@ def test_commutation_square_known_triples():
     assert right(2, 3, 5) == 32400
 
 
-def test_group_axioms_hold_for_both_structures():
-    for mode in (Mode.MULTIPLICATIVE, Mode.ADDITIVE):
-        rep = check_group_axioms(mode, seed=0)
-        assert rep.passed, [c for c in rep.checks if not c.passed]
-        arch = rep.check("archimedean")
-        assert "max witness" in arch.note
-        assert "without witness" not in arch.note
-
-
-def test_group_axioms_reject_bad_domain():
-    with pytest.raises(ValueError):
-        check_group_axioms(Mode.MULTIPLICATIVE, domain=(-1.0, 1.0))
-
-
 def test_regularity_violation_examples():
     e = ScoreVector([0.0, 0.5], Mode.ADDITIVE)
     prior, idx = construct_regularity_violation(e)
@@ -137,19 +119,3 @@ def test_hand_picked_prior_forces_zero():
 def test_regularity_violation_batch():
     rep = regularity_violation_report(n_instances=500, seed=3)
     assert rep.passed
-
-
-def test_general_bayes_equivalence_examples():
-    p = ProbabilityVector([0.5, 0.5])
-    losses = [LossValue(0.0, 1.0), LossValue(math.log(4.0), 1.0)]
-    assert verify_general_bayes_equivalence(p, losses, tol=1e-15)
-
-    flat = [LossValue(2.0, 1.0), LossValue(2.0, 1.0)]
-    assert verify_general_bayes_equivalence(p, flat, tol=1e-15)
-
-    fast = [LossValue(0.3, 2.0), LossValue(1.1, 2.0)]
-    assert verify_general_bayes_equivalence(p, fast, n_random_pairs=1000, tol=1e-12)
-
-
-def test_general_bayes_equivalence_batch():
-    assert general_bayes_equivalence_report(n_instances=100, seed=1).passed

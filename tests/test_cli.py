@@ -142,10 +142,9 @@ def test_props_suites_pass(capsys):
         "combination/multiplication",
         "combination/subtraction",
         "commutation/multiplicative-square",
-        "group/additive",
         "regularity-violation/forced-zero",
-        "general-bayes/equivalence",
     }
+    assert not [s["suite"] for s in suites if s["suite"].startswith(("group/", "general-bayes/"))]
     assert all(s["ok"] for s in suites)
     expected_fail = [s for s in suites if s["expected"] == "fail"]
     assert expected_fail and all(not s["report"]["passed"] for s in expected_fail)

@@ -19,8 +19,8 @@ from credal import (
     generate_data,
     is_probabilistic,
     run_experiment,
-    weighted_predictive_score,
 )
+from credal.measures import MixtureCRPS
 
 
 def small_config(**overrides):
@@ -58,28 +58,26 @@ def test_generate_data_varies_by_replication():
     assert np.any(a != b)
 
 
+def mixture_score(weights, forecasts, x):
+    return MixtureCRPS(forecasts).score(weights, [crps(f, x) for f in forecasts])
+
+
 def test_weighted_score_single_component():
-    models = [ModelSpec("m1", PointMass(3.0)), ModelSpec("m2", Gaussian(0.0, 1.0))]
-    p = ProbabilityVector([1.0, 0.0])
-    assert weighted_predictive_score(p, models, 5.0) == 2.0
+    assert mixture_score([1.0, 0.0], [PointMass(3.0), Gaussian(0.0, 1.0)], 5.0) == 2.0
 
 
 def test_weighted_score_identical_components():
-    models = [ModelSpec("m1", PointMass(1.0)), ModelSpec("m2", PointMass(1.0))]
-    p = ProbabilityVector([0.5, 0.5])
-    assert weighted_predictive_score(p, models, 4.0) == 3.0
+    assert mixture_score([0.5, 0.5], [PointMass(1.0), PointMass(1.0)], 4.0) == 3.0
 
 
 def test_weighted_score_two_atom_mixture():
     # exact mixture CRPS: E|X| = 1, E|X1 - X2|/2 = 0.5, total 0.5; confirmed
     # against the sampling estimate of the defining expectations
-    models = [ModelSpec("m1", PointMass(0.0)), ModelSpec("m2", PointMass(2.0))]
-    p = ProbabilityVector([0.5, 0.5])
     mix = Empirical(np.array([0.0, 2.0]))  # two equally weighted atoms
     assert crps(mix, 0.0) == 0.5
     est, se = crps_monte_carlo(mix, 0.0, n_draws=200_000, seed=2)
     assert abs(est - 0.5) <= 3 * se
-    score = weighted_predictive_score(p, models, 0.0)
+    score = mixture_score([0.5, 0.5], [PointMass(0.0), PointMass(2.0)], 0.0)
     assert score == pytest.approx(0.5, abs=1e-15)
 
 
@@ -94,11 +92,11 @@ MIXED_MODELS = (
 
 @pytest.mark.parametrize("x", [-2.5, 0.0, 0.7, 4.0])
 def test_weighted_score_one_hot_is_component_crps(x):
-    for i, model in enumerate(MIXED_MODELS):
-        w = np.zeros(len(MIXED_MODELS))
+    forecasts = [m.forecast for m in MIXED_MODELS]
+    for i, f in enumerate(forecasts):
+        w = np.zeros(len(forecasts))
         w[i] = 1.0
-        score = weighted_predictive_score(ProbabilityVector(w), MIXED_MODELS, x)
-        assert score == crps(model.forecast, x)
+        assert mixture_score(w, forecasts, x) == crps(f, x)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -106,7 +104,7 @@ def test_weighted_score_matches_monte_carlo_oracle(seed):
     rng = np.random.default_rng(seed)
     p = ProbabilityVector(rng.dirichlet(np.ones(len(MIXED_MODELS))))
     x = float(rng.normal())
-    exact = weighted_predictive_score(p, MIXED_MODELS, x)
+    exact = mixture_score(p.values, [m.forecast for m in MIXED_MODELS], x)
     est, se = monte_carlo_mixture_crps(p, MIXED_MODELS, x, n_draws=200_000, seed=seed)
     assert abs(est - exact) <= 3 * se
 

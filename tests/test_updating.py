@@ -288,6 +288,11 @@ def test_general_bayes_examples():
     post2 = general_bayes_update(p, [LossValue(0.0, 2.0), LossValue(math.log(4.0), 2.0)])
     np.testing.assert_allclose(post2.values, [16.0 / 17.0, 1.0 / 17.0], rtol=1e-15)
 
+    with pytest.raises(ValueError, match="share the same learning rate"):
+        general_bayes_update(p, [LossValue(0.0, 1.0), LossValue(1.0, 2.0)])
+    with pytest.raises(ValueError, match="same length"):
+        general_bayes_update(p, [LossValue(0.0, 1.0)])
+
 
 def test_general_bayes_underflow():
     p = ProbabilityVector([0.5, 0.5])
