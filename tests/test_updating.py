@@ -8,6 +8,7 @@ from credal import (
     LossValue,
     Mode,
     ModeMismatchError,
+    NormalizationResult,
     ProbabilityVector,
     RuleKind,
     ScoreVector,
@@ -134,6 +135,32 @@ def test_normalize_agrees_with_oracle():
         assert fast.zeroed == slow.zeroed
         assert fast.m == slow.m
         assert fast.d == pytest.approx(slow.d, abs=1e-12)
+
+
+def test_normalization_result_derives_zeroed_and_m_from_mask():
+    p = ProbabilityVector([0.5, 0.0, 0.5, 0.0])
+    r = NormalizationResult(p, -0.25, np.array([True, False, True, False]))
+    assert r.zeroed == frozenset({1, 3})
+    assert r.m == 2
+    assert r.zeroed is r.zeroed  # built once, on first access
+
+    none_zeroed = NormalizationResult(ProbabilityVector([0.5, 0.5]), 0.0, np.ones(2, dtype=bool))
+    assert none_zeroed.zeroed == frozenset() and none_zeroed.m == 0
+
+    one_left = NormalizationResult(ProbabilityVector([0.0, 1.0, 0.0]), -1.0, np.array([False, True, False]))
+    assert one_left.zeroed == frozenset({0, 2}) and one_left.m == 2
+
+
+def test_normalize_mask_is_read_only_and_matches_zeroed():
+    rng = np.random.default_rng(31)
+    for q in random_raw_vectors(rng, 300):
+        r = conservative_normalize(q)
+        assert not r.keep.flags.writeable
+        with pytest.raises(ValueError):
+            r.keep[0] = not r.keep[0]
+        np.testing.assert_array_equal(np.flatnonzero(~r.keep), sorted(r.zeroed))
+        assert r.m == len(r.zeroed)
+        assert np.all(r.posterior.values[~r.keep] == 0.0)
 
 
 def test_batched_projection_matches_rows():
@@ -292,6 +319,31 @@ def test_general_bayes_examples():
         general_bayes_update(p, [LossValue(0.0, 1.0), LossValue(1.0, 2.0)])
     with pytest.raises(ValueError, match="same length"):
         general_bayes_update(p, [LossValue(0.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "losses, message",
+    [
+        ([], "need at least one loss"),
+        ([LossValue(0.0, 1.0), LossValue(1.0, 1.0), LossValue(2.0, 0.5)], "share the same learning rate"),
+    ],
+    ids=["empty", "mixed-rate"],
+)
+def test_loss_list_checked_alike_by_both_routes(losses, message):
+    p = uniform(max(len(losses), 1))
+    with pytest.raises(ValueError, match=message):
+        exp_loss_score(losses)
+    with pytest.raises(ValueError, match=message):
+        general_bayes_update(p, losses)
+
+
+def test_loss_list_may_be_any_iterable():
+    p = ProbabilityVector([0.25, 0.75])
+    losses = [LossValue(0.5, 1.5), LossValue(2.0, 1.5)]
+    expected = general_bayes_update(p, losses).values
+    np.testing.assert_array_equal(general_bayes_update(p, tuple(losses)).values, expected)
+    np.testing.assert_array_equal(general_bayes_update(p, iter(losses)).values, expected)
+    np.testing.assert_array_equal(exp_loss_score(iter(losses)).scores, exp_loss_score(losses).scores)
 
 
 def test_general_bayes_underflow():
