@@ -178,3 +178,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

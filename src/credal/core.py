@@ -95,7 +95,21 @@ class ProbabilityVector:
 
     def __init__(self, values, eps: float = DEFAULT_EPS):
         _check_eps(eps)
-        v = np.array(values, dtype=float)
+        self._values = self._checked(np.array(values, dtype=float), eps)
+
+    @classmethod
+    def _adopt(cls, v: np.ndarray) -> "ProbabilityVector":
+        """Wrap a float64 array that no one else holds, without copying it.
+
+        The checks of the constructor run (with the default ``eps``), and
+        ``v`` becomes read-only.
+        """
+        self = cls.__new__(cls)
+        self._values = cls._checked(v, DEFAULT_EPS)
+        return self
+
+    @staticmethod
+    def _checked(v: np.ndarray, eps: float) -> np.ndarray:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("probability vector needs a non-empty 1-d vector")
         if not np.all(np.isfinite(v)):
@@ -106,7 +120,7 @@ class ProbabilityVector:
         if abs(total - 1.0) > eps:
             raise ValueError(f"probabilities must sum to 1 (got {total!r})")
         v.flags.writeable = False
-        self._values = v
+        return v
 
     @property
     def values(self) -> np.ndarray:

@@ -73,7 +73,7 @@ def project_to_simplex(v) -> ProbabilityVector:
     (:func:`credal.updating.conservative_normalize`), computed by the same
     kernel; only the projected vector is returned.
     """
-    return ProbabilityVector(_simplex_projection(as_values(v))[0])
+    return ProbabilityVector._adopt(_simplex_projection(as_values(v))[0])
 
 
 def verify_dominance(
@@ -110,5 +110,11 @@ def verify_dominance(
         return DominanceReport(False, None, np.zeros(cv.size))
     posterior, d, keep = _simplex_projection(cv)
     dropped = cv[~keep]
-    gaps = np.count_nonzero(keep) * d * d + np.dot(dropped, dropped) + 2.0 * np.maximum(0.0, -(cv + d))
-    return DominanceReport(bool(np.all(gaps > 0.0)), ProbabilityVector(posterior), gaps)
+    offset = np.count_nonzero(keep) * d * d + np.dot(dropped, dropped)
+    # (k d d + dropped.dropped) + 2 max(0, -(c + d)) in that order, in place
+    gaps = np.add(cv, d)
+    np.negative(gaps, out=gaps)
+    np.maximum(0.0, gaps, out=gaps)
+    gaps *= 2.0
+    gaps += offset
+    return DominanceReport(bool(np.all(gaps > 0.0)), ProbabilityVector._adopt(posterior), gaps)

@@ -240,8 +240,9 @@ def crps_monte_carlo(
 def _elementwise(fn):
     """``fn`` applied to each entry of a float array; numpy's own ``exp``
     differs from ``math.exp`` in the last bit on some inputs."""
-    ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda a: ufunc(a).astype(float)
+    # a memoryview hands out one Python float at a time; a list would hold
+    # them all at once
+    return lambda a: np.fromiter(map(fn, memoryview(a.ravel())), float, a.size).reshape(a.shape)
 
 
 _erf = _elementwise(math.erf)
@@ -291,10 +292,13 @@ def _abs_normal_mean(m, s) -> np.ndarray:
     differences m_i - m_j gives an exactly symmetric result.
     """
     m = np.abs(m)
-    s = np.asarray(s, dtype=float)
-    z = m / np.where(s > 0.0, s, 1.0)
-    erf = _erf(z / _SQRT_2)
-    return np.where(s > 0.0, 2.0 * s * np.exp(-0.5 * z * z) / _SQRT_2PI + m * erf, m)
+    s = np.broadcast_to(np.asarray(s, dtype=float), m.shape)
+    spread = s > 0.0
+    m_s, s_s = m[spread], s[spread]
+    z = m_s / s_s
+    out = m.copy()
+    out[spread] = 2.0 * s_s * np.exp(-0.5 * z * z) / _SQRT_2PI + m_s * _erf(z / _SQRT_2)
+    return out
 
 
 def _mean_abs_difference(a: np.ndarray, b: np.ndarray) -> float:

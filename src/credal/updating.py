@@ -71,13 +71,21 @@ class NormalizationResult:
 
     ``posterior[i]`` equals ``q[i] + d`` where the survivor mask ``keep`` is
     set and 0 elsewhere.  ``zeroed``, the indices outside ``keep``, is built
-    on first access; ``m`` is their count.  ``==`` compares ``posterior``
-    and ``d`` only.
+    on first access; ``m`` is their count.  ``==`` compares the values of
+    ``posterior`` and ``d`` only, and the hash is consistent with it.
     """
 
     posterior: ProbabilityVector
     d: float
-    keep: np.ndarray = field(compare=False, repr=False)
+    keep: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d and np.array_equal(self.posterior.values, other.posterior.values)
+
+    def __hash__(self) -> int:
+        return hash((self.d, len(self.posterior)))
 
     @cached_property
     def zeroed(self) -> frozenset[int]:
@@ -121,7 +129,7 @@ def inferential_update(p: ProbabilityVector, s: ScoreVector) -> ProbabilityVecto
     pv = p.values
     if pv.size != len(s):
         raise ValueError("prior and scores must have the same length")
-    return ProbabilityVector(_ratio_update(pv, s.scores))
+    return ProbabilityVector._adopt(_ratio_update(pv, s.scores))
 
 
 def combine_additive(p: ProbabilityVector, s: ScoreVector) -> np.ndarray:
@@ -132,35 +140,86 @@ def combine_additive(p: ProbabilityVector, s: ScoreVector) -> np.ndarray:
     return p.values + s.scores
 
 
+#: unit roundoff of float64
+_EPS = 2.0**-53
+#: rows at least this long try the candidate scan before the full sort
+_CANDIDATE_MIN_N = 1 << 14
+#: about this many entries, taken at a fixed stride, place the candidate cut
+_SAMPLE_SIZE = 1 << 12
+
+
 def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euclidean projection of each row of q onto the probability simplex.
 
     ``q`` is any ``[..., n]`` float array; each slice along the last axis
     is projected on its own.  Returns ``(posterior, d, keep)``:
     ``posterior`` is ``q + d`` where the survivor mask ``keep`` is set and
-    0 elsewhere, and ``d`` has the shape of ``q`` without its last axis.
+    +0.0 elsewhere, and ``d`` has the shape of ``q`` without its last axis.
+
     Sort-and-threshold (Duchi et al. 2008; Condat 2016): sort the values
-    descending, take the longest prefix whose last entry stays strictly
-    positive after adding d = (1 - prefix sum)/prefix length.  The prefix
-    sums depend only on the sorted values, so survivors are then picked
-    from q directly: every entry above the cut value, then entries equal
-    to it in index order until the prefix length is reached (the
-    stable-sort tie rule).
+    descending as u, take the largest j whose entry stays strictly
+    positive after adding d_j = (1 - c_j)/j, where c_j is the sequential
+    prefix sum of u.  The prefix sums depend only on the sorted values, so
+    survivors are then picked from q directly: every entry above the cut
+    value u_j, then entries equal to it in index order until j are kept
+    (the stable-sort tie rule).  The full scan costs O(n log n) per row.
+
+    Rows of at least ``_CANDIDATE_MIN_N`` entries first try a candidate
+    scan.  It sorts and scans only the k entries above a threshold t,
+    placed from max(q) - 1 (a lower bound on the cut) and a strided
+    sample of the row.  The candidates are the row's top k values, so its
+    prefix sums c_1 ... c_k are the full scan's.  It is accepted only when
+    no j > k can pass the full scan's test.  The full scan then ends at
+    the same j, with the same d, cut, mask and posterior, bit for bit.
+
+    The bound: let A_j be the exact prefix sums, S = sum |q|, eps = 2^-53
+    and g = n eps / (1 - n eps).  Every excluded entry is at most t, so
+    for j > k::
+
+        A_j - j u_j = A_k - k u_j + sum_{k<i<=j} (u_i - u_j) >= A_k - k t.
+
+    With |c_j - A_j| <= g S, two roundings in d_j and A_k >= c_k - g S::
+
+        j (u_j + d_j) <= -(c_k - 1 - k t) + 2 g S + 2.1 eps (1 + S + g S),
+
+    and the computed u_j + d_j has the sign of the exact one.  So no
+    j > k passes when c_k - 1 - k t exceeds 2 g S + 2.1 eps (1 + S + g S).
+    The scan asks for c_k - 1 - k t > 8 (n + 1) eps (1 + n max|q| + k |t|),
+    more than twice that after the rounding of the check itself.  When
+    the check fails, or the sample puts more than an eighth of the row
+    above t, the row takes the full sort.
     """
-    if not np.isfinite(q).all():
-        raise ValueError("entries must be finite")
     shape = q.shape
     n = shape[-1]
     q = q.reshape(-1, n)
-    s = np.sort(q)
-    u = s[:, ::-1]
-    shift = (1.0 - u.cumsum(-1)) / np.arange(1.0, n + 1.0)  # d for each prefix length
-    cond = u + shift > 0.0
+    if n < _CANDIDATE_MIN_N:
+        if not np.isfinite(q).all():
+            raise ValueError("entries must be finite")
+        posterior, d, keep = _sort_scan(q)
+    else:
+        posterior, d, keep = _long_rows(q)
+    return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
+
+
+def _sort_scan(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full sort-and-threshold scan of every row of a 2-d ``q``.
+
+    Sorts -q ascending, so that w = -u: negation is exact and commutes
+    with rounding, so 1 + cumsum(w) is 1 - c bit for bit, and
+    ``d_j > w_j`` is the sign of u_j + d_j.
+    """
+    n = q.shape[-1]
+    w = np.negative(q)
+    w.sort(-1)
+    shift = w.cumsum(-1)
+    shift += 1.0
+    shift /= np.arange(1.0, n + 1.0)  # d for each prefix length
+    cond = shift > w
     cond[:, 0] = True  # u1 + (1 - u1) = 1 > 0 identically
     last = (n - 1) - cond[:, ::-1].argmax(-1)  # where each row's longest prefix ends
-    row_start = np.arange(0, q.size, n)
-    d = shift.take(row_start + last)
-    cut = s.take(row_start + ((n - 1) - last))
+    at = np.arange(0, q.size, n) + last
+    d = shift.take(at)
+    cut = -w.take(at)
     keep = q >= cut[:, None]
     if np.count_nonzero(keep) != last.sum() + len(last):
         # more entries reach the cut than the prefixes hold: a tie is split
@@ -168,8 +227,97 @@ def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         extra = keep.sum(-1) - (last + 1)
         for r in np.flatnonzero(extra).tolist():
             keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
-    posterior = np.where(keep, q + d[:, None], 0.0)
-    return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
+    posterior = q + d[:, None]
+    posterior *= keep
+    posterior += 0.0  # a dropped entry is (q + d) * 0, which may be -0.0
+    return posterior, d, keep
+
+
+def _long_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project the rows of a 2-d ``q`` by the candidate scan where it is
+    accepted, and by the full scan elsewhere."""
+    hi, lo = q.max(-1), q.min(-1)  # a NaN or an infinity reaches one of them
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise ValueError("entries must be finite")
+    sparse = []
+    for row, h, m_inf in zip(q, hi.tolist(), np.maximum(hi, -lo).tolist()):
+        t = _candidate_threshold(row, h, m_inf)
+        sparse.append(None if t is None else _candidate_scan(row, t, m_inf))
+    full = [r for r, s in enumerate(sparse) if s is None]
+    if len(full) == len(sparse):
+        return _sort_scan(q)
+    posterior = np.zeros(q.shape)
+    d = np.empty(len(q))
+    keep = np.zeros(q.shape, dtype=bool)
+    if full:
+        posterior[full], d[full], keep[full] = _sort_scan(q[full])
+    for r, s in enumerate(sparse):
+        if s is not None:
+            kept, values, d[r] = s
+            posterior[r, kept] = values
+            keep[r, kept] = True
+    return posterior, d, keep
+
+
+def _bound(n: int, m_inf: float, k: int, t: float) -> float:
+    """What the candidate scan's ``c_k - 1 - k t`` must exceed (see
+    :func:`_simplex_projection`); ``n m_inf`` bounds sum |q|."""
+    return 8.0 * (n + 1) * _EPS * (1.0 + n * m_inf + k * abs(t))
+
+
+def _candidate_threshold(row: np.ndarray, hi: float, m_inf: float) -> float | None:
+    """A threshold for the candidate scan of ``row``, or None when a strided
+    sample suggests that more than an eighth of the row lies above it.
+
+    ``hi`` is the row's maximum and ``m_inf`` its largest magnitude.  The
+    threshold is the higher of two: max(q) - 1 lowered by four times the
+    bound, and the highest sample value t at which the sample, scaled to
+    the row, estimates sum_{q > t} (q - t) above 4 (1 + bound).
+    """
+    n = row.size
+    slack = 4.0 * _bound(n, m_inf, 0, 0.0)
+    t = hi - 1.0 - slack
+    sample = np.sort(row[:: n // _SAMPLE_SIZE])[::-1]
+    scale = n / sample.size
+    mass = scale * (sample.cumsum() - sample * np.arange(1.0, sample.size + 1.0))
+    j = int(np.argmax(mass > 4.0 + slack))
+    if mass[j] > 4.0 + slack:
+        t = max(t, float(sample[j]))
+    if np.count_nonzero(sample > t) * scale > n / 8:
+        return None
+    return t
+
+
+def _candidate_scan(row: np.ndarray, t: float, m_inf: float):
+    """The scan of one row over its entries above ``t`` alone.
+
+    Returns ``(kept, values, d)``: the survivors' indices, their posterior
+    values and the shift; or None when the bound of
+    :func:`_simplex_projection` does not prove that the full scan ends
+    within the candidates.  ``m_inf`` is at least max |row|.
+    """
+    idx = np.flatnonzero(row > t)
+    k = idx.size
+    if k == 0:
+        return None
+    vals = row[idx]
+    w = np.negative(vals)
+    w.sort()
+    shift = w.cumsum()
+    if not (-float(shift[-1]) - 1.0) - k * t > _bound(row.size, m_inf, k, t):
+        return None
+    shift += 1.0
+    shift /= np.arange(1.0, k + 1.0)
+    cond = shift > w
+    cond[0] = True
+    last = (k - 1) - int(cond[::-1].argmax())
+    d = float(shift[last])
+    cut = -w[last]
+    kc = vals >= cut
+    extra = int(np.count_nonzero(kc)) - (last + 1)
+    if extra:
+        kc[np.flatnonzero(vals == cut)[-extra:]] = False
+    return idx[kc], vals[kc] + d, d
 
 
 def conservative_normalize(q) -> NormalizationResult:
@@ -188,7 +336,7 @@ def conservative_normalize(q) -> NormalizationResult:
     """
     posterior, d, keep = _simplex_projection(as_values(q))
     keep.flags.writeable = False
-    return NormalizationResult(ProbabilityVector(posterior), float(d), keep)
+    return NormalizationResult(ProbabilityVector._adopt(posterior), float(d), keep)
 
 
 def predictive_update(p: ProbabilityVector, s: ScoreVector) -> NormalizationResult:
@@ -213,7 +361,7 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     pv = p.values
     if pv.size != values.size:
         raise ValueError("prior and losses must have the same length")
-    return ProbabilityVector(_ratio_update(pv, np.exp(-rate * values)))
+    return ProbabilityVector._adopt(_ratio_update(pv, np.exp(-rate * values)))
 
 
 def sequential_update(

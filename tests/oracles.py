@@ -3,13 +3,16 @@
 None is used by the library itself: the enumeration oracle tries every
 zero count directly, the Michelot projection reaches the same map by
 an active-set iteration instead of a sort-and-threshold scan, the
-mixture CRPS is estimated by sampling instead of the pairwise closed form,
+sort-scan projection sorts and scans every entry of every row where the
+library's kernel first tries a candidate set, the dominance oracle computes
+the closed-form gaps with fresh temporaries instead of in place, the
+normal absolute mean evaluates ``math.erf`` through ``np.frompyfunc`` on
+every entry instead of only where the spread is positive, the mixture CRPS is estimated by sampling instead of the pairwise closed form,
 or taken from that closed form one 1-d weight vector at a time instead of
 over a last-axis grid, the reference harness runs a simulation one (rule,
 replication, step) at a time through the public 1-d updates instead of on
-arrays, and the
-dominator search tries random candidates instead of using the closed-form
-dominance certificates.
+arrays, and the dominator search tries random candidates instead of using
+the closed-form dominance certificates.
 """
 
 import math
@@ -88,6 +91,58 @@ def michelot_projection(v) -> np.ndarray:
     out = np.zeros(vv.size)
     out[active] = vv[active] - tau
     return out
+
+
+def sort_scan_projection(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euclidean projection of each row of ``q`` onto the simplex by a full
+    sort-and-threshold scan: ``(posterior, d, keep)`` as from
+    ``updating._simplex_projection``, which must match it bit for bit.
+
+    Sorts every row ascending, scans it descending with prefix sums, keeps
+    the longest prefix whose last entry stays positive after adding
+    d = (1 - prefix sum)/prefix length, splits a tie at the cut in index
+    order and writes the posterior with ``np.where``.
+    """
+    q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("entries must be finite")
+    shape = q.shape
+    n = shape[-1]
+    q = q.reshape(-1, n)
+    s = np.sort(q)
+    u = s[:, ::-1]
+    shift = (1.0 - u.cumsum(-1)) / np.arange(1.0, n + 1.0)
+    cond = u + shift > 0.0
+    cond[:, 0] = True
+    last = (n - 1) - cond[:, ::-1].argmax(-1)
+    row_start = np.arange(0, q.size, n)
+    d = shift.take(row_start + last)
+    cut = s.take(row_start + ((n - 1) - last))
+    keep = q >= cut[:, None]
+    if np.count_nonzero(keep) != last.sum() + len(last):
+        extra = keep.sum(-1) - (last + 1)
+        for r in np.flatnonzero(extra).tolist():
+            keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
+    posterior = np.where(keep, q + d[:, None], 0.0)
+    return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
+
+
+def dominance_gaps(c, d, keep) -> np.ndarray:
+    """Per-vertex gaps of ``c`` against its projection with shift ``d`` and
+    survivor mask ``keep``: ``k d^2 + sum_{i not kept} c_i^2 + 2 max(0, -(c_j + d))``,
+    each term built in a fresh array."""
+    dropped = c[~keep]
+    return np.count_nonzero(keep) * d * d + np.dot(dropped, dropped) + 2.0 * np.maximum(0.0, -(c + d))
+
+
+def abs_normal_mean_reference(m, s) -> np.ndarray:
+    """E|N(m, s^2)| = 2 s phi(m/s) + m (2 Phi(m/s) - 1) elementwise, |m| where
+    s == 0, with ``math.erf`` through ``np.frompyfunc`` on every entry."""
+    m = np.abs(m)
+    s = np.asarray(s, dtype=float)
+    z = m / np.where(s > 0.0, s, 1.0)
+    erf = np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(float)
+    return np.where(s > 0.0, 2.0 * s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) + m * erf, m)
 
 
 def random_dominator_search(c, n_perturbations, seed) -> tuple[np.ndarray | None, np.ndarray]:

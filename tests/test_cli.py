@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,19 @@ def test_props_suites_pass(capsys):
     assert all(s["ok"] for s in suites)
     expected_fail = [s for s in suites if s["expected"] == "fail"]
     assert expected_fail and all(not s["report"]["passed"] for s in expected_fail)
+
+
+@pytest.mark.parametrize("module", ["credal", "credal.cli"])
+def test_python_m_runs_the_cli(module, capsys):
+    # `python -m credal.cli` used to import the module and exit 0 doing nothing
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "props", "--samples", "5"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert dispatch(["props", "--samples", "5"]) == 0
+    assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
 
 
 def test_props_detects_forced_failure(capsys):

@@ -61,6 +61,15 @@ def test_probability_vector_validation():
         ProbabilityVector([0.5, np.inf])
 
 
+def test_adopted_array_is_checked_and_frozen_without_a_copy():
+    v = np.array([0.25, 0.75])
+    p = ProbabilityVector._adopt(v)
+    assert p.values is v and not v.flags.writeable
+    for bad in ([0.6, 0.6], [-0.1, 1.1], [0.5, np.inf], [[0.5, 0.5]], []):
+        with pytest.raises(ValueError):
+            ProbabilityVector._adopt(np.array(bad, dtype=float))
+
+
 def test_is_probabilistic_examples():
     assert is_probabilistic((0.5, 0.5), eps=1e-9) is True
     assert is_probabilistic((0.6, 0.6), eps=1e-9) is False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import michelot_projection, random_dominator_search
+from oracles import dominance_gaps, michelot_projection, random_dominator_search, sort_scan_projection
 
 from credal import (
     Credibility,
@@ -12,6 +12,7 @@ from credal import (
     conservative_normalize,
     divergence,
     ideal_credibility,
+    is_probabilistic,
     project_to_simplex,
     verify_dominance,
 )
@@ -186,6 +187,36 @@ def test_certificate_identity(n, seed, rival, scale):
     assert c @ gaps == pytest.approx(expected, abs=1e-12 * (1.0 + other @ other))
     if scale == 0.0:
         assert c @ gaps <= 1e-12 * (1.0 + other @ other)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 40), st.integers(1 << 14, 1 << 16)),
+    kind=st.sampled_from(["uniform", "scaled", "one", "ties", "negative"]),
+)
+def test_verify_dominance_matches_the_gap_formula_bit_for_bit(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        c = rng.uniform(0.0, 1.0, n)
+    elif kind == "scaled":
+        c = rng.dirichlet(np.ones(n)) * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, -0.5))
+    elif kind == "one":
+        c = rng.normal(0.0, 1e-3, n)
+        c[rng.integers(n)] = 5.0
+    elif kind == "ties":
+        c = np.round(rng.normal(0.0, 1.0, n), 1)
+    else:
+        c = rng.dirichlet(np.ones(n)) - rng.uniform(0.0, 2.0 / n, n)
+    rep = verify_dominance(c)
+    if is_probabilistic(c):
+        assert not rep.dominated and rep.dominator is None
+        return
+    posterior, d, keep = sort_scan_projection(c)
+    gaps = dominance_gaps(c, d, keep)
+    np.testing.assert_array_equal(rep.dominator.values.view(np.int64), posterior.view(np.int64))
+    np.testing.assert_array_equal(rep.per_vertex_gap.view(np.int64), gaps.view(np.int64))
+    assert rep.dominated == bool(np.all(gaps > 0.0))
 
 
 def test_dominance_report_json():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import mixture_score_reference
+from oracles import abs_normal_mean_reference, mixture_score_reference
 
 from credal import (
     Empirical,
@@ -23,7 +23,7 @@ from credal import (
     likelihood_score,
     min_abs_error_score,
 )
-from credal.measures import MixtureCRPS, crps_matrix, expected_abs_difference
+from credal.measures import MixtureCRPS, _abs_normal_mean, crps_matrix, expected_abs_difference
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
 STD_NORMAL_CRPS_AT_MEAN = 2.0 / math.sqrt(2.0 * math.pi) - 1.0 / math.sqrt(math.pi)
@@ -129,6 +129,17 @@ def test_expected_abs_difference_matches_naive_forms():
                 sd = math.hypot(f.sigma, g.sigma)
                 expected = crps(Gaussian(f.mu - g.mu, sd), 0.0) + sd / math.sqrt(math.pi)
                 assert pair[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def test_abs_normal_mean_matches_the_every_entry_form_bit_for_bit():
+    # erf runs only where the spread is positive; the values may not move a bit
+    rng = np.random.default_rng(9)
+    m = rng.normal(0.0, 3.0, (40, 30))
+    s = rng.uniform(0.1, 2.0, (40, 30)) * (rng.uniform(size=(40, 30)) < 0.7)
+    for args in ((m, s), (m, np.zeros_like(s)), (m, 1.3), (m[0], s[0]), (m, s + 1.0)):
+        got, want = _abs_normal_mean(*args), abs_normal_mean_reference(*args)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_empirical_converges_to_gaussian_closed_form():

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import brute_force_normalize_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_normalize_oracle, sort_scan_projection
 
 from credal import (
     LossValue,
@@ -23,7 +26,8 @@ from credal import (
     sequential_update,
     uniform,
 )
-from credal.updating import _ratio_update, _simplex_projection
+from credal import updating
+from credal.updating import _CANDIDATE_MIN_N, _candidate_scan, _ratio_update, _simplex_projection
 
 
 def random_raw_vectors(rng, count, n_max=12):
@@ -191,6 +195,134 @@ def test_batched_projection_matches_rows():
     stacked = _simplex_projection(q.reshape(5, -1, 6))
     for whole, part in zip((posterior, d, keep), stacked):
         np.testing.assert_array_equal(whole, part.reshape(whole.shape))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == bool:
+        np.testing.assert_array_equal(got, want)
+    else:  # compares sign bits too: -0.0 differs from +0.0
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+SPLIT_TIE = np.array([0.5, -1.9, -0.9, -0.2, 0.1, -0.2])  # the scan keeps one of the two -0.2
+
+
+def projection_input(rng, shape, kind):
+    """Rows of one family: a single survivor, few, most, ties, a split tie at
+    the cut, an excluded entry at the cut value itself, or an offset of 1e15."""
+    n = shape[-1]
+    if kind == "one":
+        q = rng.normal(0.0, 1e-3, shape)
+        q[..., rng.integers(n)] = 5.0
+    elif kind == "few":
+        q = rng.uniform(0.0, 1.0, shape)  # about sqrt(2 n) survive
+    elif kind == "most":
+        q = (rng.exponential(size=shape) - 2.0 * rng.uniform(size=shape)) / n
+    elif kind == "ties":
+        q = np.round(rng.normal(0.0, 1.0, shape), 1)
+    elif kind == "split-tie":
+        q = np.full(shape, -10.0)
+        at = np.sort(rng.choice(n, min(n, SPLIT_TIE.size), replace=False))
+        q[..., at] = SPLIT_TIE[: at.size]
+    elif kind == "near-cut":
+        # the largest excluded entry is set to the computed cut value -d,
+        # which adds nothing to the sum over the survivors
+        q = rng.uniform(0.0, 1.0, shape)
+        _, d, keep = sort_scan_projection(q)
+        for r in np.ndindex(shape[:-1]):
+            dropped = np.flatnonzero(~keep[r])
+            if dropped.size:
+                q[r][dropped[np.argmax(q[r][dropped])]] = -d[r]
+    else:  # "offset"
+        q = 1e15 + rng.uniform(0.0, 1.0, shape)
+    return q
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(
+        st.integers(1, 40),
+        st.sampled_from([_CANDIDATE_MIN_N - 1, _CANDIDATE_MIN_N, 1 << 15, (1 << 15) + 3]),
+        st.integers(_CANDIDATE_MIN_N, 1 << 16),
+    ),
+    lead=st.sampled_from([(), (2,), (2, 2)]),
+    kind=st.sampled_from(["one", "few", "most", "ties", "split-tie", "near-cut", "offset"]),
+)
+def test_projection_matches_full_sort_scan_bit_for_bit(seed, n, lead, kind):
+    q = projection_input(np.random.default_rng(seed), lead + (n,), kind)
+    with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
+        got = _simplex_projection(q)
+    for g, w in zip(got, sort_scan_projection(q)):
+        assert_same_bits(g, w)
+    if kind == "offset":  # the bound refuses every row, so the full scan runs on all of them
+        assert sum(len(call.args[0]) for call in full.call_args_list) == q.size // n
+    if kind == "near-cut":
+        # candidates cut at the cut value, or at the entry planted there
+        # (kept or excluded by rounding): the bound cannot prove where the
+        # full scan ends
+        _, d, _ = got
+        for r in np.ndindex(lead):
+            row, tau = q[r], -float(d[r])
+            for t in (tau, *row[np.abs(row - tau) <= 1e-12]):
+                assert _candidate_scan(row, float(t), float(np.abs(row).max())) is None
+
+
+def test_candidate_scan_refuses_a_threshold_at_or_above_the_cut():
+    rng = np.random.default_rng(41)
+    for n in (50, 1 << 15):
+        row = rng.uniform(0.0, 1.0, n)
+        _, d, keep = sort_scan_projection(row)
+        m_inf = float(np.abs(row).max())
+        tau = -float(d)
+        for t in (np.nextafter(tau, -np.inf), tau, np.nextafter(tau, np.inf), row[keep].min(), row.max()):
+            assert _candidate_scan(row, float(t), m_inf) is None
+        # well below the cut the bound holds, and the scan is the full one's
+        t = float(np.sort(row)[-3 * np.count_nonzero(keep)])
+        kept, values, d_scan = _candidate_scan(row, t, m_inf)
+        np.testing.assert_array_equal(kept, np.flatnonzero(keep))
+        assert_same_bits(values, (row + d)[keep])
+        assert d_scan == d
+
+
+def test_long_rows_mix_candidate_and_full_scans():
+    # one row per path in a single call: the offset row takes the full sort
+    rng = np.random.default_rng(42)
+    n = _CANDIDATE_MIN_N
+    q = np.stack([rng.uniform(0.0, 1.0, n), 1e15 + rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
+    with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
+        got = _simplex_projection(q)
+    assert [len(call.args[0]) for call in full.call_args_list] == [1]
+    for g, w in zip(got, sort_scan_projection(q)):
+        assert_same_bits(g, w)
+
+
+def test_projection_rejects_non_finite_entries_at_any_length():
+    for n in (5, _CANDIDATE_MIN_N):
+        for bad in (np.nan, np.inf, -np.inf):
+            q = np.zeros((2, n))
+            q[1, n // 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                _simplex_projection(q)
+
+
+def test_normalization_results_compare_by_posterior_and_d():
+    q = [0.5, 0.4, -0.3]
+    a, b = conservative_normalize(q), conservative_normalize(np.array(q))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != conservative_normalize([0.5, 0.4, 0.3])
+    keep = np.ones(2, dtype=bool)
+    half = ProbabilityVector([0.5, 0.5])
+    assert NormalizationResult(half, 0.0, keep) != NormalizationResult(half, 0.25, keep)  # d differs
+    skew = ProbabilityVector([0.25, 0.75])
+    assert NormalizationResult(half, 0.0, keep) != NormalizationResult(skew, 0.0, keep)  # posterior differs
+    # the mask is derived from the posterior and takes no part
+    other_mask = NormalizationResult(ProbabilityVector([0.5, 0.5]), 0.0, np.array([True, False]))
+    assert other_mask == NormalizationResult(half, 0.0, keep)
+    assert hash(other_mask) == hash(NormalizationResult(half, 0.0, keep))
+    assert a != q and (a == q) is False
 
 
 def test_batched_ratio_update_matches_rows():
