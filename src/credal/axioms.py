@@ -71,12 +71,16 @@ class AxiomReport:
         }
 
 
-def _sample_triples(
-    domain: tuple[float, float], n_samples: int, seed: int, diagonal_probes: bool
-) -> np.ndarray:
-    lo, hi = float(domain[0]), float(domain[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError("domain must be a bounded interval (lo, hi) with lo < hi")
+#: the interval (lo, hi) each coordinate of a sampled triple is drawn from
+DOMAIN = (0.1, 10.0)
+#: central-difference step of the mixed-partial estimates, and their
+#: relative tolerance between steps FD_STEP and FD_STEP / 2
+FD_STEP = 1e-4
+FD_RTOL = 1e-4
+
+
+def _sample_triples(n_samples: int, seed: int, diagonal_probes: bool) -> np.ndarray:
+    lo, hi = DOMAIN
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
@@ -99,22 +103,20 @@ def _safe_eval(f: Callable[[float, float], float], x: float, y: float) -> float:
 
 def check_combination_axioms(
     f: Callable[[float, float], float],
-    domain: tuple[float, float] = (0.1, 10.0),
     n_samples: int = 1000,
     seed: int = 0,
     tol: float = 1e-6,
-    fd_step: float = 1e-4,
-    fd_rtol: float = 1e-4,
 ) -> AxiomReport:
     """Check a candidate combination function on sampled triples.
 
-    Four checks, each with its worst absolute residual over the samples:
+    Four checks, each with its worst absolute residual over triples drawn
+    from ``DOMAIN``:
 
     * ``commutativity``: |f(x,y) - f(y,x)|
     * ``associativity``: |f(f(x,y),z) - f(x,f(y,z))|
     * ``differentiability``: relative stability of the central-difference
-      mixed partial between steps ``fd_step`` and ``fd_step/2`` (tolerance
-      ``fd_rtol``); a kink in f shows up here as step-dependence
+      mixed partial between steps ``FD_STEP`` and ``FD_STEP/2`` (tolerance
+      ``FD_RTOL``); a kink in f shows up here as step-dependence
     * ``mixed_partial_constancy``: spread of the mixed-partial estimates
       around their median, which is reported as the fitted constant
 
@@ -122,7 +124,7 @@ def check_combination_axioms(
     occurred.  Sample triples always include one fixed asymmetric probe and
     three diagonal probes in addition to the seeded draws.
     """
-    triples = _sample_triples(domain, n_samples, seed, diagonal_probes=True)
+    triples = _sample_triples(n_samples, seed, diagonal_probes=True)
 
     def worst(pairs_fn) -> tuple[float, str]:
         res, note = 0.0, ""
@@ -155,8 +157,8 @@ def check_combination_axioms(
     comm_res, comm_note = worst(comm)
     assoc_res, assoc_note = worst(assoc)
 
-    est_h = np.array([mixed_partial(x, y, fd_step) for x, y, _ in triples])
-    est_h2 = np.array([mixed_partial(x, y, fd_step / 2.0) for x, y, _ in triples])
+    est_h = np.array([mixed_partial(x, y, FD_STEP) for x, y, _ in triples])
+    est_h2 = np.array([mixed_partial(x, y, FD_STEP / 2.0) for x, y, _ in triples])
 
     if not np.all(np.isfinite(est_h)) or not np.all(np.isfinite(est_h2)):
         bad = int(np.flatnonzero(~(np.isfinite(est_h) & np.isfinite(est_h2)))[0])
@@ -174,7 +176,7 @@ def check_combination_axioms(
     checks = (
         AxiomCheck("commutativity", comm_res <= tol, comm_res, note=comm_note),
         AxiomCheck("associativity", assoc_res <= tol, assoc_res, note=assoc_note),
-        AxiomCheck("differentiability", diff_res <= fd_rtol, diff_res, note=diff_note),
+        AxiomCheck("differentiability", diff_res <= FD_RTOL, diff_res, note=diff_note),
         AxiomCheck(
             "mixed_partial_constancy",
             const_res <= tol,
@@ -200,20 +202,19 @@ def check_commutation(
     n_samples: int = 1000,
     seed: int = 0,
     tol: float = 1e-9,
-    domain: tuple[float, float] = (0.1, 10.0),
 ) -> AxiomReport:
     """Check that a rescaling function commutes with a combination function.
 
     Evaluation order must not matter: rescaling after combining (y, z) and
     then combining with x must equal rescaling after combining (x, y) and
     then combining with z, i.e. f(c(x, f(c(y, z)))) == f(c(f(c(x, y)), z))
-    on every sampled triple.  Residuals are relative.  Constant-scale
-    families pass for the matching combination; genuinely nonlinear
-    rescalings such as squaring fail.
+    on every triple sampled from ``DOMAIN``.  Residuals are relative.
+    Constant-scale families pass for the matching combination; genuinely
+    nonlinear rescalings such as squaring fail.
     """
     c = _combiner(combination)
     f = rescale_family
-    triples = _sample_triples(domain, n_samples, seed, diagonal_probes=False)
+    triples = _sample_triples(n_samples, seed, diagonal_probes=False)
     worst, note = 0.0, ""
     for x, y, z in triples:
         x, y, z = float(x), float(y), float(z)

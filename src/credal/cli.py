@@ -37,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     up.add_argument("--prior", required=True, help="prior CSV (label,value)")
     up.add_argument("--scores", required=True, help="scores CSV (label,value)")
     up.add_argument("--out", required=True, help="posterior CSV to write")
-    up.add_argument("--a", type=float, default=None, help="negative scale applied to additive scores")
-    up.add_argument("--rate", type=float, default=1.0, help="learning rate for general-bayes")
+    up.add_argument("--a", type=float, default=None, help="predictive only: negative scale applied to additive scores")
+    up.add_argument("--rate", type=float, default=None, help="general-bayes only: learning rate (default 1.0)")
     up.set_defaults(func=_cmd_update)
 
     sim = sub.add_parser("simulate", help="run an experiment config")
@@ -61,6 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_update(args) -> int:
+    for flag, value, rule in (("--a", args.a, "predictive"), ("--rate", args.rate, "general-bayes")):
+        if value is not None and args.rule != rule:
+            raise ValueError(f"{flag} applies to the {rule} rule only, not to {args.rule}")
     hyps, prior_values = read_labeled_csv(args.prior)
     score_hyps, score_values = read_labeled_csv(args.scores)
     if hyps.labels != score_hyps.labels:
@@ -70,7 +73,8 @@ def _cmd_update(args) -> int:
     if args.rule == "inferential":
         posterior = inferential_update(prior, ScoreVector(score_values, Mode.MULTIPLICATIVE))
     elif args.rule == "general-bayes":
-        losses = [LossValue(float(v), args.rate) for v in score_values]
+        rate = 1.0 if args.rate is None else args.rate
+        losses = [LossValue(float(v), rate) for v in score_values]
         posterior = general_bayes_update(prior, losses)
     else:
         if args.a is not None:

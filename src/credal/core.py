@@ -192,10 +192,6 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 #: Bytes of one :func:`format_floats` field; the longest positive output,
 #: ``d.dddddddddddddddde-XXX``, is 23.
 FLOAT_FIELD = 24
@@ -342,7 +338,7 @@ def _format_chunk(x: np.ndarray, out: np.ndarray) -> None:
 def format_floats(values) -> np.ndarray:
     """``%.17g`` of every entry as ASCII bytes, in an ``S24`` array shaped like ``values``.
 
-    Equal, entry for entry, to ``format_float(v).encode()``.  A positive
+    Equal, entry for entry, to ``f"{v:.17g}".encode()``.  A positive
     finite ``v`` is formatted in bulk: with ``X = floor(log10 v)``, corrected
     once if needed, the 17 digits are ``D = v * 10**(16 - X)`` rounded to an
     integer.  ``D`` is computed in ``np.longdouble`` from correctly rounded
@@ -350,7 +346,7 @@ def format_floats(values) -> np.ndarray:
     ``u = finfo(longdouble).eps / 2``: about 0.011 where ``longdouble`` has
     a 64-bit significand (x86-64).  Where the computed fraction of ``D`` is
     within twice that of .5, the rounding could go either way, so the entry
-    falls back to :func:`format_float`; so do zeros with the sign bit set,
+    falls back to Python's ``format``; so do zeros with the sign bit set,
     negative and non-finite entries.  Where ``longdouble`` is only
     ``double`` the bound exceeds .5, and PowerPC's double-double does not
     round its operations correctly, so there every entry falls back: the
@@ -373,17 +369,18 @@ def write_labeled_csv(path, labels, values) -> None:
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for lab, val in zip(labels, v):
-            writer.writerow([lab, format_float(val)])
+        for lab, text in zip(labels, format_floats(v).tolist()):
+            writer.writerow([lab, text.decode()])
 
 
 def read_labeled_csv(path) -> tuple[HypothesisSet, np.ndarray]:
     """Read a ``label,value`` CSV; a leading byte-order mark is skipped.
 
-    Blank lines, rows without exactly two fields and values that are not
-    finite numbers are rejected with the path and line named.
+    Blank lines, rows without exactly two fields, empty or repeated labels
+    and values that are not finite numbers are rejected with the path and
+    line named.
     """
-    labels, values = [], []
+    values = {}  # by label, in file order
     with open(Path(path), newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -396,12 +393,15 @@ def read_labeled_csv(path) -> tuple[HypothesisSet, np.ndarray]:
             if len(row) != 2:
                 raise ValueError(f"{where}: expected two fields")
             label, text = row
+            if not label:
+                raise ValueError(f"{where}: empty label")
+            if label in values:
+                raise ValueError(f"{where}: repeated label {label!r}")
             try:
                 value = float(text)
             except ValueError:
                 raise ValueError(f"{where}: value for {label!r} is not a number: {text!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{where}: value for {label!r} is not finite: {text!r}")
-            labels.append(label)
-            values.append(value)
-    return HypothesisSet(tuple(labels)), np.asarray(values, dtype=float)
+            values[label] = value
+    return HypothesisSet(tuple(values)), np.array(list(values.values()), dtype=float)

@@ -175,47 +175,15 @@ def sample_forecast(f: Forecast, rng: np.random.Generator, size: int) -> np.ndar
     raise TypeError(f"cannot sample from {f!r}")
 
 
-def _gaussian_crps(mu, sigma, x, erf, exp):
-    """sigma * (z*(2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)) with z = (x - mu)/sigma.
-
-    Written once for scalars (``math.erf``/``math.exp``) and for arrays
-    (their elementwise forms): the same operations in the same order, so
-    both give the same bits.
-    """
-    z = (x - mu) / sigma
-    cdf = 0.5 * (1.0 + erf(z / _SQRT_2))
-    pdf = exp(-0.5 * z * z) / _SQRT_2PI
-    return sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / _SQRT_PI)
-
-
 def crps(f: Forecast, x: float) -> float:
     """Continuous ranked probability score of forecast ``f`` at outcome ``x``.
 
     CRPS(F, x) = E|X - x| - (1/2) E|X1 - X2| with X, X1, X2 i.i.d. from F.
     It generalizes absolute error: for a point mass it reduces to |loc - x|,
-    and it is reported in the units of the observations.
-
-    Point-mass and Gaussian forecasts use exact closed forms.  The Gaussian
-    form is sigma * (z*(2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)) with
-    z = (x - mu)/sigma; it is validated against a Monte-Carlo estimate of
-    the defining expectations (see :func:`crps_monte_carlo`).  Empirical
-    forecasts evaluate the pairwise term over sorted samples in O(m log m):
-    sum_{i,j} |s_i - s_j| = 2 * sum_k (2k - m + 1) * s_(k).
+    and it is reported in the units of the observations.  The one-entry
+    case of :func:`crps_matrix`, which holds the closed forms.
     """
-    if not math.isfinite(x):
-        raise ValueError("observed outcome must be finite")
-    if isinstance(f, PointMass):
-        return abs(f.location - x)
-    if isinstance(f, Gaussian):
-        return _gaussian_crps(f.mu, f.sigma, x, math.erf, math.exp)
-    if isinstance(f, Empirical):
-        s = np.sort(f.samples)
-        m = s.size
-        first = float(np.mean(np.abs(s - x)))
-        k = np.arange(m)
-        pair = float(np.sum((2.0 * k - m + 1.0) * s))  # = sum_{i,j}|s_i - s_j| / 2
-        return first - pair / (m * m)
-    raise TypeError(f"not a forecast: {f!r}")
+    return float(crps_matrix([f], [x])[0, 0])
 
 
 def crps_monte_carlo(
@@ -225,7 +193,7 @@ def crps_monte_carlo(
 
     Samples i.i.d. triples (X, X1, X2) and averages |X - x| - 0.5|X1 - X2|.
     Returns ``(estimate, standard_error)``.  Independent of the closed forms
-    in :func:`crps`, so it serves as their cross-check.
+    in :func:`crps_matrix`, so it serves as their cross-check.
     """
     if not math.isfinite(x):
         raise ValueError("observed outcome must be finite")
@@ -247,14 +215,28 @@ def _elementwise(fn):
 
 _erf = _elementwise(math.erf)
 _exp = _elementwise(math.exp)
+#: entries of |samples - outcome| an empirical forecast holds at a time
+_BLOCK = 1 << 18
+
+
+def _gaussian_crps(mu, sigma, x):
+    """sigma * (z*(2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)) with z = (x - mu)/sigma, elementwise."""
+    z = (x - mu) / sigma
+    cdf = 0.5 * (1.0 + _erf(z / _SQRT_2))
+    pdf = _exp(-0.5 * z * z) / _SQRT_2PI
+    return sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / _SQRT_PI)
 
 
 def crps_matrix(forecasts: Sequence[Forecast], xs) -> np.ndarray:
     """``[len(xs), len(forecasts)]`` matrix of :func:`crps` at every outcome.
 
-    Entry for entry equal to ``crps(forecasts[j], xs[i])``: Gaussian and
-    point-mass columns are computed over the whole grid at once with the
-    same operations, empirical columns by :func:`crps` itself.
+    Point-mass and Gaussian forecasts use exact closed forms: |loc - x|,
+    and sigma * (z*(2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)) with
+    z = (x - mu)/sigma, validated against a Monte-Carlo estimate of the
+    defining expectations (see :func:`crps_monte_carlo`).  Empirical
+    forecasts sort their samples once and evaluate the pairwise term in
+    O(m log m): sum_{i,j} |s_i - s_j| = 2 * sum_k (2k - m + 1) * s_(k).
+    An entry does not depend on the other forecasts or outcomes.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
@@ -265,13 +247,20 @@ def crps_matrix(forecasts: Sequence[Forecast], xs) -> np.ndarray:
     if gauss:
         mu = np.array([forecasts[j].mu for j in gauss])
         sigma = np.array([forecasts[j].sigma for j in gauss])
-        out[:, gauss] = _gaussian_crps(mu, sigma, x, _erf, _exp)
+        out[:, gauss] = _gaussian_crps(mu, sigma, x)
     point = [j for j, f in enumerate(forecasts) if isinstance(f, PointMass)]
     if point:
         out[:, point] = np.abs(np.array([forecasts[j].location for j in point]) - x)
     for j, f in enumerate(forecasts):
-        if not isinstance(f, (Gaussian, PointMass)):
-            out[:, j] = [crps(f, v) for v in xs.tolist()]
+        if isinstance(f, Empirical):
+            s = np.sort(f.samples)
+            m = s.size
+            pair = float(np.sum((2.0 * np.arange(m) - m + 1.0) * s))  # = sum_{i,j}|s_i - s_j| / 2
+            rows = max(1, _BLOCK // m)  # outcomes per [rows, m] temporary
+            for start in range(0, xs.size, rows):
+                out[start : start + rows, j] = np.abs(s - x[start : start + rows]).mean(-1) - pair / (m * m)
+        elif not isinstance(f, (Gaussian, PointMass)):
+            raise TypeError(f"not a forecast: {f!r}")
     return out
 
 
@@ -404,7 +393,7 @@ def crps_measure(forecasts: Sequence[Forecast], x: float, a: float) -> ScoreVect
         raise ValueError(f"scaling constant a must be negative, got {a!r}")
     if len(forecasts) == 0:
         raise ValueError("need at least one forecast")
-    return ScoreVector([a * crps(f, x) for f in forecasts], Mode.ADDITIVE)
+    return ScoreVector(a * crps_matrix(forecasts, [x])[0], Mode.ADDITIVE)
 
 
 @dataclass(frozen=True)

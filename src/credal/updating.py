@@ -165,12 +165,12 @@ def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     (the stable-sort tie rule).  The full scan costs O(n log n) per row.
 
     Rows of at least ``_CANDIDATE_MIN_N`` entries first try a candidate
-    scan.  It sorts and scans only the k entries above a threshold t,
-    placed from max(q) - 1 (a lower bound on the cut) and a strided
-    sample of the row.  The candidates are the row's top k values, so its
-    prefix sums c_1 ... c_k are the full scan's.  It is accepted only when
-    no j > k can pass the full scan's test.  The full scan then ends at
-    the same j, with the same d, cut, mask and posterior, bit for bit.
+    scan: the full scan of the k entries above a threshold t alone, placed
+    from max(q) - 1 (a lower bound on the cut) and a strided sample of
+    the row.  The candidates are the row's top k values, so their prefix
+    sums c_1 ... c_k are the full scan's.  It is accepted only when no
+    j > k can pass the full scan's test.  The full scan then ends at the
+    same j, with the same d, cut, mask and posterior, bit for bit.
 
     The bound: let A_j be the exact prefix sums, S = sum |q|, eps = 2^-53
     and g = n eps / (1 - n eps).  Every excluded entry is at most t, so
@@ -178,16 +178,20 @@ def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
         A_j - j u_j = A_k - k u_j + sum_{k<i<=j} (u_i - u_j) >= A_k - k t.
 
-    With |c_j - A_j| <= g S, two roundings in d_j and A_k >= c_k - g S::
+    Let s be any computed sum of the k candidates: every summation order
+    errs by at most g S, so A_k >= s - g S.  With |c_j - A_j| <= g S and
+    two roundings in d_j::
 
-        j (u_j + d_j) <= -(c_k - 1 - k t) + 2 g S + 2.1 eps (1 + S + g S),
+        j (u_j + d_j) <= -(s - 1 - k t) + 2 g S + 2.1 eps (1 + S + g S),
 
     and the computed u_j + d_j has the sign of the exact one.  So no
-    j > k passes when c_k - 1 - k t exceeds 2 g S + 2.1 eps (1 + S + g S).
-    The scan asks for c_k - 1 - k t > 8 (n + 1) eps (1 + n max|q| + k |t|),
-    more than twice that after the rounding of the check itself.  When
-    the check fails, or the sample puts more than an eighth of the row
-    above t, the row takes the full sort.
+    j > k passes when s - 1 - k t exceeds 2 g S + 2.1 eps (1 + S + g S).
+    The scan asks, before it sorts, that numpy's sum s of the candidates
+    give s - 1 - k t > 8 (n + 1) eps (1 + n max|q| + k |t|), more than
+    twice that after the rounding of the check itself.  When the check
+    fails for a row, or the sample puts more than an eighth of a row
+    above t, the whole array takes the full sort: the library passes
+    rows this long one at a time.
     """
     shape = q.shape
     n = shape[-1]
@@ -234,33 +238,28 @@ def _sort_scan(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _long_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the rows of a 2-d ``q`` by the candidate scan where it is
-    accepted, and by the full scan elsewhere."""
+    """Project the rows of a 2-d ``q`` by the candidate scan, or all of
+    them by the full scan once the candidate scan refuses a row."""
     hi, lo = q.max(-1), q.min(-1)  # a NaN or an infinity reaches one of them
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("entries must be finite")
-    sparse = []
+    scans = []
     for row, h, m_inf in zip(q, hi.tolist(), np.maximum(hi, -lo).tolist()):
         t = _candidate_threshold(row, h, m_inf)
-        sparse.append(None if t is None else _candidate_scan(row, t, m_inf))
-    full = [r for r, s in enumerate(sparse) if s is None]
-    if len(full) == len(sparse):
-        return _sort_scan(q)
+        scans.append(None if t is None else _candidate_scan(row, t, m_inf))
+        if scans[-1] is None:
+            return _sort_scan(q)
     posterior = np.zeros(q.shape)
     d = np.empty(len(q))
     keep = np.zeros(q.shape, dtype=bool)
-    if full:
-        posterior[full], d[full], keep[full] = _sort_scan(q[full])
-    for r, s in enumerate(sparse):
-        if s is not None:
-            kept, values, d[r] = s
-            posterior[r, kept] = values
-            keep[r, kept] = True
+    for r, (kept, values, d[r]) in enumerate(scans):
+        posterior[r, kept] = values
+        keep[r, kept] = True
     return posterior, d, keep
 
 
 def _bound(n: int, m_inf: float, k: int, t: float) -> float:
-    """What the candidate scan's ``c_k - 1 - k t`` must exceed (see
+    """What the candidate scan's ``s - 1 - k t`` must exceed (see
     :func:`_simplex_projection`); ``n m_inf`` bounds sum |q|."""
     return 8.0 * (n + 1) * _EPS * (1.0 + n * m_inf + k * abs(t))
 
@@ -294,30 +293,16 @@ def _candidate_scan(row: np.ndarray, t: float, m_inf: float):
     Returns ``(kept, values, d)``: the survivors' indices, their posterior
     values and the shift; or None when the bound of
     :func:`_simplex_projection` does not prove that the full scan ends
-    within the candidates.  ``m_inf`` is at least max |row|.
+    within the candidates (as when there are none: the sum is then 0).
+    ``m_inf`` is at least max |row|.
     """
     idx = np.flatnonzero(row > t)
-    k = idx.size
-    if k == 0:
-        return None
     vals = row[idx]
-    w = np.negative(vals)
-    w.sort()
-    shift = w.cumsum()
-    if not (-float(shift[-1]) - 1.0) - k * t > _bound(row.size, m_inf, k, t):
+    k = idx.size
+    if not (float(vals.sum()) - 1.0) - k * t > _bound(row.size, m_inf, k, t):
         return None
-    shift += 1.0
-    shift /= np.arange(1.0, k + 1.0)
-    cond = shift > w
-    cond[0] = True
-    last = (k - 1) - int(cond[::-1].argmax())
-    d = float(shift[last])
-    cut = -w[last]
-    kc = vals >= cut
-    extra = int(np.count_nonzero(kc)) - (last + 1)
-    if extra:
-        kc[np.flatnonzero(vals == cut)[-extra:]] = False
-    return idx[kc], vals[kc] + d, d
+    posterior, d, keep = _sort_scan(vals[None])
+    return idx[keep[0]], posterior[0, keep[0]], float(d[0])
 
 
 def conservative_normalize(q) -> NormalizationResult:

@@ -7,9 +7,12 @@ sort-scan projection sorts and scans every entry of every row where the
 library's kernel first tries a candidate set, the dominance oracle computes
 the closed-form gaps with fresh temporaries instead of in place, the
 normal absolute mean evaluates ``math.erf`` through ``np.frompyfunc`` on
-every entry instead of only where the spread is positive, the mixture CRPS is estimated by sampling instead of the pairwise closed form,
-or taken from that closed form one 1-d weight vector at a time instead of
-over a last-axis grid, the reference harness runs a simulation one (rule,
+every entry instead of only where the spread is positive, the CRPS
+reference scores one forecast at one outcome with ``math.erf`` and
+``math.exp`` instead of over a grid, the mixture CRPS is estimated by
+sampling instead of the pairwise closed form, or taken from that closed
+form one 1-d weight vector at a time instead of over a last-axis grid,
+the reference harness runs a simulation one (rule,
 replication, step) at a time through the public 1-d updates instead of on
 arrays, and the dominator search tries random candidates instead of using
 the closed-form dominance certificates.
@@ -20,14 +23,16 @@ import math
 import numpy as np
 
 from credal import (
+    Empirical,
+    Gaussian,
     LossValue,
     Mode,
     NormalizationResult,
+    PointMass,
     ProbabilityVector,
     RuleAggregate,
     ScoreVector,
     StepRecord,
-    crps,
     general_bayes_update,
     generate_data,
     inferential_update,
@@ -35,7 +40,7 @@ from credal import (
     predictive_update,
     uniform,
 )
-from credal.core import as_values, format_float
+from credal.core import as_values
 from credal.experiments import CSV_HEADER
 from credal.measures import MixtureCRPS, sample_forecast
 from credal.updating import RuleKind
@@ -209,6 +214,33 @@ def mixture_score_reference(pair, half_self, w, c) -> float:
     return float(w @ c + (w @ half_self - 0.5 * (w @ (pair @ w))))
 
 
+def crps_reference(f, x: float) -> float:
+    """CRPS of one forecast at one outcome, in scalar Python arithmetic.
+
+    A point mass scores |loc - x|; a Gaussian sigma * (z*(2*Phi(z) - 1) +
+    2*phi(z) - 1/sqrt(pi)) with z = (x - mu)/sigma, from ``math.erf`` and
+    ``math.exp``; an empirical forecast the mean of |s_i - x| minus the
+    pairwise term over its sorted samples.  ``measures.crps_matrix`` must
+    match it bit for bit.
+    """
+    if not math.isfinite(x):
+        raise ValueError("observed outcome must be finite")
+    if isinstance(f, PointMass):
+        return abs(f.location - x)
+    if isinstance(f, Gaussian):
+        z = (x - f.mu) / f.sigma
+        cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return f.sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / math.sqrt(math.pi))
+    if isinstance(f, Empirical):
+        s = np.sort(f.samples)
+        m = s.size
+        first = float(np.mean(np.abs(s - x)))
+        pair = float(np.sum((2.0 * np.arange(m) - m + 1.0) * s))
+        return first - pair / (m * m)
+    raise TypeError(f"not a forecast: {f!r}")
+
+
 def _gaussian_density(f, x: float) -> float:
     z = (x - f.mu) / f.sigma
     return math.exp(-0.5 * z * z) / (f.sigma * math.sqrt(2.0 * math.pi))
@@ -240,7 +272,7 @@ def reference_harness(cfg) -> tuple[str, tuple]:
         generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
         for rep in range(cfg.replications)
     ]
-    model_crps = [np.array([[crps(f, x) for f in forecasts] for x in xs.tolist()]) for xs in observations]
+    model_crps = [np.array([[crps_reference(f, x) for f in forecasts] for x in xs.tolist()]) for xs in observations]
     records, aggregates = [], []
     for rule in cfg.rules:
         rep_means = []
@@ -261,6 +293,6 @@ def reference_harness(cfg) -> tuple[str, tuple]:
     for rec in records:
         for i, model in enumerate(cfg.models):
             fields = [rec.rule, str(rec.replication), str(rec.t), model.label]
-            fields += [format_float(rec.posterior[i]), format_float(rec.crps[i]), format_float(rec.mixture_crps)]
+            fields += [f"{v:.17g}" for v in (rec.posterior[i], rec.crps[i], rec.mixture_crps)]
             lines.append(",".join(fields))
     return "\n".join(lines) + "\n", tuple(aggregates)

@@ -77,6 +77,36 @@ def test_update_general_bayes(tmp_path, capsys):
     assert summary["min_posterior"] == pytest.approx(1.0 / 17.0, rel=1e-15)
 
 
+def test_update_general_bayes_rate_defaults_to_one(tmp_path, prior_csv):
+    losses = tmp_path / "l.csv"
+    write_labeled_csv(losses, ["H1", "H2", "H3"], [0.5, 0.4, 2.0])
+    args = ["update", "--rule", "general-bayes", "--prior", str(prior_csv), "--scores", str(losses), "--out"]
+    assert dispatch(args + [str(tmp_path / "default.csv")]) == 0
+    assert dispatch(args + [str(tmp_path / "one.csv"), "--rate", "1.0"]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rule, flag, value",
+    [
+        ("inferential", "--a", "-3"),
+        ("general-bayes", "--a", "-3"),
+        ("predictive", "--rate", "5"),
+        ("inferential", "--rate", "5"),
+    ],
+)
+def test_update_rejects_a_flag_its_rule_does_not_use(tmp_path, prior_csv, capsys, rule, flag, value):
+    scores = tmp_path / "s.csv"
+    out = tmp_path / "post.csv"
+    write_labeled_csv(scores, ["H1", "H2", "H3"], [0.5, 0.4, 0.1])
+    code = dispatch(
+        ["update", "--rule", rule, "--prior", str(prior_csv), "--scores", str(scores), "--out", str(out), flag, value]
+    )
+    assert code == 2
+    assert f"error: {flag} applies to the" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path, prior_csv):
     assert dispatch(["update", "--rule", "predictive"]) == 2  # missing flags
     assert dispatch(["no-such-command"]) == 2

@@ -130,12 +130,13 @@ def test_invalid_vectors_detected():
 
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "p.csv"
-    values = np.array([0.1234567890123456789, 0.5, 1 / 3])
-    write_labeled_csv(path, ["a", "b", "c"], values)
+    values = np.array([0.1234567890123456789, 0.5, 1 / 3, -0.0, -2.5e-300])
+    labels = ["a", "b", "c", "d", "e"]
+    write_labeled_csv(path, labels, values)
     text = path.read_text()
-    assert text.splitlines()[0] == "label,value"
+    assert text.splitlines() == ["label,value"] + [f"{k},{v:.17g}" for k, v in zip(labels, values.tolist())]
     hs, back = read_labeled_csv(path)
-    assert hs.labels == ("a", "b", "c")
+    assert hs.labels == tuple(labels)
     np.testing.assert_array_equal(back, values)  # 17 significant digits round-trip
 
 
@@ -158,6 +159,17 @@ def test_csv_rejects_blank_line(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("label,value\na,0.5\n\nb,0.5\n")
     with pytest.raises(ValueError, match=r"blank\.csv: line 3: blank line"):
+        read_labeled_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("a,0.5\n,0.5\n", "line 3: empty label"), ("a,0.5\nb,0.25\na,0.25\n", "line 4: repeated label 'a'")],
+)
+def test_csv_rejects_empty_or_repeated_labels(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text("label,value\n" + body)
+    with pytest.raises(ValueError, match=rf"labels\.csv: {message}$"):
         read_labeled_csv(path)
 
 
@@ -241,7 +253,7 @@ def test_format_floats_keeps_shape(values):
 
 
 def test_format_floats_fallback_gives_the_same_bytes(monkeypatch):
-    # a tolerance of .5 or more sends every entry to format_float, as on
+    # a tolerance of .5 or more sends every entry to Python's format, as on
     # platforms whose long double is only a double
     values = np.concatenate([boundary_values(), np.random.default_rng(21).random(5000)])
     fast = format_floats(values)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import monte_carlo_mixture_crps
+from oracles import crps_reference, monte_carlo_mixture_crps
 
 from credal import (
     ExperimentConfig,
@@ -118,7 +118,7 @@ def test_every_rule_records_the_same_model_crps():
     result = run_experiment(cfg)
     for rep in range(cfg.replications):
         xs = generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
-        expected = [[crps(m.forecast, float(x)) for m in cfg.models] for x in xs]
+        expected = [[crps_reference(m.forecast, float(x)) for m in cfg.models] for x in xs]
         for rule in ("inferential", "predictive", "general_bayes"):
             rows = [r.crps.tolist() for r in result.records if r.rule == rule and r.replication == rep]
             assert rows == expected

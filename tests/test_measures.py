@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import abs_normal_mean_reference, mixture_score_reference
+from oracles import abs_normal_mean_reference, crps_reference, mixture_score_reference
 
 from credal import (
     Empirical,
@@ -23,6 +23,7 @@ from credal import (
     likelihood_score,
     min_abs_error_score,
 )
+from credal import measures
 from credal.measures import MixtureCRPS, _abs_normal_mean, crps_matrix, expected_abs_difference
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
@@ -260,18 +261,50 @@ def test_forecast_literal_rejects_unknown_keys(obj, key):
         forecast_from_json(obj)
 
 
-def test_crps_matrix_equals_scalar_crps_bit_for_bit():
+def test_crps_matrix_equals_scalar_crps_bit_for_bit(monkeypatch):
     # numpy's own exp differs from math.exp in the last bit on some inputs;
     # the grid must not
     rng = np.random.default_rng(41)
     forecasts = [Gaussian(float(m), float(s)) for m, s in zip(rng.normal(0, 2, 6), rng.uniform(0.1, 3, 6))]
-    forecasts += [PointMass(0.25), Empirical([-1.0, 0.5, 0.5, 4.0]), PointMass(-3.0)]
+    forecasts += [PointMass(0.25), Empirical([-1.0, 0.5, 0.5, 4.0]), PointMass(-3.0), Empirical(rng.normal(size=300))]
     xs = np.concatenate([rng.normal(0.0, 3.0, 3000), [0.0, 0.25, -40.0, 40.0]])
     table = crps_matrix(forecasts, xs)
-    expected = [[crps(f, x) for f in forecasts] for x in xs.tolist()]
+    expected = [[crps_reference(f, x) for f in forecasts] for x in xs.tolist()]
     assert table.tolist() == expected
+    # empirical columns in blocks of 225 and 3 outcomes, each with a short last block
+    monkeypatch.setattr(measures, "_BLOCK", 900)
+    assert crps_matrix(forecasts, xs).tolist() == expected
     with pytest.raises(ValueError, match="finite"):
         crps_matrix(forecasts, [0.0, math.inf])
+    with pytest.raises(TypeError, match="not a forecast"):
+        crps_matrix([Gaussian(0.0, 1.0), 0.5], [0.0])
+
+
+def bits(values) -> np.ndarray:
+    """The float64 bit patterns of ``values``: -0.0 differs from +0.0."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+reals = st.floats(-1e3, 1e3)
+any_forecast = st.one_of(
+    st.builds(PointMass, reals),
+    st.builds(Gaussian, reals, st.floats(1e-3, 1e3)),
+    # draws from a short list repeat, so samples tie
+    st.builds(Empirical, st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | reals, min_size=1, max_size=40)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(any_forecast, min_size=1, max_size=6), st.lists(reals, min_size=1, max_size=12), st.floats(-10.0, -1e-3))
+@example([Empirical([2.0]), Empirical([-0.5])], [2.0, -1.0], -1.0)  # m = 1
+@example([Empirical([0.5, 0.5, -1.0, 0.5]), PointMass(0.5), Gaussian(0.5, 1.0)], [0.5, -1.0], -2.0)  # ties
+def test_every_crps_path_matches_the_scalar_reference_bit_for_bit(forecasts, xs, a):
+    expected = np.array([[crps_reference(f, x) for f in forecasts] for x in xs])
+    assert np.array_equal(bits(crps_matrix(forecasts, xs)), bits(expected))
+    assert np.array_equal(bits([[crps(f, x) for f in forecasts] for x in xs]), bits(expected))
+    for x, row in zip(xs, expected.tolist()):
+        measure = crps_measure(forecasts, x, a)
+        assert np.array_equal(bits(measure.scores), bits([a * v for v in row]))
 
 
 def _kernel_weights(rng, kind, shape):

@@ -286,14 +286,17 @@ def test_candidate_scan_refuses_a_threshold_at_or_above_the_cut():
         assert d_scan == d
 
 
-def test_long_rows_mix_candidate_and_full_scans():
-    # one row per path in a single call: the offset row takes the full sort
+def test_a_refused_long_row_sends_every_row_to_one_full_scan():
+    # the first row passes the candidate scan and the offset row is refused,
+    # so all three rows take a single full-width sort
     rng = np.random.default_rng(42)
     n = _CANDIDATE_MIN_N
     q = np.stack([rng.uniform(0.0, 1.0, n), 1e15 + rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
     with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
         got = _simplex_projection(q)
-    assert [len(call.args[0]) for call in full.call_args_list] == [1]
+    shapes = [call.args[0].shape for call in full.call_args_list]
+    assert [s for s in shapes if s[-1] == n] == [q.shape]
+    assert shapes[0][0] == 1 and shapes[0][-1] < n  # the first row's candidates
     for g, w in zip(got, sort_scan_projection(q)):
         assert_same_bits(g, w)
 
