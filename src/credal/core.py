@@ -184,6 +184,14 @@ def reject_unknown_keys(obj: dict, allowed, what: str) -> None:
         raise ValueError(f"{what}: unknown keys {unknown}")
 
 
+def required_key(obj: dict, key: str, what: str):
+    """``obj[key]`` of a parsed literal; a missing key raises ``ValueError``
+    naming ``what`` and the key."""
+    if key not in obj:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return obj[key]
+
+
 def json_number(value, what: str) -> float:
     """A JSON number as a float; booleans, strings and other types are
     rejected with ``what`` (the key) named."""
@@ -196,16 +204,13 @@ def json_number(value, what: str) -> float:
 #: ``d.dddddddddddddddde-XXX``, is 23.
 FLOAT_FIELD = 24
 _CHUNK = 4096
-# 10**k in long double for k in [-_POW_LO, _POW_HI]: 16 - X ranges over
-# [-292, 340] for the decimal exponents X of positive doubles, one more
-# either way after the exponent is corrected
+# rows of the powers-of-ten table, k = 16 - X for k in [-_POW_LO, _POW_HI]:
+# 16 - X ranges over [-292, 340] for the decimal exponents X of positive
+# doubles, one more either way before the exponent is corrected
 _POW_LO, _POW_HI = 293, 341
-_U = float(np.finfo(np.longdouble).eps) / 2
-# |D - exact| <= (2u + u^2) * 1e17 for the two roundings of D = x * 10**k;
-# doubled, as margin.  The bound needs correctly rounded operations: x87
-# extended (63-bit fraction) or binary128 (112); a long double that is a
-# double, or PowerPC's double-double, sends every entry to the fallback
-_HALF_TOL = 2 * (2 * _U + _U * _U) * 1e17 if np.finfo(np.longdouble).nmant in (63, 112) else math.inf
+_SPLIT = 2.0**27 + 1  # Dekker's constant: a double into two 26-bit halves
+# bound on the error of the fraction of D, proved in format_floats
+_TIE_TOL = 2.0**-47
 _MAX_FLOAT = np.finfo(float).max
 _tables = None
 
@@ -216,10 +221,35 @@ def _words(text: bytes) -> list:
     return [(value >> (64 * i)) & (2**64 - 1) for i in range(3)]
 
 
+def _split(x):
+    """Dekker's split of ``x`` into ``hi + lo``, each with at most 26 significant bits."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Rows ``[H, L, Hh, Hl, 2**-s]`` for k in [-_POW_LO, _POW_HI]: ``H + L``
+    is ``10**k * 2**s`` to 106 bits, each correctly rounded from the exact
+    value; ``Hh + Hl`` is Dekker's split of ``H``.  ``s`` is -512 for
+    k > 250 and 512 for k < -250, so that ``H`` and ``L`` are normal."""
+    from fractions import Fraction  # here, so that importing credal stays as fast
+
+    rows = []
+    for k in range(-_POW_LO, _POW_HI + 1):
+        s = -512 if k > 250 else 512 if k < -250 else 0
+        exact = Fraction(10) ** k * Fraction(2) ** s
+        high = float(exact)
+        rows.append([high, float(exact - Fraction(high)), 0.0, 0.0, 2.0**-s])
+    table = np.array(rows)
+    table[:, 2], table[:, 3] = _split(table[:, 0])
+    return table
+
+
 def _format_tables():
     """Lookup tables of :func:`format_floats`, built on first use.
 
-    ``powers``: 10**k in long double for k in [-_POW_LO, _POW_HI];
+    ``powers``: the double-double powers of ten of :func:`_powers_of_ten`;
     ``groups``: the digits of 0000 .. 9999, each as one little-endian word;
     ``trailing``: their trailing zero digits (4 for 0000);
     ``suffixes``: ``e-324`` .. ``e+308`` as words, indexed by exponent + 324;
@@ -229,7 +259,6 @@ def _format_tables():
     """
     global _tables
     if _tables is None:
-        powers = np.array([f"1e{k}" for k in range(-_POW_LO, _POW_HI + 1)], dtype=np.longdouble)
         digits = [f"{i:04d}" for i in range(10_000)]
         groups = np.array([_words(g.encode())[0] for g in digits], dtype=np.uint64)
         trailing = np.array([len(g) - len(g.rstrip("0")) for g in digits])
@@ -238,33 +267,45 @@ def _format_tables():
         at = [max(k, 1) for k in range(FLOAT_FIELD)]
         after = ~below[:-1] & ~np.array([_words(b"\0" * j + b"\xff") for j in at], dtype=np.uint64)
         point = np.array([_words(b"\0" * j + b".") for j in at], dtype=np.uint64)
-        _tables = powers, groups, trailing, suffixes, below, after, point
+        _tables = _powers_of_ten(), groups, trailing, suffixes, below, after, point
     return _tables
+
+
+def _scaled(v: np.ndarray, x_exp: np.ndarray):
+    """``D = v * 10**(16 - x_exp)`` as ``whole + frac``: an int64 and a
+    float in [0, 1], within the bound of :func:`format_floats`."""
+    h, lo, hh, hl, unscale = np.take(_format_tables()[0], _POW_LO + 16 - x_exp, axis=0).T
+    a = v * unscale
+    ah, al = _split(a)
+    p = a * h
+    # a * h - p exactly (Dekker's product), plus a * lo
+    e = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    e += a * lo
+    floor = np.floor(e)
+    return p.astype(np.int64) + floor.astype(np.int64), e - floor
 
 
 def _digits(v: np.ndarray):
     """The 17 significant digits of each positive finite ``v`` as an int64,
     its decimal exponent, and a mask of the entries too close to a rounding
     tie to trust."""
-    powers = _format_tables()[0]
     # D = v * 10**(16 - X) has 17 digits before the point once X is
     # floor(log10 v); log10 can miss by one near a power of ten
     x_exp = np.floor(np.log10(v)).astype(np.int64)
-    d = v.astype(np.longdouble) * powers[_POW_LO + 16 - x_exp]
-    off = (d < 1e16).astype(np.int64) - (d >= 1e17)
+    whole, frac = _scaled(v, x_exp)
+    off = (whole < 10**16).astype(np.int64) - (whole >= 10**17)
     miss = np.flatnonzero(off)
-    x_exp[miss] -= off[miss]
-    d[miss] = v[miss] * powers[_POW_LO + 16 - x_exp[miss]]
+    if miss.size:
+        x_exp[miss] -= off[miss]
+        whole[miss], frac[miss] = _scaled(v[miss], x_exp[miss])
     # now D is in [1e16, 1e17) up to its error, so it rounds into
     # [1e16, 1e17]; 1e17 carries into the exponent
-    whole = d.astype(np.int64)
-    frac = (d - whole).astype(float)
     n = whole + (frac > 0.5)
     carry = n == 10**17
     n[carry] = 10**16
     x_exp[carry] += 1
-    # within _HALF_TOL of .5 the exact D may round the other way
-    return n, x_exp, np.abs(frac - 0.5) <= _HALF_TOL
+    # within _TIE_TOL of .5 the exact D may round the other way
+    return n, x_exp, np.abs(frac - 0.5) <= _TIE_TOL
 
 
 def _layout(n: np.ndarray, x_exp: np.ndarray) -> np.ndarray:
@@ -280,14 +321,25 @@ def _layout(n: np.ndarray, x_exp: np.ndarray) -> np.ndarray:
     Exponent notation then appends its suffix.
     """
     _, groups, trailing, suffixes, below, after, point = _format_tables()
-    g = [n // 10**13, n // 10**9 % 10_000, n // 10**5 % 10_000, n // 10 % 10_000]
-    last = n % 10
-    # trailing zero digits, a group of four at a time
-    zeros = (last == 0).astype(np.int64)
-    going = last == 0
+    # 8 + 9 digits, then groups of 4, 4 | 4, 4, 1 in int32
+    high = n // 10**9
+    low = (n - high * 10**9).astype(np.int32)
+    high = high.astype(np.int32)
+    tens = low // 10
+    g0, g2 = high // 10_000, tens // 10_000
+    g = [g0, high - g0 * 10_000, g2, tens - g2 * 10_000]
+    last = low - tens * 10
+    # trailing zero digits: 1 where the last digit is 0, then a group of four
+    # at a time while the groups after it are 0000
+    zeros = np.zeros(n.size, np.int64)
+    at = np.flatnonzero(last == 0)
+    zeros[at] = 1
     for group in reversed(g):
-        zeros += going * np.take(trailing, group)
-        going &= group == 0
+        if not at.size:
+            break
+        group = group[at]
+        zeros[at] += np.take(trailing, group)
+        at = at[group == 0]
     nd = 17 - zeros
     fixed = (x_exp >= -4) & (x_exp < 17)
     small = fixed & (x_exp < 0)
@@ -323,14 +375,11 @@ def _format_chunk(x: np.ndarray, out: np.ndarray) -> None:
     out[bits == 0] = b"0"
     fast = (x > 0.0) & (x <= _MAX_FLOAT)
     slow = ~fast & (bits != 0)
-    if _HALF_TOL < 0.5:
-        at = np.flatnonzero(fast)
-        if at.size:
-            n, x_exp, near = _digits(x[at])
-            out[at] = _layout(n, x_exp).astype("<u8", copy=False).view(f"S{FLOAT_FIELD}").reshape(-1)
-            slow[at[near]] = True
-    else:
-        slow |= fast
+    at = np.flatnonzero(fast)
+    if at.size:
+        n, x_exp, near = _digits(x[at])
+        out[at] = _layout(n, x_exp).astype("<u8", copy=False).view(f"S{FLOAT_FIELD}").reshape(-1)
+        slow[at[near]] = True
     if slow.any():
         out[slow] = [format(v, ".17g").encode() for v in x[slow].tolist()]
 
@@ -341,16 +390,30 @@ def format_floats(values) -> np.ndarray:
     Equal, entry for entry, to ``f"{v:.17g}".encode()``.  A positive
     finite ``v`` is formatted in bulk: with ``X = floor(log10 v)``, corrected
     once if needed, the 17 digits are ``D = v * 10**(16 - X)`` rounded to an
-    integer.  ``D`` is computed in ``np.longdouble`` from correctly rounded
-    powers of ten, so it is within ``(2u + u^2) * 1e17`` of the exact value,
-    ``u = finfo(longdouble).eps / 2``: about 0.011 where ``longdouble`` has
-    a 64-bit significand (x86-64).  Where the computed fraction of ``D`` is
-    within twice that of .5, the rounding could go either way, so the entry
-    falls back to Python's ``format``; so do zeros with the sign bit set,
-    negative and non-finite entries.  Where ``longdouble`` is only
-    ``double`` the bound exceeds .5, and PowerPC's double-double does not
-    round its operations correctly, so there every entry falls back: the
-    output is the same, only slower.  +0.0 is ``b"0"``.  Work is done in
+    integer.  ``D`` is computed in float64 alone, as an unevaluated sum
+    ``p + e``.  With ``k = 16 - X``, a table holds ``H = fl(10**k * 2**s)``
+    and ``L = fl(10**k * 2**s - H)``, both correctly rounded from the exact
+    values (``s = -512`` for ``k > 250``, ``512`` for ``k < -250``, else 0,
+    so that both are normal).  ``a = v * 2**-s`` is exact, ``p = fl(a * H)``,
+    and Dekker's (1971) product gives ``a * H - p`` exactly from the 26-bit
+    halves of ``a`` and ``H``; ``e`` is that error plus ``fl(a * L)``.  The
+    digits are ``floor(p) + floor(e)``, plus one where the fraction
+    ``e - floor(e)`` exceeds .5.
+
+    Error bound: the fraction is within ``2**-47`` of the exact fraction of
+    ``D``.  Once ``X`` is right, ``D < 2**57``, so ``p`` is an integer
+    (``p > 2**53``) and ``|a * H - p| <= ulp(p) / 2 <= 8``; ``|L| <= 2**-53
+    H``, so ``|a * L| < 16`` and ``fl(a * L)`` is off by at most ``2**-50``;
+    their sum is below 32, so ``e`` is off by at most ``2**-49`` more; the
+    table's own error, ``|10**k * 2**s - H - L| <= ulp(L) / 2 <= 2**-53
+    |L|``, adds at most ``2**-53 * 16 = 2**-49``; and ``e - floor(e)`` is
+    exact unless ``-1/2 < e < 0``, where it is rounded by at most
+    ``2**-54``.  The total, ``2.5 * 2**-49 + 2**-54``, is below ``2**-47``.
+    Only where the computed fraction is within ``2**-47`` of .5 could the
+    rounding go either way; such an entry, in practice an exact tie like
+    ``1000000000000000.25``, falls back to Python's ``format``.  So do
+    zeros with the sign bit set, negative and non-finite entries.  +0.0 is
+    ``b"0"``.  The output is the same on every platform.  Work is done in
     chunks of 4096 entries, so temporaries stay small.
     """
     values = np.asarray(values, dtype=float)

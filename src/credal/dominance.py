@@ -24,8 +24,11 @@ class DominanceReport:
     """Outcome of a dominance check.
 
     ``per_vertex_gap[j]`` is divergence(candidate, vertex j) minus
-    divergence(dominator, vertex j); all gaps are strictly positive exactly
-    when the candidate is dominated.
+    divergence(dominator, vertex j).  A dominated report carries a
+    dominator and non-negative gaps: the exact gaps are all strictly
+    positive, but a computed one can round to 0.0, e.g. when the
+    candidate's distance from the simplex is so small that its square
+    underflows.
 
     An undominated report carries no dominator and all-zero gaps (the
     candidate against itself).  Its certificate is the candidate ``c``
@@ -44,8 +47,8 @@ class DominanceReport:
         gaps = np.asarray(self.per_vertex_gap, dtype=float)
         gaps.flags.writeable = False
         object.__setattr__(self, "per_vertex_gap", gaps)
-        if self.dominated and not np.all(gaps > 0.0):
-            raise ValueError("a dominated report requires strictly positive gaps")
+        if self.dominated and (self.dominator is None or not np.all(gaps >= 0.0)):
+            raise ValueError("a dominated report requires a dominator and non-negative gaps")
 
     def to_json(self) -> dict:
         return {
@@ -85,12 +88,14 @@ def verify_dominance(
 ) -> DominanceReport:
     """Check whether a credibility vector is accuracy-dominated, in closed form.
 
-    Non-probabilistic input: its simplex projection ``p`` is returned as the
-    dominator.  With the projection's shift ``d`` and its ``k`` survivors,
-    the per-vertex gaps are ``k d^2 + sum_{i not kept} c_i^2 +
-    2 max(0, -(c_j + d))``: every term is non-negative and the sum is
-    strictly positive unless ``c`` already lies on the simplex, so no
-    difference of nearly equal terms is taken.
+    Non-probabilistic input is dominated, by the theorem above: its simplex
+    projection ``p`` is returned as the dominator.  With the projection's
+    shift ``d`` and its ``k`` survivors, the per-vertex gaps are ``k d^2 +
+    sum_{i not kept} c_i^2 + 2 max(0, -(c_j + d))``: every term is
+    non-negative and the exact sum is strictly positive unless ``c`` already
+    lies on the simplex, so no difference of nearly equal terms is taken.
+    The decision does not read the computed gaps, which can underflow to
+    0.0 (``[0.5, 0.5, -1e-170]`` has gaps ``[0, 0, 2e-170]``).
 
     Probabilistic input (entries non-negative, ``sum(c) = 1 + delta`` with
     ``|delta| <= eps``): ``dominated=False`` with no dominator and zero
@@ -117,4 +122,4 @@ def verify_dominance(
     np.maximum(0.0, gaps, out=gaps)
     gaps *= 2.0
     gaps += offset
-    return DominanceReport(bool(np.all(gaps > 0.0)), ProbabilityVector._adopt(posterior), gaps)
+    return DominanceReport(True, ProbabilityVector._adopt(posterior), gaps)

@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import FLOAT_FIELD, format_floats, json_number, reject_unknown_keys
+from .core import FLOAT_FIELD, format_floats, json_number, reject_unknown_keys, required_key
 from .measures import (
     Forecast,
     Gaussian,
@@ -96,7 +96,7 @@ def _parse_rule(obj) -> UpdateRule:
         kind = obj
         rate = None
     elif isinstance(obj, dict):
-        kind = obj.get("kind")
+        kind = required_key(obj, "kind", "rule literal")
         rate = obj.get("rate")
         if kind in _RULE_KEYS:
             reject_unknown_keys(obj, _RULE_KEYS[kind], f"{kind} rule literal")
@@ -116,8 +116,9 @@ def _parse_rule(obj) -> UpdateRule:
 def _parse_model(obj) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse model literal: {obj!r}")
-    reject_unknown_keys(obj, {"label", "forecast"}, f"model literal {obj.get('label')!r}")
-    return ModelSpec(obj["label"], forecast_from_json(obj["forecast"]))
+    what = f"model literal {obj.get('label')!r}"
+    reject_unknown_keys(obj, {"label", "forecast"}, what)
+    return ModelSpec(required_key(obj, "label", what), forecast_from_json(required_key(obj, "forecast", what)))
 
 
 def _rule_to_json(rule: UpdateRule):
@@ -127,7 +128,7 @@ def _rule_to_json(rule: UpdateRule):
 
 
 def _json_int(obj: dict, key: str, default: int | None = None) -> int:
-    value = obj[key] if default is None else obj.get(key, default)
+    value = required_key(obj, key, "invalid experiment config") if default is None else obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"invalid experiment config: {key}: must be an integer, got {value!r}")
     return value
@@ -182,15 +183,19 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """Parse a config object; non-integer counts, numbers given as booleans
-        or strings, non-string labels and unknown keys, also in the rule,
-        model and forecast literals, are rejected."""
-        reject_unknown_keys(obj, {f.name for f in fields(cls)}, "invalid experiment config")
+        or strings, non-string labels, missing and unknown keys, also in the
+        rule, model and forecast literals, are rejected, and so is a top
+        level that is not an object."""
+        what = "invalid experiment config"
+        if not isinstance(obj, dict):
+            raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+        reject_unknown_keys(obj, {f.name for f in fields(cls)}, what)
         return cls(
             seed=_json_int(obj, "seed"),
-            truth=forecast_from_json(obj["truth"]),
-            models=tuple(_parse_model(m) for m in obj["models"]),
+            truth=forecast_from_json(required_key(obj, "truth", what)),
+            models=tuple(_parse_model(m) for m in required_key(obj, "models", what)),
             horizon=_json_int(obj, "horizon"),
-            rules=tuple(_parse_rule(r) for r in obj["rules"]),
+            rules=tuple(_parse_rule(r) for r in required_key(obj, "rules", what)),
             a=_json_number(obj, "a", -1.0),
             likelihood_floor=_json_number(obj, "likelihood_floor", 1e-300),
             replications=_json_int(obj, "replications", 1),

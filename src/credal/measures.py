@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import json_number, reject_unknown_keys
+from .core import json_number, reject_unknown_keys, required_key
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -133,21 +133,25 @@ _FORECAST_KEYS = {
 def forecast_from_json(obj: dict) -> Forecast:
     """Parse a forecast literal like ``{"kind": "gaussian", "mu": 0, "sigma": 1}``.
 
-    Unknown keys are rejected by name, and so are parameters and samples
-    that are not JSON numbers (booleans and strings included).
+    Missing and unknown keys are rejected by name, and so are parameters
+    and samples that are not JSON numbers (booleans and strings included).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse forecast literal: {obj!r}")
-    kind = obj.get("kind")
+    kind = required_key(obj, "kind", "forecast literal")
     what = f"{kind} forecast literal"
     if kind in _FORECAST_KEYS:
         reject_unknown_keys(obj, _FORECAST_KEYS[kind], what)
+
+    def param(key):
+        return json_number(required_key(obj, key, what), f"{what}: {key}")
+
     if kind == "gaussian":
-        return Gaussian(json_number(obj["mu"], f"{what}: mu"), json_number(obj["sigma"], f"{what}: sigma"))
+        return Gaussian(param("mu"), param("sigma"))
     if kind == "pointmass":
-        return PointMass(json_number(obj["loc"], f"{what}: loc"))
+        return PointMass(param("loc"))
     if kind == "empirical":
-        samples = obj["samples"]
+        samples = required_key(obj, "samples", what)
         if not isinstance(samples, list):
             raise ValueError(f"{what}: samples: must be a list of numbers, got {samples!r}")
         return Empirical([json_number(v, f"{what}: samples") for v in samples])

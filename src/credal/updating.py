@@ -13,6 +13,7 @@ fewest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -43,8 +44,9 @@ class UpdateRule:
 
     def __post_init__(self):
         if self.kind is RuleKind.GENERAL_BAYES:
-            if self.learning_rate is None or not self.learning_rate > 0.0:
-                raise ValueError("general-Bayes rule needs a positive learning rate")
+            rate = self.learning_rate
+            if rate is None or not (math.isfinite(rate) and rate > 0.0):
+                raise ValueError(f"general-Bayes rule needs a positive, finite learning rate, got {rate!r}")
         elif self.learning_rate is not None:
             raise ValueError(f"{self.kind.value} rule takes no learning rate")
 

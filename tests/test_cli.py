@@ -234,3 +234,42 @@ def test_simulate_writes_results(tmp_path, capsys):
     results = (out_dir / "results.csv").read_text()
     assert results.startswith("rule,replication,t,model,posterior,crps,mixture_crps\n")
     assert len(results.strip().split("\n")) == 1 + 2 * 2 * 5 * 2
+
+
+def _simulate_text(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code = dispatch(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def _config(**overrides):
+    cfg = {
+        "seed": 3,
+        "truth": {"kind": "gaussian", "mu": 0.0, "sigma": 1.0},
+        "models": [{"label": "good", "forecast": {"kind": "gaussian", "mu": 0.0, "sigma": 1.0}}],
+        "horizon": 5,
+        "rules": [{"kind": "general_bayes", "rate": 1.0}],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("rate, shown", [("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")])
+def test_simulate_rejects_a_non_finite_rate(tmp_path, capsys, rate, shown):
+    text = json.dumps(_config()).replace('"rate": 1.0', f'"rate": {rate}')
+    code, err = _simulate_text(tmp_path, capsys, text)
+    assert (code, err) == (2, f"error: general-Bayes rule needs a positive, finite learning rate, got {shown}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_names_a_missing_key(tmp_path, capsys):
+    cfg = _config()
+    del cfg["horizon"]
+    code, err = _simulate_text(tmp_path, capsys, json.dumps(cfg))
+    assert (code, err) == (2, "error: invalid experiment config: missing key 'horizon'\n")
+
+
+def test_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    code, err = _simulate_text(tmp_path, capsys, "[1, 2]")
+    assert (code, err) == (2, "error: invalid experiment config: expected a JSON object, got list\n")

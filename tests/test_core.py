@@ -1,5 +1,11 @@
 import math
+import os
+import runpy
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import strategies as st
 
 from credal import core
 from credal.core import format_floats
+from credal.experiments import ExperimentConfig, run_experiment
 from credal import (
     HypothesisSet,
     ProbabilityVector,
@@ -191,8 +198,8 @@ def assert_formats_like_python(values):
     assert [b.decode() for b in got.ravel().tolist()] == python_text(values)
 
 
-# doubles whose long-double D = v * 10**(16 - X) falls on the other side of
-# a rounding tie from the exact one, so only the fallback formats them right
+# doubles whose D = v * 10**(16 - X) lies within 8e-6 to 1.1e-3 of a
+# rounding tie without being one: the bulk path must round them right
 NEAR_TIES = [
     float.fromhex(h)
     for h in (
@@ -201,6 +208,12 @@ NEAR_TIES = [
         "0x1.90fab4b2ae6c2p-237", "0x1.bf92a0ce0128dp+931", "0x1.9cc4303dc5d20p-709",
         "0x1.7b771f5ef5243p-174", "0x1.4e22085ab1c1fp+473", "0x1.8828a9f2b10a6p-812",
     )
+]
+# doubles whose D ends in exactly .5, so its 17 digits round half to even:
+# only these take the per-value fallback
+EXACT_TIES = [
+    1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+    0.5 + 2.0**-18, 0.25 + 2.0**-18, 3 * 2.0**-24,
 ]
 
 
@@ -211,7 +224,7 @@ def boundary_values() -> np.ndarray:
     near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
     edges = [0.0, -0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max, np.inf, -np.inf, np.nan]
     edges += [9.9999999999999e-06, 9.99999999999999e-05, 0.0001, 0.00012345, 1e16 + 2, 99999999999999984.0]
-    return np.concatenate(near + [edges, NEAR_TIES])
+    return np.concatenate(near + [edges, NEAR_TIES, EXACT_TIES])
 
 
 def test_format_floats_matches_python_at_boundaries():
@@ -253,22 +266,63 @@ def test_format_floats_keeps_shape(values):
 
 
 def test_format_floats_fallback_gives_the_same_bytes(monkeypatch):
-    # a tolerance of .5 or more sends every entry to Python's format, as on
-    # platforms whose long double is only a double
+    # a tie bound of .5 sends every positive entry to Python's format
     values = np.concatenate([boundary_values(), np.random.default_rng(21).random(5000)])
     fast = format_floats(values)
-    monkeypatch.setattr(core, "_HALF_TOL", 0.5)
-    monkeypatch.setattr(core, "_digits", None)
+    monkeypatch.setattr(core, "_TIE_TOL", 0.5)
     slow = format_floats(values)
     assert np.array_equal(slow, fast)
     assert [b.decode() for b in slow.tolist()] == python_text(values)
 
 
-@pytest.mark.skipif(core._HALF_TOL >= 0.5, reason="long double is only a double here")
-def test_powers_of_ten_are_correctly_rounded():
-    # the error bound behind _HALF_TOL assumes it
-    powers = core._format_tables()[0]
-    u = Fraction(core._U)
-    for k, p in zip(range(-core._POW_LO, core._POW_HI + 1), powers):
-        exact = Fraction(10) ** k
-        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= u * exact
+def exact_fraction(v: float) -> Fraction:
+    """The fraction of the exact ``D = v * 10**(16 - X)``, ``X = floor(log10 v)``."""
+    return Fraction(v) * Fraction(10) ** (16 - Decimal(v).adjusted()) % 1
+
+
+def test_exact_ties_alone_take_the_fallback():
+    assert [exact_fraction(v) for v in EXACT_TIES] == [Fraction(1, 2)] * len(EXACT_TIES)
+    values = np.concatenate([boundary_values(), np.random.default_rng(22).random(5000)])
+    values = values[(values > 0) & np.isfinite(values)]
+    near = core._digits(values)[2]
+    assert near.tolist() == [exact_fraction(v) == Fraction(1, 2) for v in values.tolist()]
+
+
+def test_powers_of_ten_are_double_doubles():
+    # the error bound behind _TIE_TOL assumes |H + L - 10**k * 2**s| <=
+    # 2**-106 * 10**k * 2**s, H normal, L normal or 0, and Hh + Hl the
+    # split of H into halves of at most 26 significant bits
+    table = core._format_tables()[0]
+    assert table.shape == (core._POW_LO + core._POW_HI + 1, 5)
+    tiny = np.finfo(float).tiny
+    for k, (high, low, hh, hl, unscale) in zip(range(-core._POW_LO, core._POW_HI + 1), table.tolist()):
+        exact = Fraction(10) ** k / Fraction(unscale)
+        assert abs(Fraction(high) + Fraction(low) - exact) <= exact / 2**106
+        assert high >= tiny and (low == 0.0 or abs(low) >= tiny)
+        assert hh + hl == high and Fraction(hh) + Fraction(hl) == Fraction(high)
+        for half in (hh, hl):
+            bits = abs(Fraction(half).numerator)
+            assert bits == 0 or bits // (bits & -bits) < 2**26
+
+
+def test_powers_of_ten_are_built_on_first_use():
+    script = "import credal.core as c; assert c._tables is None; c.format_floats([0.1]); assert c._tables is not None"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+def _bench_sim_config(workload: str, seed: int) -> dict:
+    sim_config = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "inputs.py"))["sim_config"]
+    return sim_config(workload, seed)
+
+
+@pytest.mark.parametrize("workload", ["sim-medium", "sim-wide"])
+def test_benchmark_runs_take_no_fallback(monkeypatch, workload):
+    result = run_experiment(ExperimentConfig.from_json(_bench_sim_config(workload, 0)))
+    expected = result.to_csv_text()
+
+    def no_fallback(value, spec):
+        raise AssertionError(f"{value!r} took the per-value fallback")
+
+    monkeypatch.setattr(core, "format", no_fallback, raising=False)
+    assert result.to_csv_text() == expected

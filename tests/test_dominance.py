@@ -8,6 +8,7 @@ from oracles import dominance_gaps, michelot_projection, random_dominator_search
 
 from credal import (
     Credibility,
+    DominanceReport,
     ProbabilityVector,
     conservative_normalize,
     divergence,
@@ -82,6 +83,26 @@ def test_dominance_examples():
     assert rep.dominated
     np.testing.assert_allclose(rep.dominator.values, [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(rep.per_vertex_gap, [0.08, 0.88], atol=1e-15)
+
+
+def test_dominance_does_not_read_underflowed_gaps():
+    # sum exactly 1 with one negative entry: k d^2 and c_i^2 underflow, so
+    # two computed gaps are 0.0, yet the vector is off the simplex
+    rep = verify_dominance([0.5, 0.5, -1e-170])
+    assert rep.dominated
+    assert rep.dominator.values.tolist() == [0.5, 0.5, 0.0]
+    assert rep.per_vertex_gap.tolist() == [0.0, 0.0, 2e-170]
+
+
+def test_dominated_report_needs_a_dominator_and_non_negative_gaps():
+    half = ProbabilityVector([0.5, 0.5])
+    with pytest.raises(ValueError, match="dominator"):
+        DominanceReport(True, None, [0.1, 0.1])
+    with pytest.raises(ValueError, match="non-negative"):
+        DominanceReport(True, half, [0.1, -0.1])
+    with pytest.raises(ValueError, match="non-negative"):
+        DominanceReport(True, half, [0.1, math.nan])
+    assert DominanceReport(True, half, [0.0, 0.1]).dominated  # a positive gap may round to 0.0
 
 
 def test_probabilistic_report_is_the_certificate():
@@ -216,7 +237,7 @@ def test_verify_dominance_matches_the_gap_formula_bit_for_bit(seed, n, kind):
     gaps = dominance_gaps(c, d, keep)
     np.testing.assert_array_equal(rep.dominator.values.view(np.int64), posterior.view(np.int64))
     np.testing.assert_array_equal(rep.per_vertex_gap.view(np.int64), gaps.view(np.int64))
-    assert rep.dominated == bool(np.all(gaps > 0.0))
+    assert rep.dominated and np.all(gaps >= 0.0)
 
 
 def test_dominance_report_json():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -194,6 +195,51 @@ def test_config_json_rejects_unknown_forecast_keys(where):
     literal["sigmaa"] = 3
     with pytest.raises(ValueError, match=r"gaussian forecast literal: unknown keys \['sigmaa'\]"):
         ExperimentConfig.from_json(obj)
+
+
+def _drop(path):
+    def mutate(obj):
+        *parents, key = path
+        for p in parents:
+            obj = obj[p]
+        del obj[key]
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("horizon",), "invalid experiment config: missing key 'horizon'"),
+        (("seed",), "invalid experiment config: missing key 'seed'"),
+        (("truth",), "invalid experiment config: missing key 'truth'"),
+        (("models",), "invalid experiment config: missing key 'models'"),
+        (("rules",), "invalid experiment config: missing key 'rules'"),
+        (("models", 1, "forecast"), "model literal 'near': missing key 'forecast'"),
+        (("models", 1, "label"), "model literal None: missing key 'label'"),
+        (("models", 1, "forecast", "sigma"), "gaussian forecast literal: missing key 'sigma'"),
+        (("truth", "mu"), "gaussian forecast literal: missing key 'mu'"),
+        (("truth", "kind"), "forecast literal: missing key 'kind'"),
+        (("rules", 0, "kind"), "rule literal: missing key 'kind'"),
+    ],
+)
+def test_config_json_names_a_missing_key(path, message):
+    obj = small_config(rules=(UpdateRule.general_bayes(1.0),)).to_json()
+    _drop(path)(obj)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("obj, kind", [([1, 2], "list"), ("cfg", "str"), (None, "NoneType"), (3, "int")])
+def test_config_json_rejects_a_top_level_that_is_not_an_object(obj, kind):
+    with pytest.raises(ValueError, match=f"invalid experiment config: expected a JSON object, got {kind}$"):
+        ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_general_bayes_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ValueError, match=f"positive, finite learning rate, got {rate!r}"):
+        UpdateRule.general_bayes(rate)
 
 
 def test_readme_config_example_runs():
