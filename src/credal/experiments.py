@@ -138,6 +138,13 @@ def _json_number(obj: dict, key: str, default: float) -> float:
     return json_number(obj.get(key, default), f"invalid experiment config: {key}")
 
 
+def _json_list(obj: dict, key: str) -> list:
+    value = required_key(obj, key, "invalid experiment config")
+    if not isinstance(value, list):
+        raise ValueError(f"invalid experiment config: {key}: must be a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one simulation; identical configs give identical output."""
@@ -183,9 +190,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """Parse a config object; non-integer counts, numbers given as booleans
-        or strings, non-string labels, missing and unknown keys, also in the
-        rule, model and forecast literals, are rejected, and so is a top
-        level that is not an object."""
+        or strings, non-string labels, ``models`` or ``rules`` that are not
+        lists, missing and unknown keys, also in the rule, model and
+        forecast literals, are rejected, and so is a top level that is not
+        an object."""
         what = "invalid experiment config"
         if not isinstance(obj, dict):
             raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
@@ -193,9 +201,9 @@ class ExperimentConfig:
         return cls(
             seed=_json_int(obj, "seed"),
             truth=forecast_from_json(required_key(obj, "truth", what)),
-            models=tuple(_parse_model(m) for m in required_key(obj, "models", what)),
+            models=tuple(_parse_model(m) for m in _json_list(obj, "models")),
             horizon=_json_int(obj, "horizon"),
-            rules=tuple(_parse_rule(r) for r in required_key(obj, "rules", what)),
+            rules=tuple(_parse_rule(r) for r in _json_list(obj, "rules")),
             a=_json_number(obj, "a", -1.0),
             likelihood_floor=_json_number(obj, "likelihood_floor", 1e-300),
             replications=_json_int(obj, "replications", 1),

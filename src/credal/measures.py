@@ -22,6 +22,7 @@ from .core import json_number, reject_unknown_keys, required_key
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class Mode(Enum):
@@ -209,62 +210,218 @@ def crps_monte_carlo(
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(n_draws))
 
 
-def _elementwise(fn):
-    """``fn`` applied to each entry of a float array; numpy's own ``exp``
-    differs from ``math.exp`` in the last bit on some inputs."""
-    # a memoryview hands out one Python float at a time; a list would hold
-    # them all at once
-    return lambda a: np.fromiter(map(fn, memoryview(a.ravel())), float, a.size).reshape(a.shape)
+# fdlibm's erf (s_erf.c), whose coefficients follow:
+#
+# ====================================================
+# Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+#
+# Developed at SunPro, a Sun Microsystems, Inc. business.
+# Permission to use, copy, modify, and distribute this
+# software is freely granted, provided that this notice
+# is preserved.
+# ====================================================
+_ERX = 8.45062911510467529297e-01
+_EFX8 = 1.02703333676410069053e00
+# erf(x) = x + x * PP(x^2) / QQ(x^2) on |x| < 0.84375
+_PP = (
+    1.28379167095512558561e-01, -3.25042107247001499370e-01, -2.84817495755985104766e-02,
+    -5.77027029648944159157e-03, -2.37630166566501626084e-05,
+)
+_QQ = (
+    1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02, 5.08130628187576562776e-03,
+    1.32494738004321644526e-04, -3.96022827877536812320e-06,
+)
+# erf(x) = erx + PA(|x| - 1) / QA(|x| - 1) on [0.84375, 1.25)
+_PA = (
+    -2.36211856075265944077e-03, 4.14856118683748331666e-01, -3.72207876035701323847e-01,
+    3.18346619901161753674e-01, -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+    -2.16637559486879084300e-03,
+)
+_QA = (
+    1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01, 7.18286544141962662868e-02,
+    1.26171219808761642112e-01, 1.36370839120290507362e-02, 1.19844998467991074170e-02,
+)
+# erfc(x) = exp(-x^2 - 0.5625 + R(1/x^2) / S(1/x^2)) / x on [1.25, 1/0.35) ...
+_RA = (
+    -9.86494403484714822705e-03, -6.93858572707181764372e-01, -1.05586262253232909814e01,
+    -6.23753324503260060396e01, -1.62396669462573470355e02, -1.84605092906711035994e02,
+    -8.12874355063065934246e01, -9.81432934416914548592e00,
+)
+_SA = (
+    1.0, 1.96512716674392571292e01, 1.37657754143519042600e02, 4.34565877475229228821e02,
+    6.45387271733267880336e02, 4.29008140027567833386e02, 1.08635005541779435134e02,
+    6.57024977031928170135e00, -6.04244152148580987438e-02,
+)
+# ... and on [1/0.35, 6), beyond which erf rounds to 1
+_RB = (
+    -9.86494292470009928597e-03, -7.99283237680523006574e-01, -1.77579549177547519889e01,
+    -1.60636384855821916062e02, -6.37566443368389627722e02, -1.02509513161107724954e03,
+    -4.83519191608651397019e02,
+)
+_SB = (
+    1.0, 3.03380607434824582924e01, 3.25792512996573918826e02, 1.53672958608443695994e03,
+    3.19985821950859553908e03, 2.55305040643316442583e03, 4.74528541206955367215e02,
+    -2.24409524465858183362e01,
+)
+# region edges: 2**-28, 0.84375, 1.25 and 1/0.35 as the double 0x4006DB6E00000000
+_ERF_EDGES = (2.0**-28, 0.84375, 1.25, 2.8571434020996094)
 
 
-_erf = _elementwise(math.erf)
-_exp = _elementwise(math.exp)
-#: entries of |samples - outcome| an empirical forecast holds at a time
-_BLOCK = 1 << 18
+def _even_powers(t, count):
+    """``[t^2, t^4, ...]``, ``count`` of them, with t^6 = t^4 t^2 and t^8 = t^4 t^4."""
+    t2 = t * t
+    even = [t2, t2 * t2]
+    while len(even) < count:
+        even.append(even[1] * even[-2])
+    return even
 
 
-def _gaussian_crps(mu, sigma, x):
-    """sigma * (z*(2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)) with z = (x - mu)/sigma, elementwise."""
-    z = (x - mu) / sigma
-    cdf = 0.5 * (1.0 + _erf(z / _SQRT_2))
-    pdf = _exp(-0.5 * z * z) / _SQRT_2PI
-    return sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / _SQRT_PI)
+def _poly(c, t, even):
+    """``sum_k c[k] t^k`` summed as (c0 + c1 t) + t^2 (c2 + c3 t) + t^4 (c4 + c5 t) + ...,
+    with ``even`` from :func:`_even_powers`."""
+    acc = t * c[1]
+    acc += c[0]
+    for k in range(2, len(c), 2):
+        if k + 1 < len(c):
+            term = t * c[k + 1]
+            term += c[k]
+            term *= even[k // 2 - 1]
+        else:
+            term = even[k // 2 - 1] * c[k]
+        acc += term
+    return acc
+
+
+def _one_minus_erfc(t, r, s):
+    """erf(t) = 1 - erfc(t) for t >= 1.25, with erfc(t) = exp(-t^2 -
+    0.5625 + r/s) / t; ``r`` is overwritten.
+
+    fdlibm splits exp(-t^2) in two so that erfc keeps its full relative
+    precision.  1 - erfc needs only erfc's absolute error, and one ``np.exp``
+    of the rounded t^2 moves erf by less than 0.25 ulp."""
+    r /= s
+    r -= t * t
+    r -= 0.5625
+    np.exp(r, out=r)
+    r /= t
+    return np.subtract(1.0, r, out=r)
+
+
+def _erf_tiny(t):
+    # scaled by 8, so that a subnormal keeps its bits; a signalling NaN lands here too
+    with np.errstate(invalid="ignore"):
+        return 0.125 * (8.0 * t + _EFX8 * t)
+
+
+def _erf_small(t):
+    z = t * t
+    even = _even_powers(z, 2)
+    r = _poly(_PP, z, even)
+    r /= _poly(_QQ, z, even)
+    r *= t
+    r += t
+    return r
+
+
+def _erf_near_one(t):
+    s = t - 1.0
+    even = _even_powers(s, 3)
+    r = _poly(_PA, s, even)
+    r /= _poly(_QA, s, even)
+    r += _ERX
+    return r
+
+
+def _erf_mid(t):
+    s = 1.0 / (t * t)
+    even = _even_powers(s, 4)
+    return _one_minus_erfc(t, _poly(_RA, s, even), _poly(_SA, s, even))
+
+
+def _erf_tail(t):
+    t = np.minimum(t, 6.0)  # erfc(6) < 2**-55, so 1 - erfc(6) rounds to 1, as does ±inf
+    s = 1.0 / (t * t)
+    even = _even_powers(s, 3)
+    return _one_minus_erfc(t, _poly(_RB, s, even), _poly(_SB, s, even))
+
+
+#: erf of |x| on each region, in the order of ``_ERF_EDGES``
+_ERF_REGIONS = (_erf_tiny, _erf_small, _erf_near_one, _erf_mid, _erf_tail)
+
+
+def _erf(x) -> np.ndarray:
+    """erf of each entry of ``x``, in float64 with numpy alone.
+
+    fdlibm's scheme: erf is odd and is evaluated at |x| on five regions,
+    |x| < 2**-28 (``x + efx x``), < 0.84375 and < 1.25 (rational
+    approximations), < 1/0.35 and the rest (1 - erfc, with erfc from one
+    ``np.exp`` and a rational correction in 1/x^2); from |x| = 6 on, the
+    value rounds to 1.  Each region's entries are picked with an index list
+    and evaluated alone, with the polynomials summed in glibc's split order.
+
+    Bound: within 1 ulp of ``math.erf``.  On |x| < 1.25 glibc's erf (the
+    same scheme) gives the same bits; on 10^6 seeded points 0.25% of the
+    values differ from it, each by 1 ulp, and every value sampled lies
+    within 0.93 ulp of the exact erf (mpmath), so no erf correct to within
+    1 ulp is more than 1 ulp away.  ``tests/compare_erf.py`` and the tier-1
+    tests check the bound.  ±0 keeps its sign, ±inf gives ±1 and NaN gives
+    NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x).ravel()
+    region = (a >= _ERF_EDGES[0]).view(np.uint8)
+    for edge in _ERF_EDGES[1:]:
+        region += a >= edge
+    out = np.empty_like(a)
+    # NaN compares false to every edge and stays NaN in the first region
+    for k, evaluate in enumerate(_ERF_REGIONS):
+        at = np.flatnonzero(region == k)
+        if at.size:
+            out[at] = evaluate(a[at])
+    return np.copysign(out, x.ravel(), out=out).reshape(x.shape)
+
+
+#: entries of a grid of E|N(m, s^2)| evaluated at a time: enough to spread
+#: numpy's cost per call, few enough that the erf's temporaries stay under
+#: the 128 KiB from which glibc's malloc maps fresh pages for each array
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Slices of ``range(rows)``, each with about ``_BLOCK_ENTRIES`` entries of ``cols`` columns."""
+    step = max(1, _BLOCK_ENTRIES // max(1, cols))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def crps_matrix(forecasts: Sequence[Forecast], xs) -> np.ndarray:
     """``[len(xs), len(forecasts)]`` matrix of :func:`crps` at every outcome.
 
-    Point-mass and Gaussian forecasts use exact closed forms: |loc - x|,
-    and sigma * (z*(2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)) with
-    z = (x - mu)/sigma, validated against a Monte-Carlo estimate of the
-    defining expectations (see :func:`crps_monte_carlo`).  Empirical
-    forecasts sort their samples once and evaluate the pairwise term in
-    O(m log m): sum_{i,j} |s_i - s_j| = 2 * sum_k (2k - m + 1) * s_(k).
-    An entry does not depend on the other forecasts or outcomes.
+    A Gaussian or a point mass is one normal atom (a point mass has
+    s = 0), so its score E|X - x| - E|X - X'|/2 is
+    E|N(x - mu, sigma^2)| - sigma/sqrt(pi) from :func:`_abs_normal_mean`,
+    which is |loc - x| for a point mass; the closed form is validated
+    against a Monte-Carlo estimate of the defining expectations (see
+    :func:`crps_monte_carlo`).  An empirical forecast with m samples takes
+    both terms from its sorted samples and their prefix sums
+    (:func:`_mean_abs_difference`), one binary search per outcome, in
+    O((len(xs) + m) log m).  An entry does not depend on the other
+    forecasts or outcomes.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("observed outcome must be finite")
+    atoms = [_atoms(f) for f in forecasts]
     out = np.empty((xs.size, len(forecasts)))
-    x = xs[:, None]
-    gauss = [j for j, f in enumerate(forecasts) if isinstance(f, Gaussian)]
-    if gauss:
-        mu = np.array([forecasts[j].mu for j in gauss])
-        sigma = np.array([forecasts[j].sigma for j in gauss])
-        out[:, gauss] = _gaussian_crps(mu, sigma, x)
-    point = [j for j, f in enumerate(forecasts) if isinstance(f, PointMass)]
-    if point:
-        out[:, point] = np.abs(np.array([forecasts[j].location for j in point]) - x)
-    for j, f in enumerate(forecasts):
-        if isinstance(f, Empirical):
-            s = np.sort(f.samples)
-            m = s.size
-            pair = float(np.sum((2.0 * np.arange(m) - m + 1.0) * s))  # = sum_{i,j}|s_i - s_j| / 2
-            rows = max(1, _BLOCK // m)  # outcomes per [rows, m] temporary
-            for start in range(0, xs.size, rows):
-                out[start : start + rows, j] = np.abs(s - x[start : start + rows]).mean(-1) - pair / (m * m)
-        elif not isinstance(f, (Gaussian, PointMass)):
-            raise TypeError(f"not a forecast: {f!r}")
+    single = [j for j, (locs, _) in enumerate(atoms) if len(locs) == 1]
+    if single:
+        loc = np.array([atoms[j][0][0] for j in single])
+        sd = np.array([atoms[j][1] for j in single])
+        for rows in _row_blocks(xs.size, loc.size):
+            out[rows, single] = _abs_normal_mean(xs[rows, None] - loc, sd) - sd / _SQRT_PI
+    for j, (locs, _) in enumerate(atoms):
+        if len(locs) > 1:
+            half_self = 0.5 * float(np.mean(_mean_abs_difference(locs, locs)))
+            out[:, j] = _mean_abs_difference(xs, locs) - half_self
     return out
 
 
@@ -274,43 +431,60 @@ def gaussian_density_matrix(forecasts: Sequence[Gaussian], xs) -> np.ndarray:
         raise TypeError("densities need Gaussian forecasts")
     mu = np.array([f.mu for f in forecasts])
     sigma = np.array([f.sigma for f in forecasts])
-    z = (np.asarray(xs, dtype=float)[:, None] - mu) / sigma
-    return _exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+    # a spread too small for the distance overflows z; the density is then 0
+    with np.errstate(over="ignore"):
+        z = (np.asarray(xs, dtype=float)[:, None] - mu) / sigma
+        return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
 
 
 def _abs_normal_mean(m, s) -> np.ndarray:
-    """E|N(m, s^2)| = 2 s phi(m/s) + m (2 Phi(m/s) - 1) elementwise; |m| where s == 0.
+    """E|N(m, s^2)| = s sqrt(2/pi) exp(-w^2) + |m| erf(w) with
+    w = |m| / (s sqrt(2)), elementwise.
 
-    The value is even in m and is evaluated at |m|, so a matrix of
-    differences m_i - m_j gives an exactly symmetric result.
+    Where s == 0, w is taken as +inf: erf gives 1 and the value is |m|
+    exactly, the point mass's.  The value is even in m and is evaluated at
+    |m|, so a matrix of differences m_i - m_j gives an exactly symmetric
+    result.
     """
     m = np.abs(m)
-    s = np.broadcast_to(np.asarray(s, dtype=float), m.shape)
-    spread = s > 0.0
-    m_s, s_s = m[spread], s[spread]
-    z = m_s / s_s
-    out = m.copy()
-    out[spread] = 2.0 * s_s * np.exp(-0.5 * z * z) / _SQRT_2PI + m_s * _erf(z / _SQRT_2)
+    s = np.asarray(s, dtype=float)
+    # a positive s too small for |m| overflows w to inf, the same limit
+    with np.errstate(over="ignore"):
+        w = np.divide(m, s * _SQRT_2, out=np.full(np.broadcast(m, s).shape, np.inf), where=s > 0.0)
+        out = _erf(w)
+        out *= m
+        w *= w
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        w *= s * _SQRT_2_OVER_PI
+        out += w
     return out
 
 
-def _mean_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """mean_{i,j} |a_i - b_j| from the sorted ``b`` and its prefix sums."""
+def _mean_abs_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``mean_j |a_i - b_j|`` for each ``a_i``, from the sorted ``b`` and
+    its prefix sums: one binary search per ``a_i``, in
+    O((len(a) + len(b)) log len(b)).
+
+    Both are taken relative to the median of ``b``, so that samples
+    clustered far from 0 keep their digits."""
     b = np.sort(b)
+    center = b[b.size // 2]
+    a, b = a - center, b - center
     below = np.searchsorted(b, a)  # how many b_j lie below each a_i
     prefix = np.concatenate(([0.0], np.cumsum(b)))
     lower = a * below - prefix[below]
     upper = (prefix[-1] - prefix[below]) - a * (b.size - below)
-    return float(np.sum(lower + upper)) / (a.size * b.size)
+    return (lower + upper) / b.size
 
 
-def _atoms(f: Forecast) -> tuple[np.ndarray, float]:
+def _atoms(f: Forecast) -> tuple[Sequence[float], float]:
     """Locations and common standard deviation of the equally weighted normal
     atoms ``f`` is made of; point masses and empirical samples have s = 0."""
     if isinstance(f, Gaussian):
-        return np.array([f.mu]), f.sigma
+        return (f.mu,), f.sigma
     if isinstance(f, PointMass):
-        return np.array([f.location]), 0.0
+        return (f.location,), 0.0
     if isinstance(f, Empirical):
         return f.samples, 0.0
     raise TypeError(f"not a forecast: {f!r}")
@@ -321,28 +495,31 @@ def expected_abs_difference(forecasts: Sequence[Forecast]) -> np.ndarray:
 
     A difference of two normal atoms is N(m_i - m_j, s_i^2 + s_j^2), so
     every entry between Gaussian and point-mass forecasts is one
-    E|N(m, s^2)|, evaluated at once over the upper triangle of the grid and
-    mirrored (the matrix is symmetric).  An entry with an empirical forecast
-    averages over its samples; between two forecasts without spread
-    (empirical or point mass) it is the sorted-sample mean of |a_i - b_j|.
+    E|N(m, s^2)| (:func:`_abs_normal_mean`), evaluated in blocks of rows
+    on and right of the diagonal and mirrored below it.  The value is taken
+    at |m_i - m_j|, so the diagonal blocks, evaluated in full, are exactly
+    symmetric too.  An entry with an empirical forecast averages over
+    its samples; between two forecasts without spread (empirical or point
+    mass) it is the sorted-sample mean of |a_i - b_j|.
     """
     atoms = [_atoms(f) for f in forecasts]
     if not atoms:
         raise ValueError("need at least one forecast")
     loc = np.array([xs[0] for xs, _ in atoms])
     sd = np.array([s for _, s in atoms])
-    rows, cols = np.triu_indices(loc.size)
     pair = np.empty((loc.size, loc.size))
-    upper = _abs_normal_mean(loc[rows] - loc[cols], np.hypot(sd[rows], sd[cols]))
-    pair[rows, cols] = pair[cols, rows] = upper
+    for rows in _row_blocks(loc.size, loc.size):
+        start, stop = rows.start, rows.stop
+        pair[rows, start:] = _abs_normal_mean(loc[rows, None] - loc[start:], np.hypot(sd[rows, None], sd[start:]))
+        pair[stop:, rows] = pair[rows, stop:].T
     for i, (xs, s) in enumerate(atoms):
-        if xs.size == 1:
+        if len(xs) == 1:
             continue
         for j, (ys, t) in enumerate(atoms):
             if s == 0.0 and t == 0.0:
-                value = _mean_abs_difference(xs, ys)
+                value = float(np.mean(_mean_abs_difference(xs, np.asarray(ys))))
             else:
-                value = float(np.mean(_abs_normal_mean(xs[:, None] - ys[None, :], math.hypot(s, t))))
+                value = float(np.mean(_abs_normal_mean(xs[:, None] - np.asarray(ys), math.hypot(s, t))))
             pair[i, j] = pair[j, i] = value
     return pair
 

@@ -6,10 +6,13 @@ an active-set iteration instead of a sort-and-threshold scan, the
 sort-scan projection sorts and scans every entry of every row where the
 library's kernel first tries a candidate set, the dominance oracle computes
 the closed-form gaps with fresh temporaries instead of in place, the
-normal absolute mean evaluates ``math.erf`` through ``np.frompyfunc`` on
-every entry instead of only where the spread is positive, the CRPS
-reference scores one forecast at one outcome with ``math.erf`` and
-``math.exp`` instead of over a grid, the mixture CRPS is estimated by
+normal absolute mean evaluates ``math.erf`` through ``np.frompyfunc``
+instead of the library's numpy erf, the mpmath forms evaluate it and the
+Gaussian CRPS in 120-bit arithmetic, the CRPS reference scores one
+forecast at one outcome in scalar Python arithmetic (a Gaussian with
+``math.erf`` and ``math.exp`` in the Phi/phi form, an empirical forecast
+from ``|s_i - x|`` directly) instead of from E|N(m, s^2)| and prefix sums
+over a grid, the mixture CRPS is estimated by
 sampling instead of the pairwise closed form, or taken from that closed
 form one 1-d weight vector at a time instead of over a last-axis grid,
 the reference harness runs a simulation one (rule,
@@ -33,6 +36,7 @@ from credal import (
     RuleAggregate,
     ScoreVector,
     StepRecord,
+    crps,
     general_bayes_update,
     generate_data,
     inferential_update,
@@ -150,6 +154,35 @@ def abs_normal_mean_reference(m, s) -> np.ndarray:
     return np.where(s > 0.0, 2.0 * s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) + m * erf, m)
 
 
+def _abs_normal_mean_mp(m, s):
+    """E|N(m, s^2)| = 2 s phi(m/s) + |m| erf(|m|/(s sqrt(2))) of mpmath numbers; |m| at s == 0."""
+    import mpmath
+
+    m = abs(m)
+    if s == 0:
+        return m
+    z = m / s
+    return 2 * s * mpmath.npdf(z) + m * mpmath.erf(z / mpmath.sqrt(2))
+
+
+def abs_normal_mean_mpmath(m: float, s: float) -> float:
+    """E|N(m, s^2)| in 120-bit mpmath arithmetic, rounded once to a float."""
+    import mpmath
+
+    with mpmath.workprec(120):
+        return float(_abs_normal_mean_mp(mpmath.mpf(m), mpmath.mpf(s)))
+
+
+def gaussian_crps_mpmath(mu: float, sigma: float, x: float) -> float:
+    """CRPS of N(mu, sigma^2) at ``x``, E|N(x - mu, sigma^2)| - sigma/sqrt(pi),
+    in 120-bit mpmath arithmetic, rounded once to a float."""
+    import mpmath
+
+    with mpmath.workprec(120):
+        sigma = mpmath.mpf(sigma)
+        return float(_abs_normal_mean_mp(mpmath.mpf(x) - mpmath.mpf(mu), sigma) - sigma / mpmath.sqrt(mpmath.pi))
+
+
 def random_dominator_search(c, n_perturbations, seed) -> tuple[np.ndarray | None, np.ndarray]:
     """Seeded randomized search for a vector strictly closer than ``c`` to every vertex.
 
@@ -221,7 +254,7 @@ def crps_reference(f, x: float) -> float:
     2*phi(z) - 1/sqrt(pi)) with z = (x - mu)/sigma, from ``math.erf`` and
     ``math.exp``; an empirical forecast the mean of |s_i - x| minus the
     pairwise term over its sorted samples.  ``measures.crps_matrix`` must
-    match it bit for bit.
+    agree with it to within the bound ``crps_tolerance`` states.
     """
     if not math.isfinite(x):
         raise ValueError("observed outcome must be finite")
@@ -241,9 +274,29 @@ def crps_reference(f, x: float) -> float:
     raise TypeError(f"not a forecast: {f!r}")
 
 
+def crps_tolerance(f, x: float) -> float:
+    """How far ``measures.crps_matrix`` may lie from ``crps_reference(f, x)``.
+
+    The two Gaussian forms differ by at most 16 eps relative: near z = 0
+    subtracting sigma/sqrt(pi) from E|X - x| loses two bits, and the two
+    erfs differ by at most 1 ulp (8.4 eps was the largest measured).  A
+    point mass is exact.  An empirical forecast of m samples sums m terms
+    from prefix sums, so its bound is (m + 2) eps times the largest
+    magnitude involved.
+    """
+    eps = np.finfo(float).eps
+    if isinstance(f, Gaussian):
+        return 16.0 * eps * abs(crps_reference(f, x))
+    if isinstance(f, Empirical):
+        return (f.samples.size + 2) * eps * (abs(x) + float(np.max(np.abs(f.samples))))
+    return 0.0
+
+
 def _gaussian_density(f, x: float) -> float:
+    """The density the library uses: ``np.exp`` gives the same bits on a
+    scalar as on an array, which ``math.exp`` does not."""
     z = (x - f.mu) / f.sigma
-    return math.exp(-0.5 * z * z) / (f.sigma * math.sqrt(2.0 * math.pi))
+    return float(np.exp(-0.5 * z * z)) / (f.sigma * math.sqrt(2.0 * math.pi))
 
 
 def _step_posterior(rule, p, cfg, x, per_model):
@@ -265,6 +318,7 @@ def reference_harness(cfg) -> tuple[str, tuple]:
     Each (rule, replication, step) scores the mixture, updates a
     ``ProbabilityVector`` through the public 1-d update functions and keeps
     one ``StepRecord``; every field of every row is formatted on its own.
+    Each model's CRPS comes from the public scalar ``crps``.
     """
     forecasts = [m.forecast for m in cfg.models]
     mixture = MixtureCRPS(forecasts)
@@ -272,7 +326,7 @@ def reference_harness(cfg) -> tuple[str, tuple]:
         generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
         for rep in range(cfg.replications)
     ]
-    model_crps = [np.array([[crps_reference(f, x) for f in forecasts] for x in xs.tolist()]) for xs in observations]
+    model_crps = [np.array([[crps(f, x) for f in forecasts] for x in xs.tolist()]) for xs in observations]
     records, aggregates = [], []
     for rule in cfg.rules:
         rep_means = []

@@ -270,6 +270,12 @@ def test_simulate_names_a_missing_key(tmp_path, capsys):
     assert (code, err) == (2, "error: invalid experiment config: missing key 'horizon'\n")
 
 
+def test_simulate_rejects_rules_that_are_not_a_list(tmp_path, capsys):
+    code, err = _simulate_text(tmp_path, capsys, json.dumps(_config(rules="predictive")))
+    assert (code, err) == (2, "error: invalid experiment config: rules: must be a list, got 'predictive'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
     code, err = _simulate_text(tmp_path, capsys, "[1, 2]")
     assert (code, err) == (2, "error: invalid experiment config: expected a JSON object, got list\n")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import crps_reference, monte_carlo_mixture_crps
+from oracles import monte_carlo_mixture_crps
 
 from credal import (
     ExperimentConfig,
@@ -119,7 +119,8 @@ def test_every_rule_records_the_same_model_crps():
     result = run_experiment(cfg)
     for rep in range(cfg.replications):
         xs = generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
-        expected = [[crps_reference(m.forecast, float(x)) for m in cfg.models] for x in xs]
+        # the grid must give each entry the bits of the public scalar crps
+        expected = [[crps(m.forecast, float(x)) for m in cfg.models] for x in xs]
         for rule in ("inferential", "predictive", "general_bayes"):
             rows = [r.crps.tolist() for r in result.records if r.rule == rule and r.replication == rep]
             assert rows == expected
@@ -233,6 +234,15 @@ def test_config_json_names_a_missing_key(path, message):
 @pytest.mark.parametrize("obj, kind", [([1, 2], "list"), ("cfg", "str"), (None, "NoneType"), (3, "int")])
 def test_config_json_rejects_a_top_level_that_is_not_an_object(obj, kind):
     with pytest.raises(ValueError, match=f"invalid experiment config: expected a JSON object, got {kind}$"):
+        ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["models", "rules"])
+@pytest.mark.parametrize("value", ["predictive", 5, {"kind": "predictive"}])
+def test_config_json_rejects_models_or_rules_that_are_not_a_list(key, value):
+    obj = small_config().to_json()
+    obj[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"invalid experiment config: {key}: must be a list, got {value!r}")):
         ExperimentConfig.from_json(obj)
 
 

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import abs_normal_mean_reference, crps_reference, mixture_score_reference
+from compare_erf import EDGES, MAX_ULPS, sample_points
+from compare_erf import compare as compare_erf
+from oracles import (
+    abs_normal_mean_mpmath,
+    abs_normal_mean_reference,
+    crps_reference,
+    crps_tolerance,
+    gaussian_crps_mpmath,
+    mixture_score_reference,
+)
 
 from credal import (
     Empirical,
@@ -23,11 +32,18 @@ from credal import (
     likelihood_score,
     min_abs_error_score,
 )
-from credal import measures
-from credal.measures import MixtureCRPS, _abs_normal_mean, crps_matrix, expected_abs_difference
+from credal.measures import (
+    MixtureCRPS,
+    _abs_normal_mean,
+    _erf,
+    crps_matrix,
+    expected_abs_difference,
+    gaussian_density_matrix,
+)
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
 STD_NORMAL_CRPS_AT_MEAN = 2.0 / math.sqrt(2.0 * math.pi) - 1.0 / math.sqrt(math.pi)
+EPS = np.finfo(float).eps
 
 
 def test_score_vector_validation():
@@ -132,15 +148,73 @@ def test_expected_abs_difference_matches_naive_forms():
                 assert pair[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-def test_abs_normal_mean_matches_the_every_entry_form_bit_for_bit():
-    # erf runs only where the spread is positive; the values may not move a bit
+def test_abs_normal_mean_is_within_4_eps_of_the_math_erf_form():
+    # the two erfs differ by at most 1 ulp and the forms group their terms
+    # differently; 2 eps was the largest relative gap measured
     rng = np.random.default_rng(9)
     m = rng.normal(0.0, 3.0, (40, 30))
     s = rng.uniform(0.1, 2.0, (40, 30)) * (rng.uniform(size=(40, 30)) < 0.7)
     for args in ((m, s), (m, np.zeros_like(s)), (m, 1.3), (m[0], s[0]), (m, s + 1.0)):
         got, want = _abs_normal_mean(*args), abs_normal_mean_reference(*args)
         assert got.shape == want.shape
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_allclose(got, want, rtol=4 * EPS, atol=0.0)
+    # a point mass (s == 0) is |m| exactly
+    assert np.array_equal(bits(_abs_normal_mean(m, 0.0)), bits(np.abs(m)))
+
+
+def test_a_spread_too_small_for_the_distance_gives_the_limit_without_a_warning():
+    # pytest turns numpy's overflow warnings into errors
+    assert np.array_equal(bits(_abs_normal_mean([-3.0, 0.0, 2.0], [1e-300, 0.0, 5e-324])), bits([3.0, 0.0, 2.0]))
+    assert crps(Gaussian(0.0, 1e-300), 1.0) == 1.0
+    assert gaussian_density_matrix([Gaussian(0.0, 1e-200), Gaussian(0.0, 5e-324)], [1.0]).tolist() == [[0.0, 0.0]]
+
+
+def test_closed_forms_match_mpmath():
+    # 120-bit references: E|N(m, s^2)| within 4 eps (1.9 eps measured on
+    # 20000 points), the Gaussian CRPS within 12 eps (5.2 eps measured; near
+    # z = 0 subtracting sigma/sqrt(pi) costs up to two bits)
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    m = np.concatenate([rng.normal(0.0, 3.0, 600), rng.normal(0.0, 1e-3, 200), rng.uniform(-60.0, 60.0, 200)])
+    s = np.exp(rng.uniform(-3.0, 3.0, m.size))
+    s[::7] = 0.0
+    want = np.array([abs_normal_mean_mpmath(a, b) for a, b in zip(m.tolist(), s.tolist())])
+    np.testing.assert_allclose(_abs_normal_mean(m, s), want, rtol=4 * EPS, atol=0.0)
+    forecasts = [Gaussian(float(mu), float(sigma)) for mu, sigma in zip(rng.normal(0.0, 3.0, 20), np.exp(rng.uniform(-3.0, 3.0, 20)))]
+    xs = np.concatenate([rng.normal(0.0, 4.0, 40), [f.mu + 1e-4 * f.sigma for f in forecasts]])
+    want = np.array([[gaussian_crps_mpmath(f.mu, f.sigma, x) for f in forecasts] for x in xs.tolist()])
+    np.testing.assert_allclose(crps_matrix(forecasts, xs), want, rtol=12 * EPS, atol=0.0)
+
+
+def test_erf_is_within_one_ulp_of_math_erf():
+    # 10^5 seeded points with the region edges, subnormals, infinities and
+    # NaNs; tests/compare_erf.py runs the same check on 10^6 points
+    assert MAX_ULPS == 1  # the bound the erf's docstring states
+    _, _, ulps = compare_erf(sample_points(10**5, 0))
+    assert ulps.max() <= MAX_ULPS
+
+
+def test_erf_special_values_and_symmetry():
+    got = _erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 6.0, -30.0, 5e-324, -5e-324]))
+    assert np.array_equal(bits(got[:4]), bits([0.0, -0.0, 1.0, -1.0]))
+    assert np.isnan(got[4])
+    assert got[5:7].tolist() == [1.0, -1.0]
+    assert got[7] > 0.0 and got[8] == -got[7]
+    values = sample_points(10**4, 1)
+    values = values[~np.isnan(values)]
+    assert np.array_equal(bits(_erf(-values)), bits(-_erf(values)))  # exactly odd
+    assert _erf(np.array(0.5)).shape == () and _erf(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_erf_is_monotone_on_a_sorted_grid():
+    # both the grid and the points next to each region edge; at the ulp
+    # scale the fdlibm rational form, like glibc's erf, steps down by 1 ulp
+    # once, at 1.25 - 3.8e-11
+    grid = np.linspace(-7.0, 7.0, 1_400_001)
+    edges = np.array(EDGES)
+    near = (edges.view(np.int64)[:, None] + np.arange(-500, 500)).view(float).ravel()
+    for values in (grid, np.sort(np.concatenate([near, -near]))):
+        assert np.all(np.diff(_erf(values)) >= 0.0)
 
 
 def test_empirical_converges_to_gaussian_closed_form():
@@ -261,23 +335,44 @@ def test_forecast_literal_rejects_unknown_keys(obj, key):
         forecast_from_json(obj)
 
 
-def test_crps_matrix_equals_scalar_crps_bit_for_bit(monkeypatch):
-    # numpy's own exp differs from math.exp in the last bit on some inputs;
-    # the grid must not
+def test_crps_matrix_is_within_bound_of_the_scalar_reference():
     rng = np.random.default_rng(41)
     forecasts = [Gaussian(float(m), float(s)) for m, s in zip(rng.normal(0, 2, 6), rng.uniform(0.1, 3, 6))]
     forecasts += [PointMass(0.25), Empirical([-1.0, 0.5, 0.5, 4.0]), PointMass(-3.0), Empirical(rng.normal(size=300))]
     xs = np.concatenate([rng.normal(0.0, 3.0, 3000), [0.0, 0.25, -40.0, 40.0]])
     table = crps_matrix(forecasts, xs)
     expected = [[crps_reference(f, x) for f in forecasts] for x in xs.tolist()]
-    assert table.tolist() == expected
-    # empirical columns in blocks of 225 and 3 outcomes, each with a short last block
-    monkeypatch.setattr(measures, "_BLOCK", 900)
-    assert crps_matrix(forecasts, xs).tolist() == expected
+    bound = [[crps_tolerance(f, x) for f in forecasts] for x in xs.tolist()]
+    assert np.all(np.abs(table - expected) <= bound)
     with pytest.raises(ValueError, match="finite"):
         crps_matrix(forecasts, [0.0, math.inf])
     with pytest.raises(TypeError, match="not a forecast"):
         crps_matrix([Gaussian(0.0, 1.0), 0.5], [0.0])
+
+
+def test_blocked_grids_equal_the_whole_grid_bit_for_bit():
+    # both grids are evaluated in blocks of rows; P only on and right of the
+    # diagonal, mirrored below it
+    rng = np.random.default_rng(43)
+    locs, spreads = rng.uniform(-4.0, 4.0, 700), rng.uniform(0.5, 2.0, 700)
+    forecasts = [PointMass(float(m)) if i % 4 == 0 else Gaussian(float(m), float(s)) for i, (m, s) in enumerate(zip(locs, spreads))]
+    sd = np.where(np.arange(700) % 4 == 0, 0.0, spreads)
+    pair = expected_abs_difference(forecasts)
+    whole = _abs_normal_mean(locs[:, None] - locs, np.hypot(sd[:, None], sd))
+    assert np.array_equal(bits(pair), bits(whole)) and np.array_equal(pair, pair.T)
+    xs = rng.normal(0.0, 2.0, 120)
+    rows = np.vstack([crps_matrix(forecasts, [x]) for x in xs.tolist()])
+    assert np.array_equal(bits(crps_matrix(forecasts, xs)), bits(rows))
+
+
+def test_empirical_crps_of_a_tight_cluster_keeps_its_digits():
+    # prefix sums taken about the median: equal samples at an outcome score
+    # exactly 0, and a cluster far from 0 is scored to its own scale
+    assert crps(Empirical([0.1] * 10), 0.1) == 0.0
+    assert crps(Empirical([1e6 + 0.1] * 7), 1e6 + 0.1) == 0.0
+    cluster = 1e6 + np.array([0.0, 1e-6, 2e-6, 3e-6])
+    naive = np.mean(np.abs(cluster - cluster[1])) - np.abs(cluster[:, None] - cluster).mean() / 2
+    assert crps(Empirical(cluster), float(cluster[1])) == pytest.approx(naive, rel=1e-9)
 
 
 def bits(values) -> np.ndarray:
@@ -298,13 +393,15 @@ any_forecast = st.one_of(
 @given(st.lists(any_forecast, min_size=1, max_size=6), st.lists(reals, min_size=1, max_size=12), st.floats(-10.0, -1e-3))
 @example([Empirical([2.0]), Empirical([-0.5])], [2.0, -1.0], -1.0)  # m = 1
 @example([Empirical([0.5, 0.5, -1.0, 0.5]), PointMass(0.5), Gaussian(0.5, 1.0)], [0.5, -1.0], -2.0)  # ties
-def test_every_crps_path_matches_the_scalar_reference_bit_for_bit(forecasts, xs, a):
-    expected = np.array([[crps_reference(f, x) for f in forecasts] for x in xs])
-    assert np.array_equal(bits(crps_matrix(forecasts, xs)), bits(expected))
-    assert np.array_equal(bits([[crps(f, x) for f in forecasts] for x in xs]), bits(expected))
-    for x, row in zip(xs, expected.tolist()):
+def test_every_crps_path_equals_scalar_crps_and_is_within_bound_of_the_reference(forecasts, xs, a):
+    table = crps_matrix(forecasts, xs)
+    scalar = [[crps(f, x) for f in forecasts] for x in xs]
+    assert np.array_equal(bits(table), bits(scalar))
+    for x, row in zip(xs, scalar):
         measure = crps_measure(forecasts, x, a)
         assert np.array_equal(bits(measure.scores), bits([a * v for v in row]))
+    expected = [[crps_reference(f, x) for f in forecasts] for x in xs]
+    assert np.all(np.abs(table - expected) <= [[crps_tolerance(f, x) for f in forecasts] for x in xs])
 
 
 def _kernel_weights(rng, kind, shape):
