@@ -12,11 +12,11 @@ a mixture prediction that is scored against the incoming observation
   zeroing persistently inaccurate models.
 
 The harness is array-native.  The per-model CRPS and density matrices are
-built once over the whole (replication, t) grid; each rule then advances all
-replications one step of t at a time through the update kernels of
-:mod:`credal.updating`, which work on the last axis of ``[replications,
-models]`` arrays, and afterwards scores its whole grid of pre-update
-mixtures in one last-axis call.  Results are kept as columns
+built once over the whole (replication, t) grid; each rule's trajectory, all
+replications at once, is one call of the trajectory kernel of
+:mod:`credal.updating`, the one that :func:`~credal.updating.sequential_update`
+runs, and one last-axis call scores the pre-update mixtures of every rule,
+replication and step.  Results are kept as columns
 (:class:`ExperimentResult`).  The CSV encoder formats each distinct value
 once with the vectorized, exact ``%.17g`` of
 :func:`~credal.core.format_floats`, lays the rows out as byte matrices of
@@ -54,7 +54,7 @@ from .measures import (
     gaussian_density_matrix,
     sample_forecast,
 )
-from .updating import RuleKind, UpdateRule, _ratio_update, _simplex_projection
+from .updating import RuleKind, UpdateRule, _trajectory
 
 _DATA_STREAM = 0
 
@@ -374,42 +374,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Aggregates are the mean and standard error, across replications, of the
     per-replication mean mixture CRPS.  The data, the per-model CRPS and
     the mixture's pairwise matrix do not depend on the rule, so each is
-    computed once and shared by all rules.  A rule advances all
-    replications together, one step of t at a time, on ``[replications,
-    models]`` arrays.  Once a rule's loop is done, its pre-update weights
+    computed once and shared by all rules.  Each rule's whole trajectory,
+    all replications at once, comes from one call of the trajectory kernel
+    of :mod:`credal.updating`.  Then the pre-update weights of every rule
     (the uniform prior, then the posteriors of steps 1 .. horizon - 1) are
     scored in one last-axis :meth:`MixtureCRPS.score` call, bit for bit as
     row by row.
     """
     n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
     forecasts = [m.forecast for m in cfg.models]
-    score_mixture = MixtureCRPS(forecasts).score
     xs = np.array([generate_data(cfg.seed, cfg.truth, horizon, replication=rep) for rep in range(reps)])
     model_crps = _readonly(crps_matrix(forecasts, xs.ravel()).reshape(reps, horizon, n))
+    prior = np.full((reps, n), 1.0 / n)
     # weights[..., t, :] is the prior of step t + 1, so the posterior column
     # and the pre-update grid are both views of it
-    weights = np.empty((len(cfg.rules), reps, horizon + 1, n))
-    weights[:, :, 0] = 1.0 / n
-    posterior = weights[:, :, 1:]
-    mixture_crps = np.empty((len(cfg.rules), reps, horizon))
-    aggregates: list[RuleAggregate] = []
-    for k, rule in enumerate(cfg.rules):
-        scores = _score_grid(rule, cfg, xs, model_crps)
-        p = weights[k, :, 0]
-        for t in range(horizon):
-            if rule.kind is RuleKind.PREDICTIVE:
-                p = _simplex_projection(p + scores[:, t])[0]
-            else:
-                p = _ratio_update(p, scores[:, t])
-            posterior[k, :, t] = p
-        mixture_crps[k] = score_mixture(weights[k, :, :-1], model_crps)
-        rep_means = [float(np.mean(row)) for row in mixture_crps[k]]
-        mean = float(np.mean(rep_means))
-        if len(rep_means) > 1:
-            se = float(np.std(rep_means, ddof=1) / math.sqrt(len(rep_means)))
-        else:
-            se = 0.0
-        aggregates.append(RuleAggregate(rule.kind.value, mean, se, tuple(rep_means)))
-    return ExperimentResult(
-        cfg, _readonly(posterior), model_crps, _readonly(mixture_crps), tuple(aggregates)
+    weights = np.stack([_trajectory(r.kind, prior, _score_grid(r, cfg, xs, model_crps)) for r in cfg.rules])
+    mixture_crps = MixtureCRPS(forecasts).score(weights[:, :, :-1], model_crps)
+    rep_means = mixture_crps.mean(-1)
+    se = rep_means.std(-1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(cfg.rules))
+    aggregates = tuple(
+        RuleAggregate(rule.kind.value, mean, err, tuple(row))
+        for rule, mean, err, row in zip(cfg.rules, rep_means.mean(-1).tolist(), se.tolist(), rep_means.tolist())
     )
+    return ExperimentResult(cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(mixture_crps), aggregates)

@@ -572,8 +572,6 @@ def crps_measure(forecasts: Sequence[Forecast], x: float, a: float) -> ScoreVect
     """
     if not math.isfinite(a) or a >= 0.0:
         raise ValueError(f"scaling constant a must be negative, got {a!r}")
-    if len(forecasts) == 0:
-        raise ValueError("need at least one forecast")
     return ScoreVector(a * crps_matrix(forecasts, [x])[0], Mode.ADDITIVE)
 
 
@@ -651,9 +649,4 @@ def likelihood_score(likelihoods) -> ScoreVector:
     evidence is outside this measure's domain and must be handled by the
     caller.
     """
-    v = np.asarray(likelihoods, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need at least one likelihood")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-        raise ValueError("likelihoods must be finite and strictly positive")
-    return ScoreVector(v, Mode.MULTIPLICATIVE)
+    return ScoreVector(likelihoods, Mode.MULTIPLICATIVE)

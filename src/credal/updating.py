@@ -351,26 +351,48 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     return ProbabilityVector._adopt(_ratio_update(pv, np.exp(-rate * values)))
 
 
+def _trajectory(kind: RuleKind, p0: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Fold scores ``[..., T, n]`` through a rule from the prior ``p0``
+    ``[..., n]``, along the last axis.
+
+    Returns the weights ``[..., T + 1, n]``: slot 0 holds the prior, slot
+    t the posterior after step t.  The predictive rule projects ``p + s``
+    onto the simplex; the ratio-form rules (inferential, and general-Bayes
+    with exponentiated losses as scores) rescale ``s * p``.  Every row is
+    folded bit for bit as it would be on its own.
+    """
+    weights = np.empty(scores.shape[:-2] + (scores.shape[-2] + 1, scores.shape[-1]))
+    weights[..., 0, :] = p0
+    for t in range(scores.shape[-2]):
+        p, s = weights[..., t, :], scores[..., t, :]
+        if kind is RuleKind.PREDICTIVE:
+            weights[..., t + 1, :] = _simplex_projection(p + s)[0]
+        else:
+            weights[..., t + 1, :] = _ratio_update(p, s)
+    return weights
+
+
 def sequential_update(
     p0: ProbabilityVector, stream: Sequence[ScoreVector], rule: UpdateRule
 ) -> list[ProbabilityVector]:
     """Fold a stream of score vectors through a rule, returning the trajectory.
 
-    The result has length ``len(stream) + 1`` and starts at ``p0``.  Every
+    The result has length ``len(stream) + 1`` and starts at ``p0`` itself;
+    the other entries are the rows of one :func:`_trajectory` call.  Every
     stream entry must carry the mode the rule expects (multiplicative for
-    the ratio-form rules, additive for the predictive rule).
+    the ratio-form rules, additive for the predictive rule) and the prior's
+    length; both are checked, naming the step, before any update runs.
     """
-    trajectory = [p0]
-    p = p0
+    n, stream = len(p0), list(stream)
     for step, s in enumerate(stream):
         if s.mode is not rule.score_mode:
             raise ModeMismatchError(
                 f"step {step}: {rule.kind.value} rule needs {rule.score_mode.value} "
                 f"scores, got {s.mode.value}"
             )
-        if rule.kind is RuleKind.PREDICTIVE:
-            p = predictive_update(p, s).posterior
-        else:
-            p = inferential_update(p, s)
-        trajectory.append(p)
-    return trajectory
+        if len(s) != n:
+            raise ValueError(f"step {step}: prior and scores must have the same length, got {n} and {len(s)}")
+    scores = np.array([s.scores for s in stream]).reshape(len(stream), n)
+    weights = _trajectory(rule.kind, p0.values, scores)
+    weights.flags.writeable = False
+    return [p0] + [ProbabilityVector._adopt(row) for row in weights[1:]]

@@ -5,8 +5,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_harness
 
-from credal import Empirical, ExperimentConfig, Gaussian, ModelSpec, PointMass, UpdateRule, run_experiment
-from credal.measures import MixtureCRPS
+from credal import (
+    Empirical,
+    ExperimentConfig,
+    Gaussian,
+    LossValue,
+    ModelSpec,
+    Mode,
+    PointMass,
+    ScoreVector,
+    UpdateRule,
+    exp_loss_score,
+    generate_data,
+    likelihood_score,
+    run_experiment,
+    sequential_update,
+    uniform,
+)
+from credal.measures import MixtureCRPS, gaussian_density_matrix
 
 # few distinct parameters, so that models tie and projections cut through ties
 LOCATIONS = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
@@ -116,7 +132,7 @@ def test_harness_matches_reference_at_medium_shape():
     assert result.aggregates == aggregates
 
 
-def test_mixture_scored_once_per_rule(monkeypatch):
+def test_mixture_scored_once_per_run(monkeypatch):
     calls = []
     score = MixtureCRPS.score
 
@@ -127,4 +143,23 @@ def test_mixture_scored_once_per_rule(monkeypatch):
     monkeypatch.setattr(MixtureCRPS, "score", counting_score)
     cfg = ExperimentConfig(1, Gaussian(0.0, 1.0), MEDIUM_MODELS, 7, ALL_RULES, replications=3)
     run_experiment(cfg)
-    assert calls == [(3, 7, 8)] * 3
+    assert calls == [(3, 3, 7, 8)]
+
+
+def test_sequential_update_folds_a_replication_as_the_harness_does():
+    # the trajectory kernel's batch rows are its 1-d rows, bit for bit
+    rules = (UpdateRule.inferential(), UpdateRule.predictive(), UpdateRule.general_bayes(0.7))
+    cfg = ExperimentConfig(2, Gaussian(0.0, 1.0), MEDIUM_MODELS[:5], 12, rules, a=-4.0, replications=3)
+    result = run_experiment(cfg)
+    assert np.any(result.posterior[1] == 0.0)  # the predictive rule zeroes models
+    forecasts = [m.forecast for m in cfg.models]
+    for rep in range(cfg.replications):
+        density = gaussian_density_matrix(forecasts, generate_data(cfg.seed, cfg.truth, cfg.horizon, rep))
+        streams = (
+            [likelihood_score(np.fmax(cfg.likelihood_floor, row)) for row in density],
+            [ScoreVector(cfg.a * row, Mode.ADDITIVE) for row in result.crps[rep]],
+            [exp_loss_score([LossValue(c, 0.7) for c in row.tolist()]) for row in result.crps[rep]],
+        )
+        for k, (rule, stream) in enumerate(zip(cfg.rules, streams)):
+            trajectory = sequential_update(uniform(len(forecasts)), stream, rule)
+            assert np.array_equal([p.values for p in trajectory[1:]], result.posterior[k, rep])

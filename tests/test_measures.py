@@ -250,6 +250,9 @@ def test_crps_measure_examples():
         crps_measure(fs, 0.0, 1.0)
     with pytest.raises(ValueError):
         crps_measure(fs, 0.0, 0.0)
+    for bad in (([], 0.0, -1.0), (fs, np.nan, -1.0), (fs, 0.0, np.nan), (fs, 0.0, -np.inf)):
+        with pytest.raises(ValueError):
+            crps_measure(*bad)
     # equal CRPS in every coordinate is posterior-neutral under additive updating
     same = crps_measure([PointMass(1.0), PointMass(-1.0)], 0.0, -2.0)
     assert same.scores[0] == same.scores[1]
@@ -305,6 +308,9 @@ def test_likelihood_score_examples():
         likelihood_score([0.0, 0.5])
     with pytest.raises(ValueError):
         likelihood_score([-0.2, 0.5])
+    for bad in ([], [np.nan, 0.5], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            likelihood_score(bad)
 
 
 def test_forecast_json_literals():
@@ -427,9 +433,10 @@ def _kernel_weights(rng, kind, shape):
     st.lists(st.integers(1, 4), max_size=2),
     st.integers(1, 512),
     st.sampled_from(["dirichlet", "one_hot", "zero_heavy", "subnormal"]),
-    st.sampled_from(["contiguous", "drop_last_row", "drop_last_column", "every_other_column"]),
+    st.sampled_from(["contiguous", "drop_last_row", "drop_last_column", "every_other_column", "rule_axis"]),
 )
 @example(0, [3, 5], 512, "subnormal", "drop_last_row")
+@example(3, [3, 5], 64, "zero_heavy", "rule_axis")
 @example(1, [2], 1, "one_hot", "drop_last_column")
 @example(2, [], 8, "zero_heavy", "every_other_column")
 def test_mixture_score_equals_1d_oracle_bit_for_bit(seed, lead, n, kind, layout):
@@ -443,7 +450,9 @@ def test_mixture_score_equals_1d_oracle_bit_for_bit(seed, lead, n, kind, layout)
     ]
     mixture = MixtureCRPS(forecasts)
     lead = tuple(lead)
-    if layout == "drop_last_row" and lead:  # like the harness's posterior[k, :, :-1]
+    # a rule axis on the weights alone, broadcast against the scores as in the harness
+    rules = (2,) if layout == "rule_axis" else ()
+    if layout in ("drop_last_row", "rule_axis") and lead:  # like the harness's weights[:, :, :-1]
         shape, view = lead[:-1] + (lead[-1] + 1, n), (..., slice(None, -1), slice(None))
     elif layout == "drop_last_column":
         shape, view = lead + (n + 1,), (..., slice(None, -1))
@@ -451,14 +460,17 @@ def test_mixture_score_equals_1d_oracle_bit_for_bit(seed, lead, n, kind, layout)
         shape, view = lead + (2 * n,), (..., slice(None, None, 2))
     else:
         shape, view = lead + (n,), (...,)
-    w = _kernel_weights(rng, kind, shape)[view]
-    c = rng.uniform(0.0, 4.0, shape)[view]
-    assert w.shape == c.shape == lead + (n,)
+    w = _kernel_weights(rng, kind, rules + shape)[view]
+    c = rng.uniform(0.0, 4.0, lead + (n,)) if rules else rng.uniform(0.0, 4.0, shape)[view]
+    assert w.shape == rules + c.shape and c.shape == lead + (n,)
 
     out = mixture.score(w, c)
-    expected = [mixture_score_reference(mixture.pair, mixture.half_self, w[i], c[i]) for i in np.ndindex(lead)]
-    if lead:
-        assert out.shape == lead
-        assert np.array_equal(out, np.reshape(expected, lead))
+    expected = [
+        mixture_score_reference(mixture.pair, mixture.half_self, w[i], c[i[len(rules) :]])
+        for i in np.ndindex(rules + lead)
+    ]
+    if rules + lead:
+        assert out.shape == rules + lead
+        assert np.array_equal(out, np.reshape(expected, rules + lead))
     else:
         assert type(out) is float and out == expected[0]

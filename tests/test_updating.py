@@ -525,6 +525,51 @@ def test_sequential_examples():
         np.testing.assert_allclose(p.values, p0.values, atol=1e-15)
 
 
+@pytest.mark.parametrize("rule", [UpdateRule.inferential(), UpdateRule.predictive(), UpdateRule.general_bayes(1.0)])
+def test_sequential_checks_the_whole_stream_before_any_update(rule):
+    p0 = ProbabilityVector([0.5, 0.3, 0.2])
+    good = ScoreVector([1.0, 2.0, 0.5], rule.score_mode)
+    other = Mode.ADDITIVE if rule.score_mode is Mode.MULTIPLICATIVE else Mode.MULTIPLICATIVE
+    with mock.patch.object(updating, "_trajectory") as kernel:
+        with pytest.raises(ValueError, match="step 2: prior and scores must have the same length, got 3 and 2"):
+            sequential_update(p0, [good, good, ScoreVector([1.0, 2.0], rule.score_mode)], rule)
+        with pytest.raises(ValueError, match="step 0: prior and scores must have the same length, got 3 and 4"):
+            sequential_update(p0, [ScoreVector([1.0, 2.0, 0.5, 1.0], rule.score_mode), good], rule)
+        with pytest.raises(ModeMismatchError, match="step 1"):
+            sequential_update(p0, [good, ScoreVector([1.0, 2.0, 0.5], other)], rule)
+    kernel.assert_not_called()
+    assert sequential_update(p0, [], rule) == [p0]
+    trajectory = sequential_update(p0, iter([good, good]), rule)
+    assert len(trajectory) == 3 and trajectory[0] is p0
+    assert not any(p.values.flags.writeable for p in trajectory)
+    with pytest.raises(ValueError, match="read-only"):
+        trajectory[1].values.base[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", list(RuleKind))
+def test_trajectory_rows_at_large_n_fold_as_alone(kind):
+    # one row passes the candidate scan; on the other most entries survive,
+    # which sends the whole array to the full sort
+    rng = np.random.default_rng(43)
+    n, horizon = _CANDIDATE_MIN_N, 3
+    few = rng.uniform(0.0, 1.0, (horizon, n))
+    most = (rng.exponential(size=(horizon, n)) - 2.0 * rng.uniform(size=(horizon, n))) / n
+    scores = np.stack([few, most])
+    if kind is not RuleKind.PREDICTIVE:
+        scores = np.exp(scores)
+    p0 = np.stack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n))])
+    weights = updating._trajectory(kind, p0, scores)
+    assert weights.shape == (2, horizon + 1, n)
+    for r in range(2):
+        assert_same_bits(weights[r], updating._trajectory(kind, p0[r], scores[r]))
+    if kind is RuleKind.PREDICTIVE:
+        # the row that passes sorts only its candidates when folded alone
+        for prior, steps, widths in ((p0, scores, [(2, n)] * horizon), (p0[0], scores[0], [])):
+            with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
+                updating._trajectory(kind, prior, steps)
+            assert [c.args[0].shape for c in full.call_args_list if c.args[0].shape[-1] == n] == widths
+
+
 def test_sequential_mode_mismatch_names_the_step():
     p0 = ProbabilityVector([0.5, 0.5])
     good = ScoreVector([1.0, 2.0], Mode.MULTIPLICATIVE)
