@@ -112,11 +112,9 @@ class ProbabilityVector:
     def _checked(v: np.ndarray, eps: float) -> np.ndarray:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("probability vector needs a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("probability entries must be finite")
-        if np.any(v < 0.0):
+        lowest, total = _min_and_sum(v, "probability entries")
+        if not lowest >= 0.0:
             raise ValueError("probability entries must be non-negative")
-        total = float(np.sum(v))
         if abs(total - 1.0) > eps:
             raise ValueError(f"probabilities must sum to 1 (got {total!r})")
         v.flags.writeable = False
@@ -138,6 +136,23 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be non-negative, got {eps!r}")
 
 
+def _min_and_sum(v: np.ndarray, what: str) -> tuple[float, float]:
+    """``v.min()`` and, where that is non-negative, ``v.sum()`` (else NaN).
+
+    Raises ``ValueError(f"{what} must be finite")`` on a NaN or infinite
+    entry, before any other fault is reported.  The sum comes after the
+    min: a sum that meets both +inf and -inf warns, and a min that is NaN
+    or -inf has already found a bad entry.  A full finiteness test runs
+    only where the min is negative or the sum is not finite (+inf, or an
+    overflow).
+    """
+    lowest = float(v.min())
+    total = float(v.sum()) if lowest >= 0.0 else math.nan
+    if not math.isfinite(total) and not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite")
+    return lowest, total
+
+
 def is_probabilistic(c, eps: float = DEFAULT_EPS) -> bool:
     """True iff all entries are >= 0 and the total is within ``eps`` of 1.
 
@@ -147,10 +162,8 @@ def is_probabilistic(c, eps: float = DEFAULT_EPS) -> bool:
     A negative or NaN ``eps`` raises ``ValueError``.
     """
     _check_eps(eps)
-    v = as_values(c)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("entries must be finite")
-    return bool(np.all(v >= 0.0)) and abs(float(np.sum(v)) - 1.0) <= eps
+    lowest, total = _min_and_sum(as_values(c), "entries")
+    return lowest >= 0.0 and abs(total - 1.0) <= eps
 
 
 def ideal_credibility(j: int, n: int) -> ProbabilityVector:

@@ -44,7 +44,19 @@ class DominanceReport:
     per_vertex_gap: np.ndarray
 
     def __post_init__(self):
-        gaps = np.asarray(self.per_vertex_gap, dtype=float)
+        self._seal(np.array(self.per_vertex_gap, dtype=float))  # the caller's array stays its own
+
+    @classmethod
+    def _adopt(cls, dominated: bool, dominator: ProbabilityVector | None, gaps: np.ndarray) -> "DominanceReport":
+        """A report on float64 gaps that no one else holds, without copying
+        them; the checks of the constructor run, and ``gaps`` becomes read-only."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "dominated", dominated)
+        object.__setattr__(self, "dominator", dominator)
+        self._seal(gaps)
+        return self
+
+    def _seal(self, gaps: np.ndarray) -> None:
         gaps.flags.writeable = False
         object.__setattr__(self, "per_vertex_gap", gaps)
         if self.dominated and (self.dominator is None or not np.all(gaps >= 0.0)):
@@ -112,14 +124,15 @@ def verify_dominance(
     """
     cv = as_values(c)
     if is_probabilistic(cv, eps):
-        return DominanceReport(False, None, np.zeros(cv.size))
+        return DominanceReport._adopt(False, None, np.zeros(cv.size))
     posterior, d, keep = _simplex_projection(cv)
     dropped = cv[~keep]
     offset = np.count_nonzero(keep) * d * d + np.dot(dropped, dropped)
-    # (k d d + dropped.dropped) + 2 max(0, -(c + d)) in that order, in place
+    # (k d d + dropped.dropped) + 2 max(0, -(c + d)) in place: -2 min(c + d, 0)
+    # has the same bits but for -0.0 where c + d > 0, which adding the
+    # offset (never -0.0) turns into the same sum
     gaps = np.add(cv, d)
-    np.negative(gaps, out=gaps)
-    np.maximum(0.0, gaps, out=gaps)
-    gaps *= 2.0
+    np.minimum(gaps, 0.0, out=gaps)
+    gaps *= -2.0
     gaps += offset
-    return DominanceReport(True, ProbabilityVector._adopt(posterior), gaps)
+    return DominanceReport._adopt(True, ProbabilityVector._adopt(posterior), gaps)

@@ -194,6 +194,25 @@ def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     fails for a row, or the sample puts more than an eighth of a row
     above t, the whole array takes the full sort: the library passes
     rows this long one at a time.
+
+    The full scan of a row this long sorts it and takes its prefix sums,
+    but evaluates the test only inside a bracket.  The exact value
+    F_j = j (u_j + d_j) = j u_j + 1 - A_j is non-increasing in j, since
+    F_{j+1} - F_j = j (u_{j+1} - u_j) <= 0.  The bound above with k = 0
+    puts the computed j (u_j + d_j) within E = g S + 2.1 eps (1 + S + g S)
+    of F_j, and the probe fl(j fl(d_j - w_j)) adds two roundings that keep
+    its sign.  With n eps < 1/8, B = 8 (n + 1) eps (1 + n max|q|), the
+    candidate scan's bound at k = 0, exceeds 3 E.  So a probe above B
+    passes the test, and a probe below -B at j gives F_j < -E, hence
+    F_i < -E and a failing test at every i >= j.  One bisection keeps a
+    passing j (j = 1 passes by definition), the other a j from which
+    every test fails; the scan's end lies between them, and the test is
+    evaluated there alone.  The bracket holds the j whose F_j is within
+    about B of 0: one or two in a row of distinct values, a run of ties
+    whose F_j is near 0, the whole row where B exceeds every |F_j| (as at
+    an offset of 1e15).  An overflowed prefix sum stays infinite to the
+    end of the row, so a finite last prefix sum rules overflow out; when
+    it is not finite the bracket is the whole row.
     """
     shape = q.shape
     n = shape[-1]
@@ -212,17 +231,84 @@ def _sort_scan(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Sorts -q ascending, so that w = -u: negation is exact and commutes
     with rounding, so 1 + cumsum(w) is 1 - c bit for bit, and
-    ``d_j > w_j`` is the sign of u_j + d_j.
+    ``d_j > w_j`` is the sign of u_j + d_j.  A row of at least
+    ``_CANDIDATE_MIN_N`` entries evaluates the test only inside its
+    :func:`_bracket`.
     """
     n = q.shape[-1]
     w = np.negative(q)
     w.sort(-1)
-    shift = w.cumsum(-1)
+    c = w.cumsum(-1)
+    if n < _CANDIDATE_MIN_N:
+        last = _scan_ends(w, c)
+    else:
+        last = np.empty(len(q), dtype=np.intp)
+        for r in range(len(q)):
+            lo, hi = _bracket(w[r], c[r])
+            last[r] = _scan_ends(w[r : r + 1, lo:hi], c[r : r + 1, lo:hi], lo)[0]
+    return _finish(q, w, c, last)
+
+
+def _scan_ends(w: np.ndarray, c: np.ndarray, start: int = 0) -> np.ndarray:
+    """The last position of each row where the scan's test passes.
+
+    ``w`` and ``c`` are columns ``start, start + 1, ...`` of the sorted
+    negated rows and of their prefix sums; the test is taken to pass at
+    the first column (it does at ``start``, or is forced at position 0,
+    where u1 + (1 - u1) = 1 > 0 identically).  ``c`` is overwritten with
+    d for each prefix length.
+    """
+    m = w.shape[-1]
+    shift = c
     shift += 1.0
-    shift /= np.arange(1.0, n + 1.0)  # d for each prefix length
+    shift /= np.arange(start + 1.0, start + m + 1.0)
     cond = shift > w
-    cond[:, 0] = True  # u1 + (1 - u1) = 1 > 0 identically
-    last = (n - 1) - cond[:, ::-1].argmax(-1)  # where each row's longest prefix ends
+    cond[:, 0] = True
+    return start + (m - 1) - cond[:, ::-1].argmax(-1)
+
+
+def _bracket(w: np.ndarray, c: np.ndarray) -> tuple[int, int]:
+    """Positions ``lo < hi`` of one sorted negated row ``w``, with prefix
+    sums ``c``, such that the scan's test passes at ``lo`` and fails at
+    every position from ``hi`` on (proved in :func:`_simplex_projection`).
+
+    Two bisections on the computed ``j (u_j + d_j)`` against the bound B
+    of the candidate scan at k = 0: the lower keeps a position whose value
+    exceeds B (or position 0), the upper one whose value is below -B (or
+    n).  Where B exceeds every |F_j|, as at an offset of 1e15, the bracket
+    is the whole row.
+    """
+    n = w.size
+    if not math.isfinite(c[-1]):  # a prefix sum overflowed: no bound holds
+        return 0, n
+    bound = _bound(n, max(-w.item(0), w.item(-1)), 0, 0.0)
+
+    def margin(p: int) -> float:
+        j = p + 1.0
+        return j * ((c.item(p) + 1.0) / j - w.item(p))
+
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if margin(mid) > bound:
+            lo = mid
+        else:
+            hi = mid
+    top, hi = lo, n
+    while hi - top > 1:
+        mid = (top + hi) // 2
+        if margin(mid) < -bound:
+            hi = mid
+        else:
+            top = mid
+    return lo, hi
+
+
+def _finish(q: np.ndarray, w: np.ndarray, shift: np.ndarray, last: np.ndarray):
+    """The projection of the rows of ``q`` whose scans end at ``last``:
+    d, cut, survivor mask, tie split and the posterior, which is written
+    into ``shift``, the buffer that holds d at each row's ``last``."""
+    n = q.shape[-1]
     at = np.arange(0, q.size, n) + last
     d = shift.take(at)
     cut = -w.take(at)
@@ -233,7 +319,7 @@ def _sort_scan(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         extra = keep.sum(-1) - (last + 1)
         for r in np.flatnonzero(extra).tolist():
             keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
-    posterior = q + d[:, None]
+    posterior = np.add(q, d[:, None], out=shift)
     posterior *= keep
     posterior += 0.0  # a dropped entry is (q + d) * 0, which may be -0.0
     return posterior, d, keep

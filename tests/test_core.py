@@ -19,10 +19,13 @@ from credal import (
     HypothesisSet,
     ProbabilityVector,
     Credibility,
+    conservative_normalize,
     ideal_credibility,
     is_probabilistic,
+    project_to_simplex,
     read_labeled_csv,
     uniform,
+    verify_dominance,
     write_labeled_csv,
 )
 
@@ -95,6 +98,55 @@ def test_negative_or_nan_eps_rejected(eps):
         is_probabilistic([0.5, 0.5], eps)
     ProbabilityVector([0.5, 0.5], eps=0.0)
     assert is_probabilistic([0.5, 0.5], 0.0)
+
+
+def bad_vector(n, kind):
+    """The uniform vector of length ``n`` with one kind of fault planted."""
+    v = np.full(n, 1.0 / n)
+    if kind == "mixed-infinities":
+        v[[0, n // 2, n - 1]] = [np.inf, -np.inf, 0.0]
+    elif kind == "negative-and-inf":
+        v[[0, n - 1]] = [-0.25, np.inf]
+    elif kind == "negative":
+        v[n // 2] = -0.25
+    elif kind == "wrong-sum":
+        v *= 1.5
+    else:
+        v[n // 2] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+    return v
+
+
+FINITE = (ValueError, "entries must be finite")
+# the error of each call, in the order ProbabilityVector,
+# conservative_normalize, project_to_simplex, verify_dominance and
+# is_probabilistic, or None where it returns (is_probabilistic False)
+OUTCOMES = {
+    "mixed-infinities": [(ValueError, "probability entries must be finite")] + [FINITE] * 4,
+    "nan": [(ValueError, "probability entries must be finite")] + [FINITE] * 4,
+    "+inf": [(ValueError, "probability entries must be finite")] + [FINITE] * 4,
+    "-inf": [(ValueError, "probability entries must be finite")] + [FINITE] * 4,
+    "negative-and-inf": [(ValueError, "probability entries must be finite")] + [FINITE] * 4,
+    "negative": [(ValueError, "probability entries must be non-negative")] + [None] * 4,
+    "wrong-sum": [(ValueError, "probabilities must sum to 1 (got 1.5)")] + [None] * 4,
+}
+
+
+@pytest.mark.parametrize("n", [3, 1 << 14])
+@pytest.mark.parametrize("kind", list(OUTCOMES))
+def test_faulty_vectors_raise_the_stated_errors_under_warnings_as_errors(n, kind):
+    # a sum that meets both +inf and -inf warns, which pytest turns into
+    # an error here; the min must find those entries first
+    calls = (ProbabilityVector, conservative_normalize, project_to_simplex, verify_dominance, is_probabilistic)
+    for call, outcome in zip(calls, OUTCOMES[kind]):
+        if outcome is None:
+            result = call(bad_vector(n, kind))
+            if call is is_probabilistic:
+                assert result is False
+        else:
+            error, message = outcome
+            with pytest.raises(error) as info:
+                call(bad_vector(n, kind))
+            assert info.type is error and str(info.value) == message
 
 
 def test_ideal_credibility_examples():

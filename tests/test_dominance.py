@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,6 +104,26 @@ def test_dominated_report_needs_a_dominator_and_non_negative_gaps():
     with pytest.raises(ValueError, match="non-negative"):
         DominanceReport(True, half, [0.1, math.nan])
     assert DominanceReport(True, half, [0.0, 0.1]).dominated  # a positive gap may round to 0.0
+
+
+def test_report_copies_the_callers_gaps():
+    half = ProbabilityVector([0.5, 0.5])
+    g = np.array([0.1, 0.2])
+    rep = DominanceReport(True, half, g)
+    assert g.flags.writeable and rep.per_vertex_gap is not g
+    g[0] = 5.0
+    assert rep.per_vertex_gap.tolist() == [0.1, 0.2]
+    assert not rep.per_vertex_gap.flags.writeable
+
+
+def test_verify_dominance_hands_over_its_gaps_without_a_copy():
+    # the public constructor, which copies, never runs
+    with mock.patch.object(DominanceReport, "__post_init__", side_effect=AssertionError("copied")):
+        for c in ([0.6, 0.6, 0.1], [0.25, 0.75]):
+            rep = verify_dominance(c)
+            assert rep.per_vertex_gap.base is None and not rep.per_vertex_gap.flags.writeable
+    with pytest.raises(ValueError, match="non-negative"):
+        DominanceReport._adopt(True, ProbabilityVector([0.5, 0.5]), np.array([0.1, -0.1]))
 
 
 def test_probabilistic_report_is_the_certificate():

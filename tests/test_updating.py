@@ -301,6 +301,61 @@ def test_a_refused_long_row_sends_every_row_to_one_full_scan():
         assert_same_bits(g, w)
 
 
+def most_survive(rng, n):
+    """A row shaped like the benchmark's large-n input, prior + additive:
+    about 79% of its entries survive, so the candidate scan refuses it."""
+    prior = rng.exponential(size=n)
+    return prior / prior.sum() - 2.0 * rng.uniform(size=n) / n
+
+
+def tie_at_cut(rng, n):
+    """b, ..., b, 1 + b, b, ..., b: every b sits at the cut, where u_j + d_j
+    is 0 up to rounding and the computed test passes and fails at random
+    along the row."""
+    q = np.full(n, rng.uniform(0.0, 1.0))
+    q[rng.integers(n)] += 1.0
+    return q
+
+
+def scan_windows(q):
+    """The projection of ``q``, with the (start, width) of every window
+    in which the full scan evaluated its test."""
+    with mock.patch.object(updating, "_scan_ends", wraps=updating._scan_ends) as ends:
+        got = _simplex_projection(q)
+    return got, [(call.args[2] if len(call.args) > 2 else 0, call.args[0].shape[-1]) for call in ends.call_args_list]
+
+
+@pytest.mark.parametrize("kind", ["most", "ties"])
+def test_the_bracket_closes_on_long_rows_where_most_entries_survive(kind):
+    rng = np.random.default_rng(44)
+    n = 100_000
+    q = np.stack([most_survive(rng, n) for _ in range(2)])
+    if kind == "ties":  # runs of equal values on both sides of the cut
+        q = np.round(q * n, 1) / n
+    got, windows = scan_windows(q)
+    for g, w in zip(got, sort_scan_projection(q)):
+        assert_same_bits(g, w)
+    survivors = np.count_nonzero(got[2], axis=-1) / n
+    assert np.all((survivors > 0.7) & (survivors < 0.9))
+    assert len(windows) == 2 and all(width <= 64 for _, width in windows)
+    if kind == "ties":
+        _, _, keep = got
+        for r in range(2):
+            cut = q[r][keep[r]].min()
+            assert np.count_nonzero(q[r] == cut) > 1
+
+
+@pytest.mark.parametrize("kind", ["offset", "tie-at-cut"])
+def test_rows_whose_bracket_the_bound_cannot_close_take_the_whole_row(kind):
+    rng = np.random.default_rng(45)
+    n = _CANDIDATE_MIN_N
+    q = 1e15 + rng.uniform(0.0, 1.0, n) if kind == "offset" else tie_at_cut(rng, n)
+    got, windows = scan_windows(q)
+    for g, w in zip(got, sort_scan_projection(q)):
+        assert_same_bits(g, w)
+    assert windows == [(0, n)]
+
+
 def test_projection_rejects_non_finite_entries_at_any_length():
     for n in (5, _CANDIDATE_MIN_N):
         for bad in (np.nan, np.inf, -np.inf):
