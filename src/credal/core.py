@@ -216,7 +216,12 @@ def json_number(value, what: str) -> float:
 #: Bytes of one :func:`format_floats` field; the longest positive output,
 #: ``d.dddddddddddddddde-XXX``, is 23.
 FLOAT_FIELD = 24
-_CHUNK = 4096
+#: Entries formatted at a time, by :func:`format_floats` and by the rows of
+#: ``results.csv``: a block makes about 120 numpy calls whatever its size,
+#: so at 4096 their fixed cost made formatting 15% slower; from 16384 on,
+#: a block of rows and its NUL mask outgrow a 2 MB L2 cache, and encoding
+#: slows again (measured on the benchmark's sim-wide config).
+FLOAT_BLOCK = 8192
 # rows of the powers-of-ten table, k = 16 - X for k in [-_POW_LO, _POW_HI]:
 # 16 - X ranges over [-292, 340] for the decimal exponents X of positive
 # doubles, one more either way before the exponent is corrected
@@ -266,9 +271,7 @@ def _format_tables():
     ``groups``: the digits of 0000 .. 9999, each as one little-endian word;
     ``trailing``: their trailing zero digits (4 for 0000);
     ``suffixes``: ``e-324`` .. ``e+308`` as words, indexed by exponent + 324;
-    ``below[k]``: a mask of the first ``k`` of 24 bytes, as three words;
-    ``after[k]`` and ``point[k]``: a mask of the bytes from ``k`` on, but
-    for byte ``max(k, 1)``, and a point in that byte.
+    then the tables of :func:`_layout_tables`.
     """
     global _tables
     if _tables is None:
@@ -276,12 +279,42 @@ def _format_tables():
         groups = np.array([_words(g.encode())[0] for g in digits], dtype=np.uint64)
         trailing = np.array([len(g) - len(g.rstrip("0")) for g in digits])
         suffixes = np.array([_words(f"e{e:+03d}".encode())[0] for e in range(-324, 309)], dtype=np.uint64)
-        below = np.array([_words(b"\xff" * k) for k in range(FLOAT_FIELD + 1)], dtype=np.uint64)
-        at = [max(k, 1) for k in range(FLOAT_FIELD)]
-        after = ~below[:-1] & ~np.array([_words(b"\0" * j + b"\xff") for j in at], dtype=np.uint64)
-        point = np.array([_words(b"\0" * j + b".") for j in at], dtype=np.uint64)
-        _tables = _powers_of_ten(), groups, trailing, suffixes, below, after, point
+        _tables = (_powers_of_ten(), groups, trailing, suffixes) + _layout_tables()
     return _tables
+
+
+def _layout_tables():
+    """The layout of :func:`_layout`, by decimal exponent ``X`` and by form.
+
+    The exponents fall in 23 classes, ``c = clip(X + 5, 0, 22)``: 0 and 22
+    are exponent notation, 1 .. 21 fixed, 1 .. 4 of them below 1.  A form
+    is a class with a number of significant digits, ``nd``, at
+    ``c * 18 + nd``.  Indexed by ``X + 324``: ``forms``, the form of
+    ``nd = 17``; ``shifts``, the shift of the digits in bits; and
+    ``exponential``, whether ``X`` is written in exponent notation.
+    Indexed by form: ``lengths`` of the text before any suffix, and
+    ``masks[kind, word]``, the masks ``keep``, ``tail`` and ``lead``, each
+    as three words.
+    """
+    shifts, lengths, masks = [], [], []
+    for c in range(23):
+        x_exp, small = c - 5, 0 < c < 5
+        keep = 0 if small else x_exp + 1 if 0 < c < 22 else 1
+        shift = 1 - x_exp if small else 1
+        shifts.append(8 * shift)
+        for nd in range(18):
+            length = shift + nd if small else nd + 1 if nd > keep else keep
+            lengths.append(length)
+            # keep: the digits before the point; tail: the shifted digits
+            # after it; lead: the point, or below 1 the "0." and zeros
+            # before the digits; all cut at the length
+            point = max(keep, 1)
+            tail = b"\0" * (point + 1) + b"\xff" * (length - point - 1)
+            lead = b"0." + b"0" * (shift - 2) if small else b"\0" * keep + b"."
+            masks.append([_words(k) for k in (b"\xff" * keep, tail, lead[:length])])
+    c = np.clip(np.arange(-324, 309) + 5, 0, 22)
+    masks = np.array(masks, dtype=np.uint64).transpose(1, 2, 0).copy()
+    return c * 18 + 17, np.array(shifts, dtype=np.uint64)[c], c % 22 == 0, np.array(lengths), masks
 
 
 def _scaled(v: np.ndarray, x_exp: np.ndarray):
@@ -321,19 +354,21 @@ def _digits(v: np.ndarray):
     return n, x_exp, np.abs(frac - 0.5) <= _TIE_TOL
 
 
-def _layout(n: np.ndarray, x_exp: np.ndarray) -> np.ndarray:
-    """``%.17g`` text of the 17-digit integers ``n`` with decimal exponents
-    ``x_exp``, as three little-endian words (24 NUL-padded bytes) each.
+def _layout(n: np.ndarray, x_exp: np.ndarray, text: np.ndarray) -> None:
+    """Write the ``%.17g`` text of the 17-digit integers ``n`` with decimal
+    exponents ``x_exp`` into ``text``, three little-endian words (24
+    NUL-padded bytes) per entry.
 
-    The text is the first ``keep`` digits (the integer part in fixed
-    notation, the leading digit in exponent notation), then the digits
-    shifted ``shift`` bytes on behind '0's, with the point written at byte
-    ``max(keep, 1)``, cut after the last significant digit.  Fixed notation
-    with ``X < 0`` keeps no digit and shifts by ``1 - X``, making room for
-    ``0.`` and ``-X - 1`` zeros; the others shift by one, for the point.
-    Exponent notation then appends its suffix.
+    Each word of the text is ``(digits & keep) | (shifted & tail) | lead``,
+    with the masks ``keep``, ``tail`` and ``lead`` looked up by the class of
+    the exponent and the number of significant digits: the first digits
+    (the integer part in fixed notation, the leading digit in exponent
+    notation), then the digits shifted one byte on, past the point, cut
+    after the last significant digit.  Fixed notation with ``X < 0`` keeps
+    no digit and shifts by ``1 - X``, behind a lead of ``0.`` and ``-X - 1``
+    zeros.  Exponent notation then appends its suffix.
     """
-    _, groups, trailing, suffixes, below, after, point = _format_tables()
+    _, groups, trailing, suffixes, forms, shifts, exponential, lengths, masks = _format_tables()
     # 8 + 9 digits, then groups of 4, 4 | 4, 4, 1 in int32
     high = n // 10**9
     low = (n - high * 10**9).astype(np.int32)
@@ -353,48 +388,65 @@ def _layout(n: np.ndarray, x_exp: np.ndarray) -> np.ndarray:
         group = group[at]
         zeros[at] += np.take(trailing, group)
         at = at[group == 0]
-    nd = 17 - zeros
-    fixed = (x_exp >= -4) & (x_exp < 17)
-    small = fixed & (x_exp < 0)
-    keep = np.where(fixed, np.where(small, 0, x_exp + 1), 1)
-    length = np.where(small, 1 - x_exp + nd, np.where(nd > keep, nd + 1, keep))
+    e = x_exp + 324
+    form = np.take(forms, e) - zeros
     u64 = np.uint64
+    bits = np.take(shifts, e)
+    back = u64(64) - bits
     a0 = np.take(groups, g[0]) | (np.take(groups, g[1]) << u64(32))
     a1 = np.take(groups, g[2]) | (np.take(groups, g[3]) << u64(32))
     a2 = (last + ord("0")).astype(u64)
-    bits = np.where(small, 8 - 8 * x_exp, 8).astype(u64)
-    back = u64(64) - bits
-    text = np.empty((n.size, 3), u64)
-    text[:, 0] = (a0 << bits) | (u64(0x3030303030303030) & ~(u64(2**64 - 1) << bits))
-    text[:, 1] = (a1 << bits) | (a0 >> back)
-    text[:, 2] = (a2 << bits) | (a1 >> back)
-    text &= np.take(after, keep, axis=0)
-    text |= np.stack([a0, a1, a2], axis=1) & np.take(below, keep, axis=0)
-    text |= np.take(point, keep, axis=0)
-    text &= np.take(below, length, axis=0)
-    sci = np.flatnonzero(~fixed)
+    shifted = a0 << bits, (a1 << bits) | (a0 >> back), (a2 << bits) | (a1 >> back)
+    for w, (digits, moved) in enumerate(zip((a0, a1, a2), shifted)):
+        keep, tail, lead = (np.take(m, form) for m in masks[:, w])
+        text[:, w] = (digits & keep) | (moved & tail) | lead
+    sci = np.flatnonzero(np.take(exponential, e))
     if sci.size:
-        at = length[sci].astype(u64)
+        at = np.take(lengths, form[sci]).astype(u64)
         word, bits = (at // u64(8)).astype(np.intp), at % u64(8) * u64(8)
-        suffix = np.take(suffixes, x_exp[sci] + 324)
+        suffix = np.take(suffixes, e[sci])
         text[sci, word] |= suffix << bits
         text[sci, np.minimum(word + 1, 2)] |= suffix >> (u64(64) - bits)
-    return text
 
 
-def _format_chunk(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``%.17g`` of the 1-d float64 ``x`` into the ``S24`` array ``out``."""
-    bits = x.view(np.int64)
-    out[bits == 0] = b"0"
-    fast = (x > 0.0) & (x <= _MAX_FLOAT)
-    slow = ~fast & (bits != 0)
-    at = np.flatnonzero(fast)
-    if at.size:
-        n, x_exp, near = _digits(x[at])
-        out[at] = _layout(n, x_exp).astype("<u8", copy=False).view(f"S{FLOAT_FIELD}").reshape(-1)
-        slow[at[near]] = True
+def _format_block(x: np.ndarray, out: np.ndarray, words: np.ndarray) -> None:
+    """Write ``%.17g`` of the 1-d float64 ``x`` into the ``S24`` array ``out``,
+    whose bytes ``words`` views as three little-endian words per entry."""
+    if x.min() > 0.0 and x.max() <= _MAX_FLOAT:
+        # all positive and finite (a NaN fails both tests): no gather, no scatter
+        n, x_exp, slow = _digits(x)
+        _layout(n, x_exp, words)
+    else:
+        bits = x.view(np.int64)
+        out[bits == 0] = b"0"
+        fast = (x > 0.0) & (x <= _MAX_FLOAT)
+        slow = ~fast & (bits != 0)
+        at = np.flatnonzero(fast)
+        if at.size:
+            n, x_exp, near = _digits(x[at])
+            text = np.empty((at.size, 3), "<u8")
+            _layout(n, x_exp, text)
+            out[at] = text.view(f"S{FLOAT_FIELD}")[:, 0]
+            slow[at[near]] = True
     if slow.any():
         out[slow] = [format(v, ".17g").encode() for v in x[slow].tolist()]
+
+
+def _format_into(x, out: np.ndarray) -> None:
+    """Write ``%.17g`` of every entry of ``x`` into the ``S24`` array ``out``
+    of the same shape, ``FLOAT_BLOCK`` entries at a time.  ``out`` may be
+    strided, such as one field of a byte matrix of rows; one that no view
+    can flatten is written through a copy."""
+    x = np.asarray(x, dtype=float)
+    if not isinstance(out, np.ndarray) or out.dtype != np.dtype(f"S{FLOAT_FIELD}") or out.shape != x.shape:
+        raise ValueError(f"out must be an S{FLOAT_FIELD} array of shape {x.shape}")
+    x, flat = x.reshape(-1), out.reshape(-1)
+    words = flat[:, None].view("<u8")
+    for start in range(0, x.size, FLOAT_BLOCK):
+        end = start + FLOAT_BLOCK
+        _format_block(x[start:end], flat[start:end], words[start:end])
+    if not np.may_share_memory(flat, out):
+        out[...] = flat.reshape(out.shape)
 
 
 def format_floats(values) -> np.ndarray:
@@ -427,14 +479,12 @@ def format_floats(values) -> np.ndarray:
     ``1000000000000000.25``, falls back to Python's ``format``.  So do
     zeros with the sign bit set, negative and non-finite entries.  +0.0 is
     ``b"0"``.  The output is the same on every platform.  Work is done in
-    chunks of 4096 entries, so temporaries stay small.
+    blocks of ``FLOAT_BLOCK`` entries, so temporaries stay small.
     """
     values = np.asarray(values, dtype=float)
-    flat = np.ascontiguousarray(values).reshape(-1)
-    out = np.empty(flat.size, dtype=f"S{FLOAT_FIELD}")
-    for start in range(0, flat.size, _CHUNK):
-        _format_chunk(flat[start : start + _CHUNK], out[start : start + _CHUNK])
-    return out.reshape(values.shape)
+    out = np.empty(values.shape, dtype=f"S{FLOAT_FIELD}")
+    _format_into(values, out)
+    return out
 
 
 def write_labeled_csv(path, labels, values) -> None:

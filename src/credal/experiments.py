@@ -20,7 +20,8 @@ replication and step.  Results are kept as columns
 (:class:`ExperimentResult`).  The CSV encoder formats each distinct value
 once with the vectorized, exact ``%.17g`` of
 :func:`~credal.core.format_floats`, lays the rows out as byte matrices of
-NUL-padded fields and streams the file in chunks of at most 4096 posterior
+NUL-padded fields, formats the posteriors straight into their field, and
+streams the file in blocks of at most ``FLOAT_BLOCK`` (8192) posterior
 values with the NULs dropped; no Python code runs per row or per value,
 and its bytes are those of the per-step loop it replaced.
 
@@ -43,7 +44,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import FLOAT_FIELD, format_floats, json_number, reject_unknown_keys, required_key
+from . import core
+from .core import FLOAT_FIELD, _format_into, format_floats, json_number, reject_unknown_keys, required_key
 from .measures import (
     Forecast,
     Gaussian,
@@ -61,7 +63,6 @@ _DATA_STREAM = 0
 CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
 # a NUL would also end a label's fixed-width byte field in the encoder
 _CSV_SPECIAL = ',"\r\n\x00'
-_CSV_CHUNK = 4096  # posterior values formatted and encoded at a time
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -291,59 +292,59 @@ class ExperimentResult:
             for t in range(self.config.horizon)
         )
 
-    def _csv_blocks(self) -> Iterator[bytes]:
-        """The CSV bytes as the header line, then chunks of rows in CSV order.
+    def _csv_blocks(self) -> Iterator[bytes | np.ndarray]:
+        """The CSV bytes as the header line, then blocks of rows in CSV order.
 
-        A chunk is a byte matrix of NUL-padded fields, one row per (rule,
-        replication, t, model), and its bytes are the matrix with the NULs
-        dropped, so no Python code runs per row or per value.  ``crps`` is
-        formatted once per run and ``mixture_crps`` once per rule, by
-        :func:`~credal.core.format_floats`; posteriors are formatted and
-        encoded a chunk of at most 4096 values (or one step) at a time.
+        A block is a byte matrix of NUL-padded fields, one row per (rule,
+        replication, t, model), and it is yielded as the ``uint8`` array of
+        its bytes with the NULs dropped, so no Python code runs per row or
+        per value.  ``crps`` is formatted once per run and ``mixture_crps``
+        once per rule, by :func:`~credal.core.format_floats`; posteriors are
+        formatted straight into their field of the matrix, a block of at
+        most ``FLOAT_BLOCK`` values (or one step) at a time.
         """
         yield (CSV_HEADER + "\n").encode()
         cfg = self.config
         n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
-        rule_text = _as_bytes(np.array([r.kind.value.encode() for r in cfg.rules]))
-        rep_text = _as_bytes(np.arange(reps).astype(f"S{len(str(reps - 1))}"))
-        t_text = _as_bytes(np.arange(1, horizon + 1).astype(f"S{len(str(horizon))}"))
-        label_text = _as_bytes(np.array([m.label.encode() for m in cfg.models]))
-        crps_text = _as_bytes(format_floats(self.crps))
+        rule_text = np.array([r.kind.value.encode() for r in cfg.rules])
+        rep_text = np.arange(reps).astype(f"S{len(str(reps - 1))}")
+        t_text = np.arange(1, horizon + 1).astype(f"S{len(str(horizon))}")
+        label_text = np.array([m.label.encode() for m in cfg.models])
+        crps_text = format_floats(self.crps).reshape(reps * horizon, n)
         # a row is its seven fields, each followed by a separator byte
-        texts = (rule_text, rep_text, t_text, label_text)
-        widths = np.array([t.shape[-1] for t in texts] + [FLOAT_FIELD] * 3) + 1
-        ends = np.cumsum(widths)
-        rule_col, rep_col, t_col, label_col, post_col, crps_col, mix_col = map(slice, ends - widths, ends - 1)
-        steps = max(1, _CSV_CHUNK // n)
+        widths = [a.itemsize for a in (rule_text, rep_text, t_text, label_text)] + [FLOAT_FIELD] * 3
+        ends = np.cumsum(np.array(widths) + 1)
+        steps = max(1, core.FLOAT_BLOCK // n)
         rows = np.zeros((steps, n, ends[-1]), np.uint8)
         rows[..., ends[:-1] - 1] = ord(",")
         rows[..., -1] = ord("\n")
-        rows[..., label_col] = label_text
+        # each field as a fixed-width bytes view of the rows
+        rule_field, rep_field, t_field, label_field, post_field, crps_field, mix_field = (
+            rows[..., end - width - 1 : end - 1].view(f"S{width}")[..., 0] for end, width in zip(ends, widths)
+        )
+        label_field[...] = label_text
         for k in range(len(cfg.rules)):
-            rows[..., rule_col] = rule_text[k]
-            mixture_text = _as_bytes(format_floats(self.mixture_crps[k]))
+            rule_field[...] = rule_text[k]
+            mixture_text = format_floats(self.mixture_crps[k]).reshape(-1, 1)
             for start in range(0, reps * horizon, steps):
-                rep, t = divmod(np.arange(start, min(start + steps, reps * horizon)), horizon)
-                chunk = rows[: rep.size]
-                chunk[..., rep_col] = rep_text[rep, None]
-                chunk[..., t_col] = t_text[t, None]
-                chunk[..., post_col] = _as_bytes(format_floats(self.posterior[k, rep, t]))
-                chunk[..., crps_col] = crps_text[rep, t]
-                chunk[..., mix_col] = mixture_text[rep, t, None]
-                yield chunk[chunk != 0].tobytes()
+                end = min(start + steps, reps * horizon)
+                rep, t = divmod(np.arange(start, end), horizon)
+                m = end - start
+                rep_field[:m] = rep_text[rep, None]
+                t_field[:m] = t_text[t, None]
+                _format_into(self.posterior[k, rep, t], post_field[:m])
+                crps_field[:m] = crps_text[start:end]
+                mix_field[:m] = mixture_text[start:end]
+                block = rows[:m]
+                yield block[block != 0]
 
     def to_csv_text(self) -> str:
         return b"".join(self._csv_blocks()).decode("utf-8")
 
     def write_csv(self, path) -> None:
-        """Write :meth:`to_csv_text`'s bytes, one chunk at a time."""
+        """Write :meth:`to_csv_text`'s bytes, one block of rows at a time."""
         with open(Path(path), "wb") as fh:
             fh.writelines(self._csv_blocks())
-
-
-def _as_bytes(text: np.ndarray) -> np.ndarray:
-    """A fixed-width bytes array as its bytes, along a new last axis."""
-    return text[..., None].view(np.uint8)
 
 
 def _score_grid(

@@ -2,11 +2,20 @@
 
     PYTHONPATH=src python tests/compare_format_floats.py [--count N] [--seed S]
 
-Draws ``N`` (default 10**6) seeded random 64-bit patterns and views them as
-doubles, so negatives, subnormals, infinities and NaN payloads all occur;
-their absolute values are compared too, since positive finite values take
-the bulk path.  Prints the number of mismatches and the first few, and
-exits 1 if there is any.
+Three passes, each over seeded random values:
+
+* ``N`` (default 10**6) random 64-bit patterns viewed as doubles, so
+  negatives, subnormals, infinities and NaN payloads all occur, and their
+  absolute values; every block mixes signs and NaN, so it takes the path
+  that gathers the positive finite entries;
+* positive finite values alone, so every block takes the path without a
+  gather: the finite non-zero absolute values of the patterns, and ``N``
+  log-uniform magnitudes from 1e-300 to 1e300;
+* both sets of values written into a strided ``S24`` field of a ``uint8``
+  row matrix, as ``results.csv`` writes its posteriors.
+
+Prints the number of mismatches of each pass and the first few, and exits 1
+if there is any.
 """
 
 from __future__ import annotations
@@ -16,7 +25,15 @@ import sys
 
 import numpy as np
 
-from credal.core import format_floats
+from credal.core import FLOAT_FIELD, _format_into, format_floats
+
+
+def into_a_field(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of ``values`` written into a field of a row matrix, as ``S24``."""
+    rows = np.zeros((values.size, FLOAT_FIELD + 7), np.uint8)
+    field = rows[:, 3 : 3 + FLOAT_FIELD].view(f"S{FLOAT_FIELD}")[:, 0]
+    _format_into(values, field)
+    return field
 
 
 def main(argv=None) -> int:
@@ -24,14 +41,25 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    bits = np.random.default_rng(args.seed).integers(-(2**63), 2**63, args.count, dtype=np.int64)
-    values = np.concatenate([bits.view(float), np.abs(bits.view(float))])
-    got = format_floats(values).tolist()
-    bad = [(v, g) for v, g in zip(values.tolist(), got) if g != format(v, ".17g").encode()]
-    print(f"{len(bad)} mismatches in {values.size} values (seed {args.seed})")
-    for v, g in bad[:10]:
-        print(f"  {v.hex()}: format_floats {g.decode()!r}, format {format(v, '.17g')!r}")
-    return 1 if bad else 0
+    rng = np.random.default_rng(args.seed)
+    patterns = rng.integers(-(2**63), 2**63, args.count, dtype=np.int64).view(float)
+    mixed = np.concatenate([patterns, np.abs(patterns)])
+    finite = np.abs(patterns[np.isfinite(patterns) & (patterns != 0.0)])
+    positive = np.concatenate([finite, 10.0 ** rng.uniform(-300.0, 300.0, args.count)])
+    passes = [
+        ("bit patterns and their absolute values", mixed, format_floats),
+        ("positive finite values", positive, format_floats),
+        ("both, into a strided field", np.concatenate([mixed, positive]), into_a_field),
+    ]
+    failed = False
+    for name, values, encode in passes:
+        got = encode(values).tolist()
+        bad = [(v, g) for v, g in zip(values.tolist(), got) if g != format(v, ".17g").encode()]
+        print(f"{len(bad)} mismatches in {values.size} values, {name} (seed {args.seed})")
+        for v, g in bad[:10]:
+            print(f"  {v.hex()}: format_floats {g.decode()!r}, format {format(v, '.17g')!r}")
+        failed = failed or bool(bad)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -310,6 +310,7 @@ def test_format_floats_matches_python_on_any_bit_pattern(bits):
         (np.arange(1.0, 61.0).reshape(3, 4, 5) / 7)[:, ::2, ::-3],
         (np.arange(1.0, 13.0).reshape(3, 4) / 11).T,
         np.arange(10_000.0) / 3,  # more than one chunk
+        np.arange(2 * core.FLOAT_BLOCK + 3.0) / 3,  # more than two blocks
         np.empty((0, 3)),
     ],
 )
@@ -325,6 +326,75 @@ def test_format_floats_fallback_gives_the_same_bytes(monkeypatch):
     slow = format_floats(values)
     assert np.array_equal(slow, fast)
     assert [b.decode() for b in slow.tolist()] == python_text(values)
+
+
+def formatted_into_a_field(values) -> np.ndarray:
+    """``core._format_into`` of ``values`` into a strided ``S24`` field of a
+    ``uint8`` row matrix; the bytes around the field must stay as they were."""
+    values = np.asarray(values, dtype=float)
+    rows = np.full(values.shape + (37,), 0xAB, np.uint8)
+    core._format_into(values, rows[..., 5:29].view("S24")[..., 0])
+    assert np.all(rows[..., :5] == 0xAB) and np.all(rows[..., 29:] == 0xAB)
+    return rows[..., 5:29]
+
+
+def assert_formats_into_a_field_like_python(values):
+    # the field's bytes, NUL padding included, are those of format_floats
+    expected = format_floats(values)[..., None].view(np.uint8)
+    assert np.array_equal(formatted_into_a_field(values), expected)
+    assert_formats_like_python(values)
+
+
+def field_values() -> np.ndarray:
+    """Boundary values, near and exact ties, zeros of both signs, subnormals,
+    their negatives and the non-finite values."""
+    subnormals = np.array([5e-324, 1e-320, np.nextafter(np.finfo(float).tiny, 0.0)])
+    values = np.concatenate([boundary_values(), subnormals, np.random.default_rng(23).random(300)])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_format_into_writes_a_strided_field(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(core, "FLOAT_BLOCK", block)
+    values = field_values()
+    assert_formats_into_a_field_like_python(values)
+    assert_formats_into_a_field_like_python(values[: 2 * 3 * 101].reshape(2, 3, 101))
+    # all positive and finite: the block is formatted without a gather
+    assert_formats_into_a_field_like_python(np.concatenate([NEAR_TIES, EXACT_TIES, 10.0 ** np.arange(-300.0, 301.0)]))
+
+
+def test_format_into_writes_through_a_copy_where_no_view_flattens():
+    values = np.arange(1.0, 31.0).reshape(5, 6) / 7
+    rows = np.zeros((5, 6, 30), np.uint8)
+    field = rows[..., 3:27].view("S24")[..., 0]
+    core._format_into(values.T, field.T)
+    assert np.array_equal(field, format_floats(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+@example([0x7FEFFFFFFFFFFFFF, 1, 0, -(2**63), 0x3FEFFFFFFFFFFFFF])
+def test_format_into_matches_python_on_any_bit_pattern(bits):
+    values = np.array(bits, dtype=np.int64).view(float)
+    got = formatted_into_a_field(values)
+    assert [bytes(row).rstrip(b"\0") for row in got] == [format(v, ".17g").encode() for v in values.tolist()]
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty(4, "S23"),
+        np.empty(4, "U24"),
+        np.empty((4, 24), np.uint8),
+        np.empty(5, "S24"),
+        np.empty((2, 2), "S24"),
+        [b"", b"", b"", b""],
+    ],
+)
+def test_format_into_rejects_a_wrong_out(out):
+    with pytest.raises(ValueError, match="S24 array of shape"):
+        core._format_into(np.ones(4), out)
 
 
 def exact_fraction(v: float) -> Fraction:

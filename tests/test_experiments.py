@@ -21,6 +21,7 @@ from credal import (
     is_probabilistic,
     run_experiment,
 )
+from credal import core
 from credal.measures import MixtureCRPS
 
 
@@ -328,6 +329,33 @@ def test_reruns_are_byte_identical():
     a = run_experiment(cfg).to_csv_text()
     b = run_experiment(cfg).to_csv_text()
     assert a == b
+
+
+# eight far models first, so that once the predictive rule has zeroed them a
+# block smaller than a step can hold zeros alone; the general-Bayes
+# posteriors are all positive
+FAR_FIRST = tuple(ModelSpec(f"far{i}", Gaussian(6.0 + i, 0.5)) for i in range(8)) + (
+    ModelSpec("good", Gaussian(0.0, 1.0)),
+    ModelSpec("near", Gaussian(0.5, 1.0)),
+)
+
+
+# around a step of len(FAR_FIRST) values and around a rule's 150 posteriors
+@pytest.mark.parametrize("block", [1, 7, len(FAR_FIRST) - 1, len(FAR_FIRST), len(FAR_FIRST) + 1, 149, 150, 151])
+def test_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
+    cfg = ExperimentConfig(
+        seed=4,
+        truth=Gaussian(0.0, 1.0),
+        models=FAR_FIRST,
+        horizon=5,
+        rules=(UpdateRule.predictive(), UpdateRule.general_bayes(1.0)),
+        replications=3,
+    )
+    result = run_experiment(cfg)
+    assert np.all(result.posterior[0, ..., :8] == 0.0) and np.all(result.posterior[1] > 0.0)
+    expected = result.to_csv_text()
+    monkeypatch.setattr(core, "FLOAT_BLOCK", block)
+    assert result.to_csv_text() == expected
 
 
 def test_csv_layout():
