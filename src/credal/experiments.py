@@ -16,7 +16,8 @@ built once over the whole (replication, t) grid; each rule's trajectory, all
 replications at once, is one call of the trajectory kernel of
 :mod:`credal.updating`, the one that :func:`~credal.updating.sequential_update`
 runs, and one last-axis call scores the pre-update mixtures of every rule,
-replication and step.  Results are kept as columns
+replication and step, with one matrix product of the whole weight stack by
+the mixture's pairwise matrix.  Results are kept as columns
 (:class:`ExperimentResult`).  The CSV encoder formats each distinct value
 once with the vectorized, exact ``%.17g`` of
 :func:`~credal.core.format_floats`, lays the rows out as byte matrices of
@@ -25,11 +26,12 @@ streams the file in blocks of at most ``FLOAT_BLOCK`` (8192) posterior
 values with the NULs dropped; no Python code runs per row or per value,
 and its bytes are those of the per-step loop it replaced.
 
-The mixture score is exact (see :class:`~credal.measures.MixtureCRPS`), so
-every rule is scored without sampling noise.  Randomness drives only the
-data: each replication's observations come from a counter-based Philox
-stream keyed by (seed, replication), so every rule sees the same data,
-replications are order-free and reruns are bit-reproducible.  Whether one
+The mixture score is exact up to rounding, within the bound that
+:meth:`~credal.measures.MixtureCRPS.score` states, so every rule is scored
+without sampling noise.  Randomness drives only the data: each
+replication's observations come from a counter-based Philox stream keyed
+by (seed, replication), so every rule sees the same data, replications are
+order-free and reruns are bit-reproducible.  Whether one
 rule predicts better than another is an empirical matter; results report
 means with standard errors and assert no ordering.
 """
@@ -379,8 +381,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     all replications at once, comes from one call of the trajectory kernel
     of :mod:`credal.updating`.  Then the pre-update weights of every rule
     (the uniform prior, then the posteriors of steps 1 .. horizon - 1) are
-    scored in one last-axis :meth:`MixtureCRPS.score` call, bit for bit as
-    row by row.
+    scored in one last-axis :meth:`MixtureCRPS.score` call, each within the
+    bound it states of the exact score.
     """
     n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
     forecasts = [m.forecast for m in cfg.models]

@@ -532,8 +532,9 @@ class MixtureCRPS:
     & Johnson 2006).  Since crps(F_i, x) = E|X_i - x| - P[i, i]/2, the
     mixture's score at x is w.c + w.h - w'Pw/2 from the components' own
     scores c at x and h = diag(P)/2.  P depends on the forecasts alone and
-    is built once.  :meth:`score` works on the last axis: weights and
-    component scores of shape ``[..., n]`` give one score per row.
+    is built once; P and h are read-only, so that they cannot drift apart.
+    :meth:`score` works on the last axis: weights and component scores of
+    shape ``[..., n]`` give one score per row.
     """
 
     __slots__ = ("pair", "half_self")
@@ -541,24 +542,42 @@ class MixtureCRPS:
     def __init__(self, forecasts: Sequence[Forecast]):
         self.pair = expected_abs_difference(forecasts)
         self.half_self = 0.5 * np.diag(self.pair)
+        self.pair.flags.writeable = False
+        self.half_self.flags.writeable = False
 
     def score(self, weights, component_crps):
         """Mixture CRPS of each row of ``weights`` at an outcome where the
         components score the matching row of ``component_crps``.
 
-        Both are ``[..., n]``; the result is ``[...]``, a ``float`` for 1-d
-        input.  Each row is a stack of ``[1, n] @ [n, 1]`` and ``[n, n] @
-        [n, 1]`` products, which numpy evaluates with the same dot and
-        mat-vec routines as the 1-d products, so a row scores bit for bit
-        as it would on its own.
+        Both are ``[..., n]`` and broadcast against each other; the result
+        is ``[...]``, a ``float`` for 1-d input.  The w'Pw term of every row
+        is one matrix product of the whole weight stack by P, since P is
+        exactly symmetric, followed by a row-wise dot with w, so P is read
+        once per matrix of rows instead of once per row.  The result is
+        deterministic for a given input, but a row's last bits depend on the
+        BLAS and on the rows it is scored with.
+
+        Bound: with S = |w|.|c| + |w|.h + |w|'P|w|/2, each score lies within
+        (n + 2) eps S + n (3 + ||w||_1) 2**-1074 of the exact value of
+        w.c + w.h - w'Pw/2 on the given floats.  The sums of n products
+        carry at most n eps S of error between them (w'Pw is two such sums,
+        each within n eps/2 relative), the last two roundings add eps S,
+        and every product that underflows adds at most 2**-1075.  One-hot
+        weights return that component's score exactly.
+        ``tests/compare_mixture.py`` and the tier-1 tests check both against
+        an exact rational oracle.
         """
         w = np.asarray(weights, dtype=float)
-        row = w[..., None, :]
-        wc = (row @ np.asarray(component_crps, dtype=float)[..., :, None])[..., 0, 0]
-        wh = (row @ self.half_self[:, None])[..., 0, 0]
-        wpw = (row @ (self.pair @ w[..., :, None]))[..., 0, 0]
+        c = np.asarray(component_crps, dtype=float)
+        n = self.half_self.size
+        for name, a in (("weights", w), ("component scores", c)):
+            if a.shape[-1:] != (n,):
+                length = f"a last axis of length {a.shape[-1]}" if a.ndim else "no axis"
+                raise ValueError(f"{name} have {length}, the mixture has {n} components")
+        wc = np.einsum("...i,...i->...", w, c)
+        wpw = np.einsum("...i,...i->...", w @ self.pair, w)
         # grouped so that one-hot weights return that component's score exactly
-        out = wc + (wh - 0.5 * wpw)
+        out = wc + (w @ self.half_self - 0.5 * wpw)
         return float(out) if out.ndim == 0 else out
 
 

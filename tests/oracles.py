@@ -14,7 +14,8 @@ forecast at one outcome in scalar Python arithmetic (a Gaussian with
 from ``|s_i - x|`` directly) instead of from E|N(m, s^2)| and prefix sums
 over a grid, the mixture CRPS is estimated by
 sampling instead of the pairwise closed form, or taken from that closed
-form one 1-d weight vector at a time instead of over a last-axis grid,
+form in exact rational arithmetic on the integer significands of the
+floats, one 1-d weight vector at a time, instead of in floating point,
 the reference harness runs a simulation one (rule,
 replication, step) at a time through the public 1-d updates instead of on
 arrays, and the dominator search tries random candidates instead of using
@@ -22,6 +23,7 @@ the closed-form dominance certificates.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -237,14 +239,61 @@ def monte_carlo_mixture_crps(posterior, models, x, n_draws, seed) -> tuple[float
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(n_draws))
 
 
-def mixture_score_reference(pair, half_self, w, c) -> float:
-    """Mixture CRPS ``w.c + (w.h - w'Pw/2)`` of one 1-d weight vector.
+def _dyadic(values) -> tuple[np.ndarray, int]:
+    """Python integers ``m`` (an object array) and one exponent ``e`` with
+    ``values == m * 2**e`` exactly, entry by entry, for finite floats."""
+    values = np.asarray(values, dtype=float)
+    mantissa, exponent = np.frexp(values)
+    digits = np.ldexp(mantissa, 53).astype(np.int64)  # exact: |mantissa| < 1
+    exponent = exponent - 53
+    e = int(exponent[values != 0.0].min()) if values.any() else 0
+    shift = np.maximum(exponent - e, 0)  # a zero has no digits to shift
+    m = [d << k for d, k in zip(digits.ravel().tolist(), shift.ravel().tolist())]
+    return np.array(m, dtype=object).reshape(values.shape), e
+
+
+def _scaled(m: int, e: int) -> Fraction:
+    """``m * 2**e`` as a fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+class ExactMixture:
+    """Mixture CRPS ``w.c + w.h - w'Pw/2`` in exact rational arithmetic.
 
     ``pair`` is the forecasts' matrix ``P[i, j] = E|X_i - X_j|`` and
-    ``half_self`` its halved diagonal; ``c`` holds the components' own
-    scores at the outcome.
+    ``half_self`` its halved diagonal, both taken as the exact values of
+    their floats.  Every float is an integer times a power of 2, so each
+    term is a sum of integer products over the nonzero weights, scaled once.
     """
-    return float(w @ c + (w @ half_self - 0.5 * (w @ (pair @ w))))
+
+    def __init__(self, pair, half_self):
+        if np.any(np.asarray(pair) < 0.0):
+            raise ValueError("pair matrix must be non-negative")
+        self.pair, self.pair_exp = _dyadic(pair)
+        self.half, self.half_exp = _dyadic(half_self)
+
+    def score(self, w, c) -> tuple[Fraction, float]:
+        """``(exact score, bound)`` of one 1-d vector ``w`` of non-negative
+        weights with component scores ``c``.
+
+        ``bound`` is the distance from the exact score that
+        :meth:`credal.measures.MixtureCRPS.score` states:
+        (n + 2) eps S + n (3 + ||w||_1) 2**-1074, with S = w.|c| + w.h +
+        w'Pw/2.
+        """
+        w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
+        if np.any(w < 0.0):
+            raise ValueError("mixture weights must be non-negative")
+        nz = np.flatnonzero(w)
+        wm, we = _dyadic(w[nz])
+        cm, ce = _dyadic(c[nz])
+        wc = _scaled(int(wm.dot(cm)), we + ce)
+        wh = _scaled(int(wm.dot(self.half[nz])), we + self.half_exp)
+        wpw = _scaled(int(wm.dot(self.pair[np.ix_(nz, nz)].dot(wm))), 2 * we + self.pair_exp)
+        magnitude = _scaled(int(wm.dot(np.abs(cm))), we + ce) + wh + wpw / 2
+        n, eps = w.size, float(np.finfo(float).eps)
+        bound = (n + 2) * eps * float(magnitude) + n * (3.0 + float(w.sum())) * 2.0**-1074
+        return wc + wh - wpw / 2, bound
 
 
 def crps_reference(f, x: float) -> float:
@@ -312,22 +361,28 @@ def _step_posterior(rule, p, cfg, x, per_model):
     raise ValueError(f"unsupported rule: {rule!r}")
 
 
-def reference_harness(cfg) -> tuple[str, tuple]:
-    """``(results.csv text, aggregates)`` of a simulation run step by step.
+def reference_harness(cfg) -> tuple[str, tuple, list]:
+    """``(results.csv text, aggregates, mixture scores)`` of a simulation
+    run step by step.
 
-    Each (rule, replication, step) scores the mixture, updates a
-    ``ProbabilityVector`` through the public 1-d update functions and keeps
-    one ``StepRecord``; every field of every row is formatted on its own.
-    Each model's CRPS comes from the public scalar ``crps``.
+    Each (rule, replication, step) scores the mixture exactly with
+    :class:`ExactMixture`, updates a ``ProbabilityVector`` through the public
+    1-d update functions and keeps one ``StepRecord``; every field of every
+    row is formatted on its own.  Each model's CRPS comes from the public
+    scalar ``crps``.  The records' and the text's mixture scores and the
+    aggregates are taken from the exact scores rounded to floats; the
+    third item holds, in CSV order, each (rule, replication, step)'s
+    ``(exact score, bound)``.
     """
     forecasts = [m.forecast for m in cfg.models]
     mixture = MixtureCRPS(forecasts)
+    exact = ExactMixture(mixture.pair, mixture.half_self)
     observations = [
         generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
         for rep in range(cfg.replications)
     ]
     model_crps = [np.array([[crps(f, x) for f in forecasts] for x in xs.tolist()]) for xs in observations]
-    records, aggregates = [], []
+    records, aggregates, mixtures = [], [], []
     for rule in cfg.rules:
         rep_means = []
         for rep, xs in enumerate(observations):
@@ -335,7 +390,8 @@ def reference_harness(cfg) -> tuple[str, tuple]:
             step_scores = []
             for t, x in enumerate(xs.tolist(), start=1):
                 per_model = model_crps[rep][t - 1]
-                score = mixture_score_reference(mixture.pair, mixture.half_self, p.values, per_model)
+                mixtures.append(exact.score(p.values, per_model))
+                score = float(mixtures[-1][0])
                 p = _step_posterior(rule, p, cfg, x, per_model)
                 records.append(StepRecord(rule.kind.value, rep, t, p.values, per_model, score))
                 step_scores.append(score)
@@ -349,4 +405,4 @@ def reference_harness(cfg) -> tuple[str, tuple]:
             fields = [rec.rule, str(rec.replication), str(rec.t), model.label]
             fields += [f"{v:.17g}" for v in (rec.posterior[i], rec.crps[i], rec.mixture_crps)]
             lines.append(",".join(fields))
-    return "\n".join(lines) + "\n", tuple(aggregates)
+    return "\n".join(lines) + "\n", tuple(aggregates), mixtures
