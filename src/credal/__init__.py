@@ -21,7 +21,6 @@ from .axioms import (
 from .core import (
     DEFAULT_EPS,
     Credibility,
-    HypothesisSet,
     ProbabilityVector,
     ideal_credibility,
     is_probabilistic,
@@ -84,7 +83,6 @@ __all__ = [
     "ExperimentResult",
     "Forecast",
     "Gaussian",
-    "HypothesisSet",
     "LossValue",
     "Mode",
     "ModeMismatchError",

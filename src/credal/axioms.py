@@ -265,6 +265,8 @@ def regularity_violation_report(n_instances: int = 1000, seed: int = 0) -> Axiom
     posterior has no zero entry (the residual; must be 0) and instances
     where the predicted index survived.
     """
+    if n_instances < 1:
+        raise ValueError("n_instances must be at least 1")
     rng = np.random.default_rng(seed)
     no_zero = 0
     wrong_index = 0

@@ -64,9 +64,9 @@ def _cmd_update(args) -> int:
     for flag, value, rule in (("--a", args.a, "predictive"), ("--rate", args.rate, "general-bayes")):
         if value is not None and args.rule != rule:
             raise ValueError(f"{flag} applies to the {rule} rule only, not to {args.rule}")
-    hyps, prior_values = read_labeled_csv(args.prior)
-    score_hyps, score_values = read_labeled_csv(args.scores)
-    if hyps.labels != score_hyps.labels:
+    labels, prior_values = read_labeled_csv(args.prior)
+    score_labels, score_values = read_labeled_csv(args.scores)
+    if labels != score_labels:
         raise ValueError("prior and scores must list the same labels in the same order")
     prior = ProbabilityVector(prior_values)
 
@@ -82,11 +82,11 @@ def _cmd_update(args) -> int:
                 raise ValueError(f"--a must be negative, got {args.a!r}")
             score_values = args.a * score_values
         result = predictive_update(prior, ScoreVector(score_values, Mode.ADDITIVE))
-        write_labeled_csv(args.out, hyps.labels, result.posterior.values)
+        write_labeled_csv(args.out, labels, result.posterior.values)
         print(json.dumps({"d": result.d, "zeroed": sorted(result.zeroed), "rule": "predictive"}))
         return 0
 
-    write_labeled_csv(args.out, hyps.labels, posterior.values)
+    write_labeled_csv(args.out, labels, posterior.values)
     # the ratio-form rules never zero a weight; the smallest one shows how
     # close the update came to underflow
     print(json.dumps({"rule": args.rule, "min_posterior": float(posterior.values.min())}))
@@ -120,9 +120,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dominance(args) -> int:
-    hyps, values = read_labeled_csv(args.cred)
+    labels, values = read_labeled_csv(args.cred)
     report = verify_dominance(Credibility(values), eps=args.eps)
-    out = {"labels": list(hyps.labels)}
+    out = {"labels": list(labels)}
     out.update(report.to_json())
     print(json.dumps(out))
     return 0

@@ -1,18 +1,18 @@
-"""Hypothesis sets, credibility functions, and the probability axioms.
+"""Credibility functions, the probability axioms, and labeled-vector CSV.
 
 A credibility function assigns each hypothesis a number in [0, 1] measuring
 how plausible it is that the hypothesis is the best one in the set.  A
 probability vector is the normalized special case: non-negative entries
-summing to one.  Events over the finite hypothesis set are implicit (the
-probability of a subset is the sum of its atom entries), so no event type
-is needed.
+summing to one.  Hypotheses are vector positions, labeled in CSV files;
+events over the finite set are implicit (the probability of a subset is
+the sum of its atom entries), so no event type is needed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -27,31 +27,6 @@ def as_values(x) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a non-empty 1-d vector, got shape {v.shape}")
     return v
-
-
-@dataclass(frozen=True)
-class HypothesisSet:
-    """Ordered finite set of competing hypotheses, identified by label.
-
-    Exactly one hypothesis is assumed to be best; ties are not modeled.
-    """
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        if len(self.labels) < 1:
-            raise ValueError("a hypothesis set needs at least one hypothesis")
-        if any(not s for s in self.labels):
-            raise ValueError("hypothesis labels must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("hypothesis labels must be unique")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 class Credibility:
@@ -85,37 +60,34 @@ class Credibility:
 
 
 class ProbabilityVector:
-    """Non-negative vector summing to one (within ``eps``, which must be
-    non-negative).
+    """Non-negative vector summing to one within ``DEFAULT_EPS``.
 
     Immutable after construction; safe to share across threads.
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, values, eps: float = DEFAULT_EPS):
-        _check_eps(eps)
-        self._values = self._checked(np.array(values, dtype=float), eps)
+    def __init__(self, values):
+        self._values = self._checked(np.array(values, dtype=float))
 
     @classmethod
     def _adopt(cls, v: np.ndarray) -> "ProbabilityVector":
         """Wrap a float64 array that no one else holds, without copying it.
 
-        The checks of the constructor run (with the default ``eps``), and
-        ``v`` becomes read-only.
+        The checks of the constructor run, and ``v`` becomes read-only.
         """
         self = cls.__new__(cls)
-        self._values = cls._checked(v, DEFAULT_EPS)
+        self._values = cls._checked(v)
         return self
 
     @staticmethod
-    def _checked(v: np.ndarray, eps: float) -> np.ndarray:
+    def _checked(v: np.ndarray) -> np.ndarray:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("probability vector needs a non-empty 1-d vector")
         lowest, total = _min_and_sum(v, "probability entries")
         if not lowest >= 0.0:
             raise ValueError("probability entries must be non-negative")
-        if abs(total - 1.0) > eps:
+        if abs(total - 1.0) > DEFAULT_EPS:
             raise ValueError(f"probabilities must sum to 1 (got {total!r})")
         v.flags.writeable = False
         return v
@@ -168,6 +140,7 @@ def is_probabilistic(c, eps: float = DEFAULT_EPS) -> bool:
 
 def ideal_credibility(j: int, n: int) -> ProbabilityVector:
     """The vector assigning 1 to hypothesis ``j`` and 0 to all others."""
+    j, n = checked_int(j, "j"), checked_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= j < n:
@@ -179,6 +152,7 @@ def ideal_credibility(j: int, n: int) -> ProbabilityVector:
 
 def uniform(n: int) -> ProbabilityVector:
     """The uniform distribution over ``n`` hypotheses."""
+    n = checked_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     return ProbabilityVector(np.full(n, 1.0 / n))
@@ -206,11 +180,18 @@ def required_key(obj: dict, key: str, what: str):
 
 
 def json_number(value, what: str) -> float:
-    """A JSON number as a float; booleans, strings and other types are
-    rejected with ``what`` (the key) named."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number (or a numpy number) as a float; booleans, strings and
+    other types are rejected with ``what`` (the key) named."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what}: must be a number, got {value!r}")
     return float(value)
+
+
+def checked_int(value, what: str) -> int:
+    """``value`` as an ``int``, numpy integers too; a bool or a non-integer raises ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what}: must be an integer, got {value!r}")
+    return int(value)
 
 
 #: Bytes of one :func:`format_floats` field; the longest positive output,
@@ -499,12 +480,12 @@ def write_labeled_csv(path, labels, values) -> None:
             writer.writerow([lab, text.decode()])
 
 
-def read_labeled_csv(path) -> tuple[HypothesisSet, np.ndarray]:
-    """Read a ``label,value`` CSV; a leading byte-order mark is skipped.
+def read_labeled_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a ``label,value`` CSV as ``(labels, values)``, skipping a leading byte-order mark.
 
     Blank lines, rows without exactly two fields, empty or repeated labels
     and values that are not finite numbers are rejected with the path and
-    line named.
+    line named, and so is a file with a header and no rows.
     """
     values = {}  # by label, in file order
     with open(Path(path), newline="", encoding="utf-8-sig") as fh:
@@ -530,4 +511,6 @@ def read_labeled_csv(path) -> tuple[HypothesisSet, np.ndarray]:
             if not math.isfinite(value):
                 raise ValueError(f"{where}: value for {label!r} is not finite: {text!r}")
             values[label] = value
-    return HypothesisSet(tuple(values)), np.array(list(values.values()), dtype=float)
+    if not values:
+        raise ValueError(f"{path}: no rows after the header")
+    return tuple(values), np.array(list(values.values()), dtype=float)

@@ -91,13 +91,7 @@ def project_to_simplex(v) -> ProbabilityVector:
     return ProbabilityVector._adopt(_simplex_projection(as_values(v))[0])
 
 
-def verify_dominance(
-    c,
-    eps: float = DEFAULT_EPS,
-    *,
-    n_perturbations: int | None = None,
-    seed: int | None = None,
-) -> DominanceReport:
+def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
     """Check whether a credibility vector is accuracy-dominated, in closed form.
 
     Non-probabilistic input is dominated, by the theorem above: its simplex
@@ -118,9 +112,7 @@ def verify_dominance(
     ``(delta |c| / (1 + delta))^2``.
 
     ``eps`` must be non-negative; a negative or NaN ``eps`` raises
-    ``ValueError``.  ``n_perturbations`` and ``seed`` are ignored; they are
-    accepted so that callers written for the former randomized search keep
-    working.
+    ``ValueError``.
     """
     cv = as_values(c)
     if is_probabilistic(cv, eps):

@@ -61,6 +61,9 @@ from .measures import (
 from .updating import RuleKind, UpdateRule, _trajectory
 
 _DATA_STREAM = 0
+# floors the ratio-form rule's densities, so that a step where every density
+# underflows to 0.0 leaves the weights as they were instead of raising UnderflowError
+_LIKELIHOOD_FLOOR = 1e-300
 
 CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
 # a NUL would also end a label's fixed-width byte field in the encoder
@@ -130,17 +133,6 @@ def _rule_to_json(rule: UpdateRule):
     return rule.kind.value
 
 
-def _json_int(obj: dict, key: str, default: int | None = None) -> int:
-    value = required_key(obj, key, "invalid experiment config") if default is None else obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"invalid experiment config: {key}: must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(obj: dict, key: str, default: float) -> float:
-    return json_number(obj.get(key, default), f"invalid experiment config: {key}")
-
-
 def _json_list(obj: dict, key: str) -> list:
     value = required_key(obj, key, "invalid experiment config")
     if not isinstance(value, list):
@@ -158,10 +150,13 @@ class ExperimentConfig:
     horizon: int
     rules: tuple[UpdateRule, ...]
     a: float = -1.0
-    likelihood_floor: float = 1e-300
     replications: int = 1
 
     def __post_init__(self):
+        what = "invalid experiment config"
+        for key in ("seed", "horizon", "replications"):
+            object.__setattr__(self, key, core.checked_int(getattr(self, key), f"{what}: {key}"))
+        object.__setattr__(self, "a", json_number(self.a, f"{what}: a"))
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "rules", tuple(self.rules))
         problems = []
@@ -181,35 +176,32 @@ class ExperimentConfig:
             problems.append("rules: at most one rule of each kind")
         if not (math.isfinite(self.a) and self.a < 0.0):
             problems.append("a: must be negative")
-        if not (math.isfinite(self.likelihood_floor) and self.likelihood_floor > 0.0):
-            problems.append("likelihood_floor: must be positive")
         if RuleKind.INFERENTIAL in kinds and not all(
             isinstance(m.forecast, Gaussian) for m in self.models
         ):
             problems.append("models: inferential scoring needs a Gaussian forecast per model")
         if problems:
-            raise ValueError("invalid experiment config: " + "; ".join(problems))
+            raise ValueError(f"{what}: " + "; ".join(problems))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Parse a config object; non-integer counts, numbers given as booleans
-        or strings, non-string labels, ``models`` or ``rules`` that are not
-        lists, missing and unknown keys, also in the rule, model and
-        forecast literals, are rejected, and so is a top level that is not
-        an object."""
+        """Parse a config object; ``models`` or ``rules`` that are not lists,
+        missing and unknown keys, also in the rule, model and forecast
+        literals, and a top level that is not an object are rejected here,
+        and the constructor rejects the rest (non-integer counts, numbers
+        given as booleans or strings, non-string labels)."""
         what = "invalid experiment config"
         if not isinstance(obj, dict):
             raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
         reject_unknown_keys(obj, {f.name for f in fields(cls)}, what)
         return cls(
-            seed=_json_int(obj, "seed"),
+            seed=required_key(obj, "seed", what),
             truth=forecast_from_json(required_key(obj, "truth", what)),
             models=tuple(_parse_model(m) for m in _json_list(obj, "models")),
-            horizon=_json_int(obj, "horizon"),
+            horizon=required_key(obj, "horizon", what),
             rules=tuple(_parse_rule(r) for r in _json_list(obj, "rules")),
-            a=_json_number(obj, "a", -1.0),
-            likelihood_floor=_json_number(obj, "likelihood_floor", 1e-300),
-            replications=_json_int(obj, "replications", 1),
+            a=obj.get("a", -1.0),
+            replications=obj.get("replications", 1),
         )
 
     @classmethod
@@ -228,7 +220,6 @@ class ExperimentConfig:
             "horizon": self.horizon,
             "rules": [_rule_to_json(r) for r in self.rules],
             "a": self.a,
-            "likelihood_floor": self.likelihood_floor,
             "replications": self.replications,
         }
 
@@ -357,7 +348,7 @@ def _score_grid(
     if rule.kind is RuleKind.INFERENTIAL:
         forecasts = [m.forecast for m in cfg.models]
         dens = gaussian_density_matrix(forecasts, xs.ravel()).reshape(model_crps.shape)
-        return np.fmax(cfg.likelihood_floor, dens)
+        return np.fmax(_LIKELIHOOD_FLOOR, dens)
     if rule.kind is RuleKind.GENERAL_BAYES:
         return np.exp(-rule.learning_rate * model_crps)
     return cfg.a * model_crps

@@ -532,18 +532,26 @@ class MixtureCRPS:
     & Johnson 2006).  Since crps(F_i, x) = E|X_i - x| - P[i, i]/2, the
     mixture's score at x is w.c + w.h - w'Pw/2 from the components' own
     scores c at x and h = diag(P)/2.  P depends on the forecasts alone and
-    is built once; P and h are read-only, so that they cannot drift apart.
+    is built once; P and h are read-only properties, so they cannot drift apart.
     :meth:`score` works on the last axis: weights and component scores of
     shape ``[..., n]`` give one score per row.
     """
 
-    __slots__ = ("pair", "half_self")
+    __slots__ = ("_pair", "_half_self")
 
     def __init__(self, forecasts: Sequence[Forecast]):
-        self.pair = expected_abs_difference(forecasts)
-        self.half_self = 0.5 * np.diag(self.pair)
-        self.pair.flags.writeable = False
-        self.half_self.flags.writeable = False
+        self._pair = expected_abs_difference(forecasts)
+        self._half_self = 0.5 * np.diag(self._pair)
+        self._pair.flags.writeable = False
+        self._half_self.flags.writeable = False
+
+    @property
+    def pair(self) -> np.ndarray:
+        return self._pair
+
+    @property
+    def half_self(self) -> np.ndarray:
+        return self._half_self
 
     def score(self, weights, component_crps):
         """Mixture CRPS of each row of ``weights`` at an outcome where the

@@ -47,7 +47,7 @@ from credal import (
     uniform,
 )
 from credal.core import as_values
-from credal.experiments import CSV_HEADER
+from credal.experiments import _LIKELIHOOD_FLOOR, CSV_HEADER
 from credal.measures import MixtureCRPS, sample_forecast
 from credal.updating import RuleKind
 
@@ -351,7 +351,7 @@ def _gaussian_density(f, x: float) -> float:
 def _step_posterior(rule, p, cfg, x, per_model):
     """One update of ``p`` at observation ``x``; ``per_model`` holds each model's CRPS at x."""
     if rule.kind is RuleKind.INFERENTIAL:
-        dens = [max(cfg.likelihood_floor, _gaussian_density(m.forecast, x)) for m in cfg.models]
+        dens = [max(_LIKELIHOOD_FLOOR, _gaussian_density(m.forecast, x)) for m in cfg.models]
         return inferential_update(p, likelihood_score(dens))
     if rule.kind is RuleKind.GENERAL_BAYES:
         losses = [LossValue(float(c), rule.learning_rate) for c in per_model]

@@ -119,3 +119,10 @@ def test_hand_picked_prior_forces_zero():
 def test_regularity_violation_batch():
     rep = regularity_violation_report(n_instances=500, seed=3)
     assert rep.passed
+
+
+@pytest.mark.parametrize("n_instances", [0, -3])
+def test_regularity_violation_report_needs_an_instance(n_instances):
+    # it returned passed=True after checking nothing
+    with pytest.raises(ValueError, match="n_instances must be at least 1"):
+        regularity_violation_report(n_instances=n_instances)

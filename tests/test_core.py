@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from credal import core
 from credal.core import format_floats
 from credal.experiments import ExperimentConfig, run_experiment
 from credal import (
-    HypothesisSet,
     ProbabilityVector,
     Credibility,
     conservative_normalize,
@@ -28,18 +28,6 @@ from credal import (
     verify_dominance,
     write_labeled_csv,
 )
-
-
-def test_hypothesis_set_validation():
-    hs = HypothesisSet(("H1", "H2", "H3"))
-    assert len(hs) == 3
-    assert hs.index("H2") == 1
-    with pytest.raises(ValueError):
-        HypothesisSet(())
-    with pytest.raises(ValueError):
-        HypothesisSet(("H1", "H1"))
-    with pytest.raises(ValueError):
-        HypothesisSet(("H1", ""))
 
 
 def test_credibility_range_checks():
@@ -93,10 +81,7 @@ def test_negative_or_nan_eps_rejected(eps):
     # such an eps let [0.5, 0.7] pass as probabilistic (NaN) or rejected
     # [0.5, 0.5] (negative)
     with pytest.raises(ValueError, match="eps must be non-negative"):
-        ProbabilityVector([0.5, 0.7], eps=eps)
-    with pytest.raises(ValueError, match="eps must be non-negative"):
         is_probabilistic([0.5, 0.5], eps)
-    ProbabilityVector([0.5, 0.5], eps=0.0)
     assert is_probabilistic([0.5, 0.5], 0.0)
 
 
@@ -163,6 +148,21 @@ def test_uniform_examples():
         uniform(0)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, "2", None])
+def test_ideal_credibility_and_uniform_reject_non_integer_arguments(bad):
+    # numpy took True as a mask that set every entry, and 1.0 as an index
+    # only to fail with its own IndexError text
+    for call, name in (
+        (lambda: ideal_credibility(bad, 2), "j"),
+        (lambda: ideal_credibility(0, bad), "n"),
+        (lambda: uniform(bad), "n"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name}: must be an integer, got {re.escape(repr(bad))}$"):
+            call()
+    np.testing.assert_array_equal(ideal_credibility(np.int64(1), np.int64(2)).values, [0.0, 1.0])
+    np.testing.assert_array_equal(uniform(np.int64(2)).values, [0.5, 0.5])
+
+
 def test_ideal_credibility_always_probabilistic():
     for n in range(1, 8):
         for j in range(n):
@@ -194,8 +194,8 @@ def test_csv_round_trip(tmp_path):
     write_labeled_csv(path, labels, values)
     text = path.read_text()
     assert text.splitlines() == ["label,value"] + [f"{k},{v:.17g}" for k, v in zip(labels, values.tolist())]
-    hs, back = read_labeled_csv(path)
-    assert hs.labels == tuple(labels)
+    read_labels, back = read_labeled_csv(path)
+    assert read_labels == tuple(labels)
     np.testing.assert_array_equal(back, values)  # 17 significant digits round-trip
 
 
@@ -209,8 +209,8 @@ def test_csv_rejects_bad_header(tmp_path):
 def test_csv_skips_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbflabel,value\na,0.25\nb,0.75\n")
-    hs, values = read_labeled_csv(path)
-    assert hs.labels == ("a", "b")
+    labels, values = read_labeled_csv(path)
+    assert labels == ("a", "b")
     np.testing.assert_array_equal(values, [0.25, 0.75])
 
 
@@ -229,6 +229,13 @@ def test_csv_rejects_empty_or_repeated_labels(tmp_path, body, message):
     path = tmp_path / "labels.csv"
     path.write_text("label,value\n" + body)
     with pytest.raises(ValueError, match=rf"labels\.csv: {message}$"):
+        read_labeled_csv(path)
+
+
+def test_csv_rejects_a_header_with_no_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("label,value\n")
+    with pytest.raises(ValueError, match=r"empty\.csv: no rows after the header$"):
         read_labeled_csv(path)
 
 

@@ -132,9 +132,10 @@ def test_probabilistic_report_is_the_certificate():
     assert not rep.dominated
     assert rep.dominator is None
     np.testing.assert_array_equal(rep.per_vertex_gap, np.zeros(3))
-    # the former search arguments are accepted and change nothing
-    again = verify_dominance(p, n_perturbations=7, seed=3)
-    np.testing.assert_array_equal(again.per_vertex_gap, rep.per_vertex_gap)
+    # the former search arguments are gone
+    for former in ({"n_perturbations": 7}, {"seed": 3}):
+        with pytest.raises(TypeError):
+            verify_dominance(p, **former)
     with pytest.raises(TypeError):
         verify_dominance(p, 1e-9, 10_000)
 

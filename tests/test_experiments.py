@@ -151,7 +151,6 @@ def test_config_json_round_trip():
     assert sorted(json.loads(blob)) == [
         "a",
         "horizon",
-        "likelihood_floor",
         "models",
         "replications",
         "rules",
@@ -269,6 +268,8 @@ def test_config_json_rejects_non_integer_counts(key):
     obj[key] = 3.7
     with pytest.raises(ValueError, match=f"{key}: must be an integer, got 3.7"):
         ExperimentConfig.from_json(obj)
+    with pytest.raises(ValueError, match=f"{key}: must be an integer, got 3.7"):
+        small_config(**{key: 3.7})
 
 
 @pytest.mark.parametrize("key", ["seed", "horizon", "replications"])
@@ -277,6 +278,8 @@ def test_config_json_rejects_boolean_counts(key):
     obj[key] = True
     with pytest.raises(ValueError, match=f"{key}: must be an integer, got True"):
         ExperimentConfig.from_json(obj)
+    with pytest.raises(ValueError, match=f"{key}: must be an integer, got True"):
+        small_config(**{key: True})
 
 
 def test_single_model_posterior_pinned():
@@ -404,7 +407,7 @@ def _set_forecast(kind, key, value):
     [
         (lambda o: o.update(a=True), r"config: a: must be a number, got True"),
         (lambda o: o.update(a="-1"), r"config: a: must be a number, got '-1'"),
-        (lambda o: o.update(likelihood_floor=True), r"likelihood_floor: must be a number, got True"),
+        (lambda o: o.update(likelihood_floor=True), r"unknown keys \['likelihood_floor'\]"),
         (lambda o: _set_rate(o, True), r"general_bayes rule literal: rate: must be a number, got True"),
         (lambda o: _set_rate(o, "1"), r"general_bayes rule literal: rate: must be a number, got '1'"),
         (_set_forecast("gaussian", "mu", "0"), r"gaussian forecast literal: mu: must be a number, got '0'"),
@@ -426,11 +429,11 @@ def test_config_json_rejects_non_numbers_and_non_string_labels(mutate, message):
 
 def test_config_json_accepts_integer_numbers():
     obj = small_config().to_json()
-    obj.update(a=-2, likelihood_floor=1)
+    obj.update(a=-2)
     obj["rules"] = [{"kind": "general_bayes", "rate": 2}]
     obj["models"][0]["forecast"] = {"kind": "gaussian", "mu": 0, "sigma": 1}
     cfg = ExperimentConfig.from_json(obj)
-    assert (cfg.a, cfg.likelihood_floor, cfg.rules[0].learning_rate) == (-2.0, 1.0, 2.0)
+    assert (cfg.a, cfg.rules[0].learning_rate) == (-2.0, 2.0)
     assert cfg.models[0].forecast == Gaussian(0.0, 1.0)
 
 

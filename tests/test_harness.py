@@ -24,6 +24,7 @@ from credal import (
     sequential_update,
     uniform,
 )
+from credal.experiments import _LIKELIHOOD_FLOOR
 from credal.measures import MixtureCRPS, gaussian_density_matrix
 
 # few distinct parameters, so that models tie and projections cut through ties
@@ -181,7 +182,7 @@ def test_sequential_update_folds_a_replication_as_the_harness_does():
     for rep in range(cfg.replications):
         density = gaussian_density_matrix(forecasts, generate_data(cfg.seed, cfg.truth, cfg.horizon, rep))
         streams = (
-            [likelihood_score(np.fmax(cfg.likelihood_floor, row)) for row in density],
+            [likelihood_score(np.fmax(_LIKELIHOOD_FLOOR, row)) for row in density],
             [ScoreVector(cfg.a * row, Mode.ADDITIVE) for row in result.crps[rep]],
             [exp_loss_score([LossValue(c, 0.7) for c in row.tolist()]) for row in result.crps[rep]],
         )

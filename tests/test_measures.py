@@ -501,6 +501,16 @@ def test_mixture_arrays_are_read_only():
             a[0] = 1.0
 
 
+def test_mixture_arrays_cannot_be_rebound():
+    # a rebound pair kept the old diagonal in half_self: one-hot weights on
+    # the Gaussian scored 0.864 instead of its own 0.3, with no error
+    mixture = MixtureCRPS([Gaussian(0.0, 1.0), PointMass(2.0)])
+    for name, value in (("pair", np.zeros((2, 2))), ("half_self", np.zeros(2))):
+        with pytest.raises(AttributeError):
+            setattr(mixture, name, value)
+    assert mixture.score([1.0, 0.0], [0.3, 2.0]) == 0.3
+
+
 def test_mixture_score_names_both_lengths_on_a_mismatch():
     mixture = MixtureCRPS([Gaussian(0.0, 1.0), PointMass(2.0), PointMass(-1.0)])
     with pytest.raises(ValueError, match="weights have a last axis of length 2, the mixture has 3 components"):
