@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProbabilityVector
+from .core import ProbabilityVector, checked_int
 from .measures import Mode, ModeMismatchError, ScoreVector
 from .updating import predictive_update
 
@@ -81,10 +81,8 @@ FD_RTOL = 1e-4
 
 def _sample_triples(n_samples: int, seed: int, diagonal_probes: bool) -> np.ndarray:
     lo, hi = DOMAIN
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, (n_samples, 3))
+    rng = np.random.default_rng(checked_int(seed, "seed"))
+    pts = rng.uniform(lo, hi, (checked_int(n_samples, "n_samples", 1), 3))
     span = hi - lo
     probes = [(lo + 0.2 * span, lo + 0.35 * span, lo + 0.6 * span)]
     if diagonal_probes:
@@ -93,12 +91,23 @@ def _sample_triples(n_samples: int, seed: int, diagonal_probes: bool) -> np.ndar
     return np.vstack([pts, np.array(probes)])
 
 
+def _worst(triples: np.ndarray, residual: Callable[[float, float, float], float]) -> tuple[float, str]:
+    """The largest ``residual(x, y, z)`` over ``triples``, and a note: a NaN
+    residual stops the scan with ``inf`` and a note naming its triple."""
+    worst = 0.0
+    for x, y, z in triples.tolist():
+        r = residual(x, y, z)
+        if math.isnan(r):
+            return math.inf, f"non-finite value at (x={x:.6g}, y={y:.6g}, z={z:.6g})"
+        worst = max(worst, r)
+    return worst, ""
+
+
 def _safe_eval(f: Callable[[float, float], float], x: float, y: float) -> float:
     try:
-        v = float(f(x, y))
+        return float(f(x, y))
     except (ArithmeticError, ValueError):
         return math.nan
-    return v
 
 
 def check_combination_axioms(
@@ -122,19 +131,11 @@ def check_combination_axioms(
 
     A non-finite value fails the corresponding check and records where it
     occurred.  Sample triples always include one fixed asymmetric probe and
-    three diagonal probes in addition to the seeded draws.
+    three diagonal probes in addition to the seeded draws.  ``n_samples``
+    (at least 1) and ``seed`` must be integers: ``seed=0.7`` raises
+    ``ValueError("seed: must be an integer, got 0.7")``.
     """
     triples = _sample_triples(n_samples, seed, diagonal_probes=True)
-
-    def worst(pairs_fn) -> tuple[float, str]:
-        res, note = 0.0, ""
-        for x, y, z in triples:
-            r = pairs_fn(float(x), float(y), float(z))
-            if math.isnan(r):
-                return math.inf, f"non-finite value at (x={x:.6g}, y={y:.6g}, z={z:.6g})"
-            if r > res:
-                res = r
-        return res, note
 
     def comm(x, y, z):
         a, b = _safe_eval(f, x, y), _safe_eval(f, y, x)
@@ -154,38 +155,32 @@ def check_combination_axioms(
         )
         return v / (4.0 * h * h)
 
-    comm_res, comm_note = worst(comm)
-    assoc_res, assoc_note = worst(assoc)
+    comm_res, comm_note = _worst(triples, comm)
+    assoc_res, assoc_note = _worst(triples, assoc)
 
-    est_h = np.array([mixed_partial(x, y, FD_STEP) for x, y, _ in triples])
-    est_h2 = np.array([mixed_partial(x, y, FD_STEP / 2.0) for x, y, _ in triples])
+    est_h = np.array([mixed_partial(x, y, FD_STEP) for x, y, _ in triples.tolist()])
+    est_h2 = np.array([mixed_partial(x, y, FD_STEP / 2.0) for x, y, _ in triples.tolist()])
 
-    if not np.all(np.isfinite(est_h)) or not np.all(np.isfinite(est_h2)):
-        bad = int(np.flatnonzero(~(np.isfinite(est_h) & np.isfinite(est_h2)))[0])
-        where = f"non-finite derivative estimate at (x={triples[bad,0]:.6g}, y={triples[bad,1]:.6g})"
-        diff_res, diff_note = math.inf, where
-        const_res, const_note, k = math.inf, where, math.nan
+    finite = np.isfinite(est_h) & np.isfinite(est_h2)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        note = f"non-finite derivative estimate at (x={triples[bad,0]:.6g}, y={triples[bad,1]:.6g})"
+        diff_res = const_res = math.inf
+        k = None
     else:
+        note = ""
         scale = np.maximum(1.0, np.maximum(np.abs(est_h), np.abs(est_h2)))
         diff_res = float(np.max(np.abs(est_h - est_h2) / scale))
-        diff_note = ""
         k = float(np.median(est_h))
         const_res = float(np.max(np.abs(est_h - k)))
-        const_note = ""
 
     checks = (
         AxiomCheck("commutativity", comm_res <= tol, comm_res, note=comm_note),
         AxiomCheck("associativity", assoc_res <= tol, assoc_res, note=assoc_note),
-        AxiomCheck("differentiability", diff_res <= FD_RTOL, diff_res, note=diff_note),
-        AxiomCheck(
-            "mixed_partial_constancy",
-            const_res <= tol,
-            const_res,
-            fitted=None if math.isnan(k) else k,
-            note=const_note,
-        ),
+        AxiomCheck("differentiability", diff_res <= FD_RTOL, diff_res, note=note),
+        AxiomCheck("mixed_partial_constancy", const_res <= tol, const_res, fitted=k, note=note),
     )
-    return AxiomReport(checks, n_samples, seed)
+    return AxiomReport(checks, int(n_samples), int(seed))  # checked by _sample_triples
 
 
 def _combiner(combination: Mode) -> Callable[[float, float], float]:
@@ -210,24 +205,21 @@ def check_commutation(
     then combining with z, i.e. f(c(x, f(c(y, z)))) == f(c(f(c(x, y)), z))
     on every triple sampled from ``DOMAIN``.  Residuals are relative.
     Constant-scale families pass for the matching combination; genuinely
-    nonlinear rescalings such as squaring fail.
+    nonlinear rescalings such as squaring fail.  A non-finite value fails
+    the check and names the first triple where it occurred.  ``n_samples``
+    and ``seed`` are checked as in :func:`check_combination_axioms`.
     """
     c = _combiner(combination)
     f = rescale_family
-    triples = _sample_triples(n_samples, seed, diagonal_probes=False)
-    worst, note = 0.0, ""
-    for x, y, z in triples:
-        x, y, z = float(x), float(y), float(z)
-        left = f(c(x, f(c(y, z))))
-        right = f(c(f(c(x, y)), z))
-        if not (math.isfinite(left) and math.isfinite(right)):
-            worst, note = math.inf, f"non-finite value at (x={x:.6g}, y={y:.6g}, z={z:.6g})"
-            break
-        r = abs(left - right) / max(1.0, abs(left), abs(right))
-        if r > worst:
-            worst = r
+
+    def relative(x, y, z):
+        left, right = f(c(x, f(c(y, z)))), f(c(f(c(x, y)), z))
+        finite = math.isfinite(left) and math.isfinite(right)
+        return abs(left - right) / max(1.0, abs(left), abs(right)) if finite else math.nan
+
+    worst, note = _worst(_sample_triples(n_samples, seed, diagonal_probes=False), relative)
     checks = (AxiomCheck("commutation", worst <= tol, worst, note=note),)
-    return AxiomReport(checks, n_samples, seed)
+    return AxiomReport(checks, int(n_samples), int(seed))  # checked by _sample_triples
 
 
 def construct_regularity_violation(e: ScoreVector) -> tuple[ProbabilityVector, int]:
@@ -263,10 +255,10 @@ def regularity_violation_report(n_instances: int = 1000, seed: int = 0) -> Axiom
     Draws random non-constant additive score vectors, builds the violating
     prior for each, runs the additive update, and counts instances whose
     posterior has no zero entry (the residual; must be 0) and instances
-    where the predicted index survived.
+    where the predicted index survived.  ``n_instances`` (at least 1) and
+    ``seed`` must be integers.
     """
-    if n_instances < 1:
-        raise ValueError("n_instances must be at least 1")
+    n_instances, seed = checked_int(n_instances, "n_instances", 1), checked_int(seed, "seed")
     rng = np.random.default_rng(seed)
     no_zero = 0
     wrong_index = 0

@@ -128,30 +128,26 @@ def _cmd_dominance(args) -> int:
     return 0
 
 
+_COMBINATIONS = (
+    ("multiplication", "pass", lambda a, b: a * b),
+    ("addition", "pass", lambda a, b: a + b),
+    ("subtraction", "fail", lambda a, b: a - b),
+    ("max", "fail", max),
+)
+_RESCALINGS = (
+    ("multiplicative-constant-scale", "pass", Mode.MULTIPLICATIVE, lambda x: 0.5 * x),
+    ("additive-constant-shift", "pass", Mode.ADDITIVE, lambda x: x - 0.3),
+    ("multiplicative-square", "fail", Mode.MULTIPLICATIVE, lambda x: x * x),
+)
+
+
 def _props_suites(tol: float, seed: int, samples: int):
-    mul = lambda a, b: a * b
-    add = lambda a, b: a + b
-    sub_ = lambda a, b: a - b
-    mx = lambda a, b: max(a, b)
-    yield ("combination/multiplication", "pass",
-           check_combination_axioms(mul, n_samples=samples, seed=seed, tol=tol))
-    yield ("combination/addition", "pass",
-           check_combination_axioms(add, n_samples=samples, seed=seed, tol=tol))
-    yield ("combination/subtraction", "fail",
-           check_combination_axioms(sub_, n_samples=samples, seed=seed, tol=tol))
-    yield ("combination/max", "fail",
-           check_combination_axioms(mx, n_samples=samples, seed=seed, tol=tol))
-    yield ("commutation/multiplicative-constant-scale", "pass",
-           check_commutation(Mode.MULTIPLICATIVE, lambda x: 0.5 * x,
-                             n_samples=samples, seed=seed, tol=tol))
-    yield ("commutation/additive-constant-shift", "pass",
-           check_commutation(Mode.ADDITIVE, lambda x: x - 0.3,
-                             n_samples=samples, seed=seed, tol=tol))
-    yield ("commutation/multiplicative-square", "fail",
-           check_commutation(Mode.MULTIPLICATIVE, lambda x: x * x,
-                             n_samples=samples, seed=seed, tol=tol))
-    yield ("regularity-violation/forced-zero", "pass",
-           regularity_violation_report(n_instances=max(1, samples // 2), seed=seed))
+    """``(suite, expected outcome, report)`` of each combination, each rescaling, then the forced zero."""
+    for name, expected, f in _COMBINATIONS:
+        yield f"combination/{name}", expected, check_combination_axioms(f, samples, seed, tol)
+    for name, expected, mode, rescale in _RESCALINGS:
+        yield f"commutation/{name}", expected, check_commutation(mode, rescale, samples, seed, tol)
+    yield "regularity-violation/forced-zero", "pass", regularity_violation_report(max(1, samples // 2), seed)
 
 
 def _cmd_props(args) -> int:

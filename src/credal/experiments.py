@@ -99,24 +99,18 @@ _RULE_KEYS = {"inferential": {"kind"}, "predictive": {"kind"}, "general_bayes": 
 
 def _parse_rule(obj) -> UpdateRule:
     if isinstance(obj, str):
-        kind = obj
-        rate = None
-    elif isinstance(obj, dict):
-        kind = required_key(obj, "kind", "rule literal")
-        rate = obj.get("rate")
-        if kind in _RULE_KEYS:
-            reject_unknown_keys(obj, _RULE_KEYS[kind], f"{kind} rule literal")
-    else:
+        obj = {"kind": obj}
+    elif not isinstance(obj, dict):
         raise ValueError(f"cannot parse rule literal: {obj!r}")
-    if kind == "inferential":
-        return UpdateRule.inferential()
-    if kind == "predictive":
-        return UpdateRule.predictive()
-    if kind == "general_bayes":
-        if rate is None:
-            raise ValueError("general_bayes rule literal needs a 'rate'")
-        return UpdateRule.general_bayes(json_number(rate, "general_bayes rule literal: rate"))
-    raise ValueError(f"unknown rule kind: {kind!r}")
+    kind = required_key(obj, "kind", "rule literal")
+    if kind not in _RULE_KEYS:
+        raise ValueError(f"unknown rule kind: {kind!r}")
+    reject_unknown_keys(obj, _RULE_KEYS[kind], f"{kind} rule literal")
+    if kind != "general_bayes":
+        return UpdateRule(RuleKind(kind))
+    if obj.get("rate") is None:
+        raise ValueError("general_bayes rule literal needs a 'rate'")
+    return UpdateRule.general_bayes(json_number(obj["rate"], "general_bayes rule literal: rate"))
 
 
 def _parse_model(obj) -> ModelSpec:
@@ -228,11 +222,11 @@ def generate_data(seed: int, truth: Forecast, horizon: int, replication: int = 0
     """Deterministic i.i.d. draws from the truth distribution.
 
     The stream depends on (seed, replication) only, so every rule sees the
-    same data within a replication.
+    same data within a replication.  ``seed``, ``horizon`` (at least 1)
+    and ``replication`` (at least 0) must be integers.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    return sample_forecast(truth, _rng(seed, _DATA_STREAM, replication), horizon)
+    rng = _rng(core.checked_int(seed, "seed"), _DATA_STREAM, core.checked_int(replication, "replication", 0))
+    return sample_forecast(truth, rng, core.checked_int(horizon, "horizon", 1))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import json_number, reject_unknown_keys, required_key
+from .core import checked_int, json_number, reject_unknown_keys, required_key
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -81,6 +81,7 @@ class PointMass:
     location: float
 
     def __post_init__(self):
+        object.__setattr__(self, "location", json_number(self.location, "point-mass location"))
         if not math.isfinite(self.location):
             raise ValueError("point-mass location must be finite")
 
@@ -93,6 +94,8 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", json_number(self.mu, "gaussian mu"))
+        object.__setattr__(self, "sigma", json_number(self.sigma, "gaussian sigma"))
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError("gaussian parameters must be finite")
         if self.sigma <= 0.0:
@@ -170,7 +173,8 @@ def forecast_to_json(f: Forecast) -> dict:
 
 
 def sample_forecast(f: Forecast, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. values from a forecast distribution."""
+    """Draw ``size`` (an integer, at least 0) i.i.d. values from a forecast distribution."""
+    size = checked_int(size, "size", 0)
     if isinstance(f, PointMass):
         return np.full(size, f.location)
     if isinstance(f, Gaussian):
@@ -198,13 +202,13 @@ def crps_monte_carlo(
 
     Samples i.i.d. triples (X, X1, X2) and averages |X - x| - 0.5|X1 - X2|.
     Returns ``(estimate, standard_error)``.  Independent of the closed forms
-    in :func:`crps_matrix`, so it serves as their cross-check.
+    in :func:`crps_matrix`, so it serves as their cross-check.  ``n_draws``
+    (at least 2) and ``seed`` must be integers.
     """
     if not math.isfinite(x):
         raise ValueError("observed outcome must be finite")
-    if n_draws < 2:
-        raise ValueError("n_draws must be at least 2")
-    rng = np.random.default_rng(seed)
+    n_draws = checked_int(n_draws, "n_draws", 2)
+    rng = np.random.default_rng(checked_int(seed, "seed"))
     draws = sample_forecast(f, rng, 3 * n_draws).reshape(3, n_draws)
     stat = np.abs(draws[0] - x) - 0.5 * np.abs(draws[1] - draws[2])
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(n_draws))
@@ -610,6 +614,8 @@ class LossValue:
     learning_rate: float
 
     def __post_init__(self):
+        object.__setattr__(self, "value", json_number(self.value, "loss value"))
+        object.__setattr__(self, "learning_rate", json_number(self.learning_rate, "loss learning_rate"))
         if not (math.isfinite(self.value) and math.isfinite(self.learning_rate)):
             raise ValueError("loss and learning rate must be finite")
         if self.value < 0.0:

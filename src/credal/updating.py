@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProbabilityVector, as_values
+from .core import ProbabilityVector, as_values, json_number
 from .measures import LossValue, Mode, ModeMismatchError, ScoreVector, _shared_rate_losses
 
 
@@ -44,7 +44,8 @@ class UpdateRule:
 
     def __post_init__(self):
         if self.kind is RuleKind.GENERAL_BAYES:
-            rate = self.learning_rate
+            rate = None if self.learning_rate is None else json_number(self.learning_rate, "general-Bayes rule: rate")
+            object.__setattr__(self, "learning_rate", rate)
             if rate is None or not (math.isfinite(rate) and rate > 0.0):
                 raise ValueError(f"general-Bayes rule needs a positive, finite learning rate, got {rate!r}")
         elif self.learning_rate is not None:

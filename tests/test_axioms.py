@@ -15,6 +15,7 @@ from credal import (
     predictive_update,
     regularity_violation_report,
 )
+from credal.axioms import _sample_triples
 
 
 def test_multiplication_passes_combination_axioms():
@@ -58,6 +59,14 @@ def test_non_finite_values_are_reported():
     assert any("non-finite" in c.note for c in failing)
 
 
+def test_an_overflowing_combination_is_reported_in_every_check():
+    # the derivative estimates called f on numpy scalars, whose overflow only
+    # warns (an error under this suite's filterwarnings) where Python floats raise
+    rep = check_combination_axioms(lambda a, b: (a * b) ** 400, n_samples=5, seed=0)
+    assert [(c.passed, c.residual) for c in rep.checks] == [(False, math.inf)] * 4
+    assert rep.check("differentiability").note.startswith("non-finite derivative estimate at (x=")
+
+
 def test_commutation_constant_families_pass():
     assert check_commutation(Mode.MULTIPLICATIVE, lambda x: 0.5 * x, seed=0).passed
     assert check_commutation(Mode.ADDITIVE, lambda x: x - 0.3, seed=0).passed
@@ -80,6 +89,23 @@ def test_commutation_square_known_triples():
     assert left(2, 2, 2) == right(2, 2, 2) == 1024
     assert left(2, 3, 5) == 202500
     assert right(2, 3, 5) == 32400
+
+
+def test_commutation_names_the_first_triple_where_a_rescaling_overflows():
+    # 1e153 * 1e153 * x * y * z overflows where x * y * z > 179.77 (about a
+    # quarter of the triples); the scan stops at the first such triple
+    rescale = lambda v: 1e153 * v
+    rep = check_commutation(Mode.MULTIPLICATIVE, rescale, n_samples=40, seed=0)
+    triples = _sample_triples(40, 0, diagonal_probes=False).tolist()
+    bad = [
+        i for i, (x, y, z) in enumerate(triples)
+        if not (math.isfinite(rescale(x * rescale(y * z))) and math.isfinite(rescale(rescale(x * y) * z)))
+    ]
+    assert 0 < bad[0] < len(triples) - 1  # finite triples come before it and after it
+    x, y, z = triples[bad[0]]
+    check = rep.check("commutation")
+    assert not check.passed and check.residual == math.inf
+    assert check.note == f"non-finite value at (x={x:.6g}, y={y:.6g}, z={z:.6g})"
 
 
 def test_regularity_violation_examples():

@@ -247,6 +247,27 @@ def test_csv_rejects_non_finite_values(tmp_path, text):
         read_labeled_csv(path)
 
 
+@pytest.mark.parametrize(
+    "labels, values, message",
+    [
+        (["a", "b"], [0.5, math.nan], "value for 'b' is not finite: nan"),
+        (["a", "b"], [math.inf, 0.5], "value for 'a' is not finite: inf"),
+        (["a", "a"], [0.5, 0.5], "repeated label 'a'"),
+        (["a", ""], [0.5, 0.5], "label '': must be a non-empty string"),
+        (["a", 1], [0.5, 0.5], "label 1: must be a non-empty string"),
+        (["a", None], [0.5, 0.5], "label None: must be a non-empty string"),
+    ],
+    ids=["nan", "inf", "repeated", "empty", "int", "none"],
+)
+def test_csv_writer_refuses_what_the_reader_refuses(tmp_path, labels, values, message):
+    # each of these files used to be written, and read_labeled_csv refused it
+    # (or, for the label 1, read it back as the string "1")
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        write_labeled_csv(path, labels, values)
+    assert not path.exists()
+
+
 def python_text(values) -> list:
     return [format(v, ".17g") for v in np.ravel(values).tolist()]
 

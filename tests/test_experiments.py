@@ -10,6 +10,7 @@ from oracles import monte_carlo_mixture_crps
 from credal import (
     ExperimentConfig,
     Gaussian,
+    LossValue,
     ModelSpec,
     PointMass,
     ProbabilityVector,
@@ -445,3 +446,34 @@ def test_labels_that_would_break_the_csv_are_rejected(label):
         ExperimentConfig.from_json(obj)
     with pytest.raises(ValueError, match="must not contain"):
         ModelSpec(label, Gaussian(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Gaussian(True, 1.0), "gaussian mu: must be a number, got True"),
+        (lambda: Gaussian(0.0, "1"), "gaussian sigma: must be a number, got '1'"),
+        (lambda: PointMass(True), "point-mass location: must be a number, got True"),
+        (lambda: UpdateRule.general_bayes(True), "general-Bayes rule: rate: must be a number, got True"),
+        (lambda: LossValue(True, 1.0), "loss value: must be a number, got True"),
+        (lambda: LossValue(1.0, "2"), "loss learning_rate: must be a number, got '2'"),
+    ],
+    ids=["gaussian-mu", "gaussian-sigma", "point-mass", "general-bayes", "loss-value", "loss-rate"],
+)
+def test_forecasts_rules_and_losses_built_directly_check_their_numbers(build, message):
+    # True was accepted and a config holding it failed only on its JSON round
+    # trip; a string failed with Python's TypeError
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        build()
+
+
+def test_config_of_numpy_and_integer_numbers_survives_its_json_round_trip():
+    cfg = small_config(
+        truth=PointMass(np.float32(0.5)),
+        models=(ModelSpec("a", Gaussian(np.int64(0), 1)), ModelSpec("b", Gaussian(np.float32(0.25), np.float64(2.0)))),
+        rules=(UpdateRule.predictive(), UpdateRule.general_bayes(np.int64(2))),
+    )
+    assert type(cfg.truth.location) is type(cfg.models[0].forecast.mu) is type(cfg.rules[1].learning_rate) is float
+    assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+    loss = LossValue(np.int64(1), np.float32(0.5))
+    assert (loss.value, loss.learning_rate) == (1.0, 0.5) and type(loss.value) is float
