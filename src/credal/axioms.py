@@ -92,12 +92,16 @@ def _sample_triples(n_samples: int, seed: int, diagonal_probes: bool) -> np.ndar
 
 
 def _worst(triples: np.ndarray, residual: Callable[[float, float, float], float]) -> tuple[float, str]:
-    """The largest ``residual(x, y, z)`` over ``triples``, and a note: a NaN
-    residual stops the scan with ``inf`` and a note naming its triple."""
+    """The largest ``residual(x, y, z)`` over ``triples``, and a note: a
+    residual that raises ``ArithmeticError`` or ``ValueError``, or is not
+    finite, stops the scan with ``inf`` and a note naming its triple."""
     worst = 0.0
     for x, y, z in triples.tolist():
-        r = residual(x, y, z)
-        if math.isnan(r):
+        try:
+            r = residual(x, y, z)
+        except (ArithmeticError, ValueError):
+            r = math.nan
+        if not math.isfinite(r):
             return math.inf, f"non-finite value at (x={x:.6g}, y={y:.6g}, z={z:.6g})"
         worst = max(worst, r)
     return worst, ""
@@ -138,13 +142,10 @@ def check_combination_axioms(
     triples = _sample_triples(n_samples, seed, diagonal_probes=True)
 
     def comm(x, y, z):
-        a, b = _safe_eval(f, x, y), _safe_eval(f, y, x)
-        return abs(a - b) if math.isfinite(a - b) else math.nan
+        return abs(_safe_eval(f, x, y) - _safe_eval(f, y, x))
 
     def assoc(x, y, z):
-        left = _safe_eval(f, _safe_eval(f, x, y), z)
-        right = _safe_eval(f, x, _safe_eval(f, y, z))
-        return abs(left - right) if math.isfinite(left - right) else math.nan
+        return abs(_safe_eval(f, _safe_eval(f, x, y), z) - _safe_eval(f, x, _safe_eval(f, y, z)))
 
     def mixed_partial(x, y, h):
         v = (
@@ -214,8 +215,7 @@ def check_commutation(
 
     def relative(x, y, z):
         left, right = f(c(x, f(c(y, z)))), f(c(f(c(x, y)), z))
-        finite = math.isfinite(left) and math.isfinite(right)
-        return abs(left - right) / max(1.0, abs(left), abs(right)) if finite else math.nan
+        return abs(left - right) / max(1.0, abs(left), abs(right))
 
     worst, note = _worst(_sample_triples(n_samples, seed, diagonal_probes=False), relative)
     checks = (AxiomCheck("commutation", worst <= tol, worst, note=note),)

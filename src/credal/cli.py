@@ -21,7 +21,7 @@ from .axioms import (
     check_commutation,
     regularity_violation_report,
 )
-from .core import DEFAULT_EPS, Credibility, ProbabilityVector, read_labeled_csv, write_labeled_csv
+from .core import DEFAULT_EPS, Credibility, ProbabilityVector, negative_number, read_labeled_csv, write_labeled_csv
 from .dominance import verify_dominance
 from .experiments import ExperimentConfig, run_experiment
 from .measures import LossValue, Mode, ModeMismatchError, ScoreVector
@@ -78,9 +78,7 @@ def _cmd_update(args) -> int:
         posterior = general_bayes_update(prior, losses)
     else:
         if args.a is not None:
-            if not args.a < 0.0:
-                raise ValueError(f"--a must be negative, got {args.a!r}")
-            score_values = args.a * score_values
+            score_values = negative_number(args.a, "--a") * score_values
         result = predictive_update(prior, ScoreVector(score_values, Mode.ADDITIVE))
         write_labeled_csv(args.out, labels, result.posterior.values)
         print(json.dumps({"d": result.d, "zeroed": sorted(result.zeroed), "rule": "predictive"}))

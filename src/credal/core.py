@@ -21,31 +21,42 @@ import numpy as np
 DEFAULT_EPS = 1e-9
 
 
-def as_values(x) -> np.ndarray:
-    """Return the float64 vector behind a wrapper type or array-like."""
-    v = np.asarray(getattr(x, "values", x), dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a non-empty 1-d vector, got shape {v.shape}")
-    return v
+def as_values(x, what: str = "entries", frozen: bool = False) -> np.ndarray:
+    """The float64 vector behind a wrapper (its ``values``) or an array-like:
+    the one conversion of every public vector input.  Any shape but a
+    non-empty 1-d vector, a bool, string or object dtype and a list holding a
+    bool (which numpy reads as a number) raise ``ValueError`` naming ``what``;
+    a float64 array costs a look at its dtype and shape alone.  ``frozen``, for
+    the vector types, returns a read-only copy and refuses a non-finite entry."""
+    v = getattr(x, "values", x)
+    a = np.asarray(v)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{what}: expected a non-empty 1-d vector, got shape {a.shape}")
+    listed_bool = a is not v and not isinstance(v, np.ndarray) and any(isinstance(e, (bool, np.bool_)) for e in v)
+    if a.dtype.kind not in "fiu" or listed_bool:
+        raise ValueError(f"{what}: must be numbers, not booleans, strings or objects")
+    if not frozen:
+        return a.astype(float, copy=False)
+    a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    a.flags.writeable = False
+    return a
 
 
 class Credibility:
     """Per-hypothesis plausibility scores, each in [0, 1].
 
-    Entries need not sum to one.  Immutable after construction.
+    Entries need not sum to one.  Immutable after construction.  Refuses
+    what :func:`as_values` refuses when ``frozen``, and entries outside [0, 1].
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        v = np.array(values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("credibility needs a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("credibility entries must be finite")
+        v = as_values(values, "credibility entries", frozen=True)
         if np.any(v < 0.0) or np.any(v > 1.0):
             raise ValueError("credibility entries must lie in [0, 1]")
-        v.flags.writeable = False
         self._values = v
 
     @property
@@ -62,13 +73,14 @@ class Credibility:
 class ProbabilityVector:
     """Non-negative vector summing to one within ``DEFAULT_EPS``.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads.  Refuses
+    what :func:`as_values` refuses when ``frozen``, negative entries and sums off 1.
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        self._values = self._checked(np.array(values, dtype=float))
+        self._values = self._checked(as_values(values, "probability entries", frozen=True))
 
     @classmethod
     def _adopt(cls, v: np.ndarray) -> "ProbabilityVector":
@@ -77,13 +89,11 @@ class ProbabilityVector:
         The checks of the constructor run, and ``v`` becomes read-only.
         """
         self = cls.__new__(cls)
-        self._values = cls._checked(v)
+        self._values = cls._checked(as_values(v, "probability entries"))
         return self
 
     @staticmethod
     def _checked(v: np.ndarray) -> np.ndarray:
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("probability vector needs a non-empty 1-d vector")
         lowest, total = _min_and_sum(v, "probability entries")
         if not lowest >= 0.0:
             raise ValueError("probability entries must be non-negative")
@@ -101,11 +111,6 @@ class ProbabilityVector:
 
     def __repr__(self) -> str:
         return f"ProbabilityVector({self._values.tolist()})"
-
-
-def _check_eps(eps: float) -> None:
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps!r}")
 
 
 def _min_and_sum(v: np.ndarray, what: str) -> tuple[float, float]:
@@ -133,8 +138,9 @@ def is_probabilistic(c, eps: float = DEFAULT_EPS) -> bool:
     :class:`Credibility`, :class:`ProbabilityVector`, or any array-like.
     A negative or NaN ``eps`` raises ``ValueError``.
     """
-    _check_eps(eps)
-    lowest, total = _min_and_sum(as_values(c), "entries")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be non-negative, got {eps!r}")
+    lowest, total = _min_and_sum(as_values(c, "c"), "entries")
     return lowest >= 0.0 and abs(total - 1.0) <= eps
 
 
@@ -179,6 +185,14 @@ def json_number(value, what: str) -> float:
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{what}: must be a number, got {value!r}")
     return float(value)
+
+
+def negative_number(value, what: str) -> float:
+    """:func:`json_number`, also refusing a number that is not finite and negative (a scale ``a``)."""
+    a = json_number(value, what)
+    if not (math.isfinite(a) and a < 0.0):
+        raise ValueError(f"{what}: must be negative, got {value!r}")
+    return a
 
 
 def checked_int(value, what: str, least: int | None = None) -> int:
@@ -469,7 +483,7 @@ def write_labeled_csv(path, labels, values) -> None:
     """Write ``label,value`` rows under a header, values as ``%.17g`` (round-trip exact).
     Only what :func:`read_labeled_csv` reads back is written: a non-string, empty or repeated
     label, or a non-finite value, raises ``ValueError`` naming the label before the file is opened."""
-    v = as_values(values)
+    v = as_values(values, "values")
     labels = list(labels)
     if len(labels) != v.size:
         raise ValueError("labels and values must have the same length")

@@ -71,12 +71,10 @@ class DominanceReport:
 
 
 def divergence(a, b) -> float:
-    """Squared Euclidean divergence between two vectors: sum((a-b)^2)."""
-    av, bv = as_values(a), as_values(b)
+    """Squared Euclidean divergence between two finite vectors: sum((a-b)^2)."""
+    av, bv = as_values(a, "a", frozen=True), as_values(b, "b", frozen=True)
     if av.size != bv.size:
         raise ValueError("vectors must have the same length")
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
-        raise ValueError("entries must be finite")
     diff = av - bv
     return float(np.dot(diff, diff))
 
@@ -88,7 +86,7 @@ def project_to_simplex(v) -> ProbabilityVector:
     (:func:`credal.updating.conservative_normalize`), computed by the same
     kernel; only the projected vector is returned.
     """
-    return ProbabilityVector._adopt(_simplex_projection(as_values(v))[0])
+    return ProbabilityVector._adopt(_simplex_projection(as_values(v, "v"))[0])
 
 
 def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
@@ -114,7 +112,7 @@ def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
     ``eps`` must be non-negative; a negative or NaN ``eps`` raises
     ``ValueError``.
     """
-    cv = as_values(c)
+    cv = as_values(c, "c")
     if is_probabilistic(cv, eps):
         return DominanceReport._adopt(False, None, np.zeros(cv.size))
     posterior, d, keep = _simplex_projection(cv)

@@ -168,8 +168,10 @@ class ExperimentConfig:
         kinds = [r.kind for r in self.rules]
         if len(set(kinds)) != len(kinds):
             problems.append("rules: at most one rule of each kind")
-        if not (math.isfinite(self.a) and self.a < 0.0):
-            problems.append("a: must be negative")
+        try:
+            core.negative_number(self.a, "a")
+        except ValueError as exc:
+            problems.append(str(exc))
         if RuleKind.INFERENTIAL in kinds and not all(
             isinstance(m.forecast, Gaussian) for m in self.models
         ):

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import checked_int, json_number, reject_unknown_keys, required_key
+from .core import as_values, checked_int, json_number, negative_number, reject_unknown_keys, required_key
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -40,22 +40,18 @@ class ScoreVector:
     """One evidential score per hypothesis, tagged with its combination mode.
 
     Multiplicative scores must be strictly positive; additive scores may take
-    any finite value.  Immutable after construction.
+    any finite value.  Immutable after construction.  Refuses what
+    :func:`~credal.core.as_values` refuses when ``frozen``.
     """
 
     __slots__ = ("_scores", "_mode")
 
     def __init__(self, scores, mode: Mode):
-        s = np.array(scores, dtype=float)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("score vector needs a non-empty 1-d vector")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("scores must be finite")
+        s = as_values(scores, "scores", frozen=True)
         if not isinstance(mode, Mode):
             raise TypeError(f"mode must be a Mode, got {mode!r}")
         if mode is Mode.MULTIPLICATIVE and np.any(s <= 0.0):
             raise ValueError("multiplicative scores must be strictly positive")
-        s.flags.writeable = False
         self._scores = s
         self._mode = mode
 
@@ -103,18 +99,12 @@ class Gaussian:
 
 
 class Empirical:
-    """Forecast given by a non-empty sample of equally weighted draws."""
+    """Forecast given by a non-empty sample of equally weighted draws, checked by ``as_values``."""
 
     __slots__ = ("_samples",)
 
     def __init__(self, samples):
-        s = np.array(samples, dtype=float)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("empirical forecast needs at least one sample")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite")
-        s.flags.writeable = False
-        self._samples = s
+        self._samples = as_values(samples, "samples", frozen=True)
 
     @property
     def samples(self) -> np.ndarray:
@@ -190,9 +180,9 @@ def crps(f: Forecast, x: float) -> float:
     CRPS(F, x) = E|X - x| - (1/2) E|X1 - X2| with X, X1, X2 i.i.d. from F.
     It generalizes absolute error: for a point mass it reduces to |loc - x|,
     and it is reported in the units of the observations.  The one-entry
-    case of :func:`crps_matrix`, which holds the closed forms.
+    case of :func:`crps_matrix`, which holds the closed forms.  ``x`` must be a number.
     """
-    return float(crps_matrix([f], [x])[0, 0])
+    return float(crps_matrix([f], [json_number(x, "observed outcome")])[0, 0])
 
 
 def crps_monte_carlo(
@@ -202,9 +192,10 @@ def crps_monte_carlo(
 
     Samples i.i.d. triples (X, X1, X2) and averages |X - x| - 0.5|X1 - X2|.
     Returns ``(estimate, standard_error)``.  Independent of the closed forms
-    in :func:`crps_matrix`, so it serves as their cross-check.  ``n_draws``
-    (at least 2) and ``seed`` must be integers.
+    in :func:`crps_matrix`, so it serves as their cross-check.  ``x`` must
+    be a finite number, and ``n_draws`` (at least 2) and ``seed`` integers.
     """
+    x = json_number(x, "observed outcome")
     if not math.isfinite(x):
         raise ValueError("observed outcome must be finite")
     n_draws = checked_int(n_draws, "n_draws", 2)
@@ -599,11 +590,10 @@ def crps_measure(forecasts: Sequence[Forecast], x: float, a: float) -> ScoreVect
     ``a`` must be negative: lower CRPS means a better forecast, and additive
     updating adds scores to the prior, so better forecasts must receive the
     larger (less negative) score.  |a| controls how aggressively badly
-    scoring hypotheses get pushed to zero.
+    scoring hypotheses get pushed to zero.  ``x`` must be a number.
     """
-    if not math.isfinite(a) or a >= 0.0:
-        raise ValueError(f"scaling constant a must be negative, got {a!r}")
-    return ScoreVector(a * crps_matrix(forecasts, [x])[0], Mode.ADDITIVE)
+    a = negative_number(a, "scaling constant a")
+    return ScoreVector(a * crps_matrix(forecasts, [json_number(x, "observed outcome")])[0], Mode.ADDITIVE)
 
 
 @dataclass(frozen=True)
@@ -656,10 +646,9 @@ def min_abs_error_score(
     ``predictions[i][j]`` is hypothesis i's predicted y at the j-th data
     point.  The minimum runs over all data pairs.  This measure cannot be
     written as a function of an additive loss (the minimum is not additive),
-    so it has no multiplicative counterpart.
+    so it has no multiplicative counterpart.  ``a`` must be negative.
     """
-    if not math.isfinite(a) or a >= 0.0:
-        raise ValueError(f"scaling constant a must be negative, got {a!r}")
+    a = negative_number(a, "scaling constant a")
     data = list(data)
     if not data:
         raise ValueError("data must be non-empty")

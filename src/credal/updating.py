@@ -99,9 +99,13 @@ class NormalizationResult:
         return int(self.keep.size - np.count_nonzero(self.keep))
 
 
-def _require_mode(s: ScoreVector, mode: Mode, op: str) -> None:
+def _paired(p: ProbabilityVector, s: ScoreVector, mode: Mode, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """``p.values`` and ``s.scores``, once ``s`` is found to have ``mode`` and ``p``'s length."""
     if s.mode is not mode:
         raise ModeMismatchError(f"{op} needs a {mode.value} score vector, got {s.mode.value}")
+    if len(p) != len(s):
+        raise ValueError("prior and scores must have the same length")
+    return p.values, s.scores
 
 
 def _ratio_update(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -128,19 +132,13 @@ def inferential_update(p: ProbabilityVector, s: ScoreVector) -> ProbabilityVecto
     numpy's pairwise summation; if it underflows to zero the update is
     undefined and :class:`UnderflowError` is raised.
     """
-    _require_mode(s, Mode.MULTIPLICATIVE, "inferential_update")
-    pv = p.values
-    if pv.size != len(s):
-        raise ValueError("prior and scores must have the same length")
-    return ProbabilityVector._adopt(_ratio_update(pv, s.scores))
+    return ProbabilityVector._adopt(_ratio_update(*_paired(p, s, Mode.MULTIPLICATIVE, "inferential_update")))
 
 
 def combine_additive(p: ProbabilityVector, s: ScoreVector) -> np.ndarray:
     """Raw combined vector q = p + s (finite, unconstrained sum)."""
-    _require_mode(s, Mode.ADDITIVE, "combine_additive")
-    if len(p) != len(s):
-        raise ValueError("prior and scores must have the same length")
-    return p.values + s.scores
+    pv, sv = _paired(p, s, Mode.ADDITIVE, "combine_additive")
+    return pv + sv
 
 
 #: unit roundoff of float64
@@ -408,7 +406,7 @@ def conservative_normalize(q) -> NormalizationResult:
     error above zero), so this fixes the reported bookkeeping, not the
     posterior.
     """
-    posterior, d, keep = _simplex_projection(as_values(q))
+    posterior, d, keep = _simplex_projection(as_values(q, "q"))
     keep.flags.writeable = False
     return NormalizationResult(ProbabilityVector._adopt(posterior), float(d), keep)
 

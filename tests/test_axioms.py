@@ -67,6 +67,15 @@ def test_an_overflowing_combination_is_reported_in_every_check():
     assert rep.check("differentiability").note.startswith("non-finite derivative estimate at (x=")
 
 
+def test_commutation_reports_a_rescaling_that_raises():
+    # Python's float power raises OverflowError, which escaped the scan
+    rep = check_commutation(Mode.MULTIPLICATIVE, lambda x: x ** 400, n_samples=5)
+    x, y, z = _sample_triples(5, 0, diagonal_probes=False)[0].tolist()
+    check = rep.check("commutation")
+    assert (check.passed, check.residual) == (False, math.inf)
+    assert check.note == f"non-finite value at (x={x:.6g}, y={y:.6g}, z={z:.6g})"
+
+
 def test_commutation_constant_families_pass():
     assert check_commutation(Mode.MULTIPLICATIVE, lambda x: 0.5 * x, seed=0).passed
     assert check_commutation(Mode.ADDITIVE, lambda x: x - 0.3, seed=0).passed
