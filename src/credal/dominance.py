@@ -44,7 +44,7 @@ class DominanceReport:
     per_vertex_gap: np.ndarray
 
     def __post_init__(self):
-        self._seal(np.array(self.per_vertex_gap, dtype=float))  # the caller's array stays its own
+        self._seal(np.array(as_values(self.per_vertex_gap, "per vertex gap")))  # the caller's array stays its own
 
     @classmethod
     def _adopt(cls, dominated: bool, dominator: ProbabilityVector | None, gaps: np.ndarray) -> "DominanceReport":

@@ -5,19 +5,23 @@ i.i.d. from a truth distribution.  At every step the current posterior makes
 a mixture prediction that is scored against the incoming observation
 (predict-then-update), then the posterior is updated under each rule:
 
-* ratio-form updating scores models by their Gaussian predictive density at
-  the observation (floored to stay positive),
-* loss-based updating exponentiates each model's CRPS,
+* ratio-form updating scores models by their Gaussian predictive
+  log-density at the observation,
+* loss-based (general-Bayes) updating scores them by ``-rate * CRPS``,
 * additive updating adds ``a * CRPS`` and conservatively renormalizes,
   zeroing persistently inaccurate models.
 
-The harness is array-native.  The per-model CRPS and density matrices are
-built once over the whole (replication, t) grid; each rule's trajectory, all
-replications at once, is one call of the trajectory kernel of
-:mod:`credal.updating`, the one that :func:`~credal.updating.sequential_update`
-runs, and one last-axis call scores the pre-update mixtures of every rule,
-replication and step, with one matrix product of the whole weight stack by
-the mixture's pairwise matrix.  Results are kept as columns
+The harness is array-native.  The per-model CRPS and log-score matrices
+are built once over the whole (replication, t) grid; each rule's
+trajectory, all replications at once, is one call of the trajectory kernel
+of :mod:`credal.updating`, the one that
+:func:`~credal.updating.sequential_update` runs.  The ratio-form rules fold
+in log space, as one cumulative sum over t, so their log-weights
+(:attr:`ExperimentResult.log_posterior`) never underflow; the
+``posterior`` column is their ``exp`` and may still read 0.0 below the
+smallest subnormal.  One last-axis call scores the pre-update mixtures of
+every rule, replication and step, with one matrix product of the whole
+weight stack by the mixture's pairwise matrix.  Results are kept as columns
 (:class:`ExperimentResult`).  The CSV encoder formats each distinct value
 once with the vectorized, exact ``%.17g`` of
 :func:`~credal.core.format_floats`, lays the rows out as byte matrices of
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -55,15 +60,12 @@ from .measures import (
     crps_matrix,
     forecast_from_json,
     forecast_to_json,
-    gaussian_density_matrix,
     sample_forecast,
 )
 from .updating import RuleKind, UpdateRule, _trajectory
 
 _DATA_STREAM = 0
-# floors the ratio-form rule's densities, so that a step where every density
-# underflows to 0.0 leaves the weights as they were instead of raising UnderflowError
-_LIKELIHOOD_FLOOR = 1e-300
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
 # a NUL would also end a label's fixed-width byte field in the encoder
@@ -262,6 +264,14 @@ class ExperimentResult:
     that step's observation, the same for every rule;
     ``mixture_crps[rule, replication, t]`` is the CRPS of the pre-update
     mixture at that step.
+
+    ``log_posterior`` has the shape of ``posterior``.  For a ratio-form rule
+    it holds the log-weights of the trajectory kernel, finite wherever the
+    log-scores are, so it shows that the rule zeroes no model where the
+    float ``posterior`` underflows to 0.0; ``ratio_log_weights`` holds them,
+    one array per rule.  For the predictive rule (None there) it is
+    ``log(posterior)``, -inf exactly where the rule zeroed a model, built on
+    first access.
     """
 
     config: ExperimentConfig
@@ -269,6 +279,19 @@ class ExperimentResult:
     crps: np.ndarray
     mixture_crps: np.ndarray
     aggregates: tuple[RuleAggregate, ...]
+    ratio_log_weights: tuple[np.ndarray | None, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def log_posterior(self) -> np.ndarray:
+        """Read-only log-weights shaped like ``posterior`` (see the class docstring)."""
+        out = np.empty(self.posterior.shape)
+        with np.errstate(divide="ignore"):
+            for k, logs in enumerate(self.ratio_log_weights):
+                if logs is None:
+                    np.log(self.posterior[k], out=out[k])
+                else:
+                    out[k] = logs
+        return _readonly(out)
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
@@ -340,14 +363,25 @@ def _score_grid(
     rule: UpdateRule, cfg: ExperimentConfig, xs: np.ndarray, model_crps: np.ndarray
 ) -> np.ndarray:
     """Every model's evidential score under ``rule`` at every (replication, t),
-    shaped like ``model_crps``."""
-    if rule.kind is RuleKind.INFERENTIAL:
-        forecasts = [m.forecast for m in cfg.models]
-        dens = gaussian_density_matrix(forecasts, xs.ravel()).reshape(model_crps.shape)
-        return np.fmax(_LIKELIHOOD_FLOOR, dens)
-    if rule.kind is RuleKind.GENERAL_BAYES:
-        return np.exp(-rule.learning_rate * model_crps)
-    return cfg.a * model_crps
+    shaped like ``model_crps``: the log-scores of the ratio-form rules (the
+    Gaussian log-density ``-z^2/2 - log(sigma sqrt(2 pi))`` at the outcome,
+    and ``-rate * crps``) and the predictive rule's ``a * crps``.
+
+    A log-score is -inf only where it overflows: where ``|x - mu| / sigma``
+    exceeds about 1.3e154, or ``rate * crps`` the largest float.
+    """
+    if rule.kind is RuleKind.PREDICTIVE:
+        return cfg.a * model_crps
+    with np.errstate(over="ignore"):
+        if rule.kind is RuleKind.GENERAL_BAYES:
+            return model_crps * -rule.learning_rate
+        mu = np.array([m.forecast.mu for m in cfg.models])
+        sigma = np.array([m.forecast.sigma for m in cfg.models])
+        z = (xs[..., None] - mu) / sigma
+        z *= z
+    z *= -0.5
+    z -= np.log(sigma * _SQRT_2PI)
+    return z
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -366,7 +400,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     the mixture's pairwise matrix do not depend on the rule, so each is
     computed once and shared by all rules.  Each rule's whole trajectory,
     all replications at once, comes from one call of the trajectory kernel
-    of :mod:`credal.updating`.  Then the pre-update weights of every rule
+    of :mod:`credal.updating`: the ratio-form rules fold their log-scores
+    in log space, within the bound that the kernel states, and a step at
+    which every model's log-score is -inf raises
+    :class:`~credal.updating.UnderflowError` naming the replication and t.
+    Then the pre-update weights of every rule
     (the uniform prior, then the posteriors of steps 1 .. horizon - 1) are
     scored in one last-axis :meth:`MixtureCRPS.score` call, each within the
     bound it states of the exact score.
@@ -378,7 +416,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     prior = np.full((reps, n), 1.0 / n)
     # weights[..., t, :] is the prior of step t + 1, so the posterior column
     # and the pre-update grid are both views of it
-    weights = np.stack([_trajectory(r.kind, prior, _score_grid(r, cfg, xs, model_crps)) for r in cfg.rules])
+    weights = np.empty((len(cfg.rules), reps, horizon + 1, n))
+    ratio_log_weights = []
+    for k, rule in enumerate(cfg.rules):
+        logs = _trajectory(rule.kind, prior, _score_grid(rule, cfg, xs, model_crps), out=weights[k])[1]
+        ratio_log_weights.append(None if logs is None else _readonly(logs[:, 1:]))
     mixture_crps = MixtureCRPS(forecasts).score(weights[:, :, :-1], model_crps)
     rep_means = mixture_crps.mean(-1)
     se = rep_means.std(-1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(cfg.rules))
@@ -386,4 +428,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         RuleAggregate(rule.kind.value, mean, err, tuple(row))
         for rule, mean, err, row in zip(cfg.rules, rep_means.mean(-1).tolist(), se.tolist(), rep_means.tolist())
     )
-    return ExperimentResult(cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(mixture_crps), aggregates)
+    return ExperimentResult(
+        cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(mixture_crps), aggregates, tuple(ratio_log_weights)
+    )

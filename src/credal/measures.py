@@ -21,7 +21,6 @@ from .core import as_values, checked_int, json_number, negative_number, reject_u
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
@@ -420,18 +419,6 @@ def crps_matrix(forecasts: Sequence[Forecast], xs) -> np.ndarray:
     return out
 
 
-def gaussian_density_matrix(forecasts: Sequence[Gaussian], xs) -> np.ndarray:
-    """``[len(xs), len(forecasts)]`` matrix of each Gaussian's density at every outcome."""
-    if not all(isinstance(f, Gaussian) for f in forecasts):
-        raise TypeError("densities need Gaussian forecasts")
-    mu = np.array([f.mu for f in forecasts])
-    sigma = np.array([f.sigma for f in forecasts])
-    # a spread too small for the distance overflows z; the density is then 0
-    with np.errstate(over="ignore"):
-        z = (np.asarray(xs, dtype=float)[:, None] - mu) / sigma
-        return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
-
-
 def _abs_normal_mean(m, s) -> np.ndarray:
     """E|N(m, s^2)| = s sqrt(2/pi) exp(-w^2) + |m| erf(w) with
     w = |m| / (s sqrt(2)), elementwise.
@@ -646,16 +633,20 @@ def min_abs_error_score(
     ``predictions[i][j]`` is hypothesis i's predicted y at the j-th data
     point.  The minimum runs over all data pairs.  This measure cannot be
     written as a function of an additive loss (the minimum is not additive),
-    so it has no multiplicative counterpart.  ``a`` must be negative.
+    so it has no multiplicative counterpart.  ``a`` must be negative.  Each
+    data value must be a number (:func:`~credal.core.json_number`) and each
+    prediction row a vector of numbers (:func:`~credal.core.as_values`):
+    booleans and numeric strings raise ``ValueError``.
     """
     a = negative_number(a, "scaling constant a")
     data = list(data)
     if not data:
         raise ValueError("data must be non-empty")
-    y = np.array([pt[1] for pt in data], dtype=float)
+    pairs = [[json_number(v, f"data point {j}") for v in pt] for j, pt in enumerate(data)]
+    y = np.array([pt[1] for pt in pairs])
     scores = []
     for i, preds in enumerate(predictions):
-        p = np.asarray(preds, dtype=float)
+        p = as_values(preds, f"predictions for hypothesis {i}")
         if p.shape != y.shape:
             raise ValueError(f"predictions for hypothesis {i} do not align with data")
         scores.append(a * float(np.min(np.abs(y - p))))

@@ -436,25 +436,86 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     return ProbabilityVector._adopt(_ratio_update(pv, np.exp(-rate * values)))
 
 
-def _trajectory(kind: RuleKind, p0: np.ndarray, scores: np.ndarray) -> np.ndarray:
+def _trajectory(
+    kind: RuleKind, p0: np.ndarray, scores: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Fold scores ``[..., T, n]`` through a rule from the prior ``p0``
     ``[..., n]``, along the last axis.
 
-    Returns the weights ``[..., T + 1, n]``: slot 0 holds the prior, slot
-    t the posterior after step t.  The predictive rule projects ``p + s``
-    onto the simplex; the ratio-form rules (inferential, and general-Bayes
-    with exponentiated losses as scores) rescale ``s * p``.  Every row is
-    folded bit for bit as it would be on its own.
+    Returns ``(weights, log_weights)``, each ``[..., T + 1, n]``: slot 0
+    holds the prior (and its log), slot t the posterior after step t.
+    ``out``, when given, receives the weights.  Every row is folded bit for
+    bit as it would be on its own.
+
+    The predictive rule takes additive scores and projects ``p + s`` onto
+    the simplex, one step at a time; its ``log_weights`` is None.
+
+    The ratio-form rules (inferential, and general-Bayes with ``-rate *
+    loss``) take log-scores and keep log-weights, so no weight underflows
+    on the way.  Since ``log w_t = log p0 + sum_{tau <= t} l_tau - log Z_t``,
+    the whole fold is one cumulative sum over t and one max-shifted
+    log-sum-exp per row, with no loop over t.  Each step's log-scores are
+    first centred on their largest, which changes no exact weight and keeps
+    the sums small.  The weights are ``exp(d) / sum(exp(d))``, with ``d``
+    the log-weights less their row's largest, and the log-weights are
+    ``d - log sum(exp(d))``.  A log-weight is -inf only where the prior is
+    0 or a log-score up to step t is -inf (a weight also reads 0.0 where
+    its ``exp`` underflows).  A row and step where every log-weight is -inf
+    raises :class:`UnderflowError` naming them; the leading index of a row
+    is its replication in the harness.
+
+    The bound, to first order in eps = 2^-52 (numpy's log and exp within
+    2 ulps): let ``A_t,i = -log p0_i + sum_{tau <= t} (max_j l_tau,j -
+    l_tau,i)``, the magnitude of the centred sum, ``Abar_t`` its mean under
+    the exact posterior ``w_t`` and ``L_t,i = log w_t,i``.  Then::
+
+        delta_t,i = eps ((t + 6) (A_t,i + 2 Abar_t) + 2 |L_t,i| + 4 log n + n + 8)
+
+    bounds the computed log-weight's distance from ``L_t,i``, and the
+    computed weight lies within ``w_t,i expm1(delta_t,i) + 2^-1073`` of
+    ``w_t,i``; the last term covers subnormal and underflowed weights.
+    The first term is the cumulative sum's rounding (t additions of
+    centred terms, each rounded once, and the log of the prior); it enters
+    once through the entry itself and once through the log-sum-exp, whose
+    rows are dominated by the heaviest weights.  The rest is the
+    log-sum-exp's own rounding.  It holds while (t + 6) eps A_t,i and
+    (t + 6) eps Abar_t stay below 0.1.
     """
-    weights = np.empty(scores.shape[:-2] + (scores.shape[-2] + 1, scores.shape[-1]))
+    weights = np.empty(scores.shape[:-2] + (scores.shape[-2] + 1, scores.shape[-1])) if out is None else out
     weights[..., 0, :] = p0
+    if kind is not RuleKind.PREDICTIVE:
+        return weights, _log_fold(p0, scores, weights[..., 1:, :])
     for t in range(scores.shape[-2]):
-        p, s = weights[..., t, :], scores[..., t, :]
-        if kind is RuleKind.PREDICTIVE:
-            weights[..., t + 1, :] = _simplex_projection(p + s)[0]
-        else:
-            weights[..., t + 1, :] = _ratio_update(p, s)
-    return weights
+        weights[..., t + 1, :] = _simplex_projection(weights[..., t, :] + scores[..., t, :])[0]
+    return weights, None
+
+
+def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """The ratio-form half of :func:`_trajectory`: writes the posteriors
+    into ``post`` and returns the log-weights, the prior's log included."""
+    log_weights = np.empty(log_scores.shape[:-2] + (log_scores.shape[-2] + 1, log_scores.shape[-1]))
+    with np.errstate(divide="ignore", over="ignore"):
+        np.log(p0, out=log_weights[..., 0, :])
+        # a step whose log-scores are all -inf is centred on the lowest float,
+        # so that they stay -inf instead of turning into -inf - -inf
+        top = np.maximum(log_scores.max(-1, keepdims=True), np.finfo(float).min)
+        np.subtract(log_scores, top, out=log_weights[..., 1:, :])
+        np.cumsum(log_weights, axis=-2, out=log_weights)
+    logs = log_weights[..., 1:, :]
+    top = logs.max(-1, keepdims=True)
+    vanished = np.isneginf(top)
+    if vanished.any():
+        *row, t, _ = np.argwhere(vanished)[0].tolist()
+        where = f"replication {', '.join(map(str, row))}, " if row else ""
+        raise UnderflowError(
+            f"{where}t = {t + 1}: every weight vanished, as no model with a positive prior has a finite log-score"
+        )
+    logs -= top
+    np.exp(logs, out=post)
+    total = post.sum(-1, keepdims=True)
+    post /= total
+    logs -= np.log(total)
+    return log_weights
 
 
 def sequential_update(
@@ -463,7 +524,9 @@ def sequential_update(
     """Fold a stream of score vectors through a rule, returning the trajectory.
 
     The result has length ``len(stream) + 1`` and starts at ``p0`` itself;
-    the other entries are the rows of one :func:`_trajectory` call.  Every
+    the other entries are the rows of one :func:`_trajectory` call, which
+    the ratio-form rules make with the logs of their scores, within the
+    bound it states of the exact fold.  Every
     stream entry must carry the mode the rule expects (multiplicative for
     the ratio-form rules, additive for the predictive rule) and the prior's
     length; both are checked, naming the step, before any update runs.
@@ -478,6 +541,8 @@ def sequential_update(
         if len(s) != n:
             raise ValueError(f"step {step}: prior and scores must have the same length, got {n} and {len(s)}")
     scores = np.array([s.scores for s in stream]).reshape(len(stream), n)
-    weights = _trajectory(rule.kind, p0.values, scores)
+    if rule.kind is not RuleKind.PREDICTIVE:
+        scores = np.log(scores)
+    weights = _trajectory(rule.kind, p0.values, scores)[0]
     weights.flags.writeable = False
     return [p0] + [ProbabilityVector._adopt(row) for row in weights[1:]]

@@ -17,8 +17,10 @@ sampling instead of the pairwise closed form, or taken from that closed
 form in exact rational arithmetic on the integer significands of the
 floats, one 1-d weight vector at a time, instead of in floating point,
 the reference harness runs a simulation one (rule,
-replication, step) at a time through the public 1-d updates instead of on
-arrays, and the dominator search tries random candidates instead of using
+replication, step) at a time, through the public 1-d update for the
+predictive rule and as an exact 50-digit mpmath fold of the log-scores,
+summed one step at a time, for the ratio-form rules, instead of on arrays
+in float64, and the dominator search tries random candidates instead of using
 the closed-form dominance certificates.
 """
 
@@ -30,25 +32,19 @@ import numpy as np
 from credal import (
     Empirical,
     Gaussian,
-    LossValue,
     Mode,
     NormalizationResult,
     PointMass,
     ProbabilityVector,
-    RuleAggregate,
     ScoreVector,
-    StepRecord,
     crps,
-    general_bayes_update,
     generate_data,
-    inferential_update,
-    likelihood_score,
     predictive_update,
     uniform,
 )
 from credal.core import as_values
-from credal.experiments import _LIKELIHOOD_FLOOR, CSV_HEADER
-from credal.measures import MixtureCRPS, sample_forecast
+from credal.experiments import CSV_HEADER
+from credal.measures import sample_forecast
 from credal.updating import RuleKind
 
 
@@ -341,68 +337,151 @@ def crps_tolerance(f, x: float) -> float:
     return 0.0
 
 
-def _gaussian_density(f, x: float) -> float:
-    """The density the library uses: ``np.exp`` gives the same bits on a
-    scalar as on an array, which ``math.exp`` does not."""
-    z = (x - f.mu) / f.sigma
-    return float(np.exp(-0.5 * z * z)) / (f.sigma * math.sqrt(2.0 * math.pi))
+#: digits of the exact ratio-form fold
+FOLD_DPS = 50
 
 
-def _step_posterior(rule, p, cfg, x, per_model):
-    """One update of ``p`` at observation ``x``; ``per_model`` holds each model's CRPS at x."""
-    if rule.kind is RuleKind.INFERENTIAL:
-        dens = [max(_LIKELIHOOD_FLOOR, _gaussian_density(m.forecast, x)) for m in cfg.models]
-        return inferential_update(p, likelihood_score(dens))
-    if rule.kind is RuleKind.GENERAL_BAYES:
-        losses = [LossValue(float(c), rule.learning_rate) for c in per_model]
-        return general_bayes_update(p, losses)
-    if rule.kind is RuleKind.PREDICTIVE:
-        return predictive_update(p, ScoreVector(cfg.a * per_model, Mode.ADDITIVE)).posterior
-    raise ValueError(f"unsupported rule: {rule!r}")
+def trajectory_bound(t: int, n: int, a, a_bar, log_weight) -> float:
+    """``delta_t,i`` of ``credal.updating._trajectory``'s docstring: how far a
+    computed ratio-form log-weight may lie from the exact one after step
+    ``t`` of ``n`` models, with ``a`` the entry's centred magnitude
+    ``A_t,i``, ``a_bar`` its posterior mean and ``log_weight`` the exact
+    log-weight."""
+    eps = float(np.finfo(float).eps)
+    return eps * ((t + 6) * (float(a) + 2.0 * float(a_bar)) + 2.0 * abs(float(log_weight)) + 4.0 * math.log(n) + n + 8)
 
 
-def reference_harness(cfg) -> tuple[str, tuple, list]:
-    """``(results.csv text, aggregates, mixture scores)`` of a simulation
-    run step by step.
+def exact_log_fold(p0, log_scores) -> tuple[list, list]:
+    """``(L, A)`` of the ratio-form fold of float log-scores ``[T, n]`` from
+    the float prior ``p0``, in ``FOLD_DPS``-digit mpmath: ``L[t][i]`` is the
+    exact log-weight after step t (t = 0 the prior's), ``A[t][i]`` the
+    magnitude ``-log p0_i + sum_{tau <= t} (max_j l_tau,j - l_tau,i)`` of
+    the centred sum.  Every sum is taken one step at a time; -inf marks a
+    zero prior or a -inf log-score."""
+    import mpmath
 
-    Each (rule, replication, step) scores the mixture exactly with
-    :class:`ExactMixture`, updates a ``ProbabilityVector`` through the public
-    1-d update functions and keeps one ``StepRecord``; every field of every
-    row is formatted on its own.  Each model's CRPS comes from the public
-    scalar ``crps``.  The records' and the text's mixture scores and the
-    aggregates are taken from the exact scores rounded to floats; the
-    third item holds, in CSV order, each (rule, replication, step)'s
-    ``(exact score, bound)``.
+    with mpmath.workdps(FOLD_DPS):
+        s = [mpmath.log(p) if p > 0.0 else mpmath.ninf for p in np.asarray(p0, dtype=float).tolist()]
+        a = [-x for x in s]
+        logs, magnitudes = [_log_normalized(s)], [a]
+        for row in np.asarray(log_scores, dtype=float).tolist():
+            top = mpmath.mpf(max(row))
+            s = [x + mpmath.mpf(v) for x, v in zip(s, row)]
+            a = [x + (top - mpmath.mpf(v)) for x, v in zip(a, row)]
+            logs.append(_log_normalized(s))
+            magnitudes.append(a)
+    return logs, magnitudes
+
+
+def _log_normalized(s: list) -> list:
+    """``s_i - log sum_j exp(s_j)`` of mpmath numbers, -inf where ``s_i`` is."""
+    import mpmath
+
+    top = max(s)
+    total = mpmath.log(mpmath.fsum(mpmath.exp(x - top) for x in s if x != mpmath.ninf))
+    return [x - top - total if x != mpmath.ninf else x for x in s]
+
+
+def fold_errors(p0, log_scores, weights, log_weights=None, slack=None) -> tuple[float, int]:
+    """``(largest error as a share of its bound, entries beyond it)`` of a
+    computed ratio-form trajectory against :func:`exact_log_fold`.
+
+    ``weights`` (and ``log_weights``, when given) are ``[T, n]``: the
+    posteriors after steps 1 .. T.  A weight must lie within
+    ``w expm1(delta) + 2^-1073`` of the exact weight ``w``, a log-weight
+    within ``delta`` (:func:`trajectory_bound`) of the exact one; where the
+    exact weight is 0, both must be exactly 0 and -inf.  ``slack[t - 1]``,
+    when given, widens ``delta`` after step t.
     """
+    import mpmath
+
+    weights = np.asarray(weights, dtype=float)
+    n = weights.shape[-1]
+    logs, magnitudes = exact_log_fold(p0, log_scores)
+    worst, misses = 0.0, 0
+    with mpmath.workdps(FOLD_DPS):
+        for t in range(1, len(logs)):
+            exact_w = [mpmath.exp(x) for x in logs[t]]
+            a_bar = mpmath.fsum(w * a for w, a in zip(exact_w, magnitudes[t]) if w > 0)
+            for i in range(n):
+                got = weights[t - 1, i]
+                got_log = None if log_weights is None else log_weights[t - 1, i]
+                if logs[t][i] == mpmath.ninf:
+                    misses += got != 0.0 or (got_log is not None and got_log != -np.inf)
+                    continue
+                delta = trajectory_bound(t, n, magnitudes[t][i], a_bar, logs[t][i])
+                if slack is not None:
+                    delta += float(slack[t - 1])
+                errors = [(abs(mpmath.mpf(got) - exact_w[i]), exact_w[i] * mpmath.expm1(delta) + 2.0**-1073)]
+                if got_log is not None:
+                    errors.append((abs(mpmath.mpf(got_log) - logs[t][i]), mpmath.mpf(delta)))
+                for error, bound in errors:
+                    worst = max(worst, float(error / bound))
+                    misses += error > bound
+    return worst, misses
+
+
+def log_sigma_sqrt_2pi(sigma) -> np.ndarray:
+    """``log(sigma sqrt(2 pi))`` as the library computes it: numpy's log gives
+    the same bits on a scalar as on an array, which ``math.log`` does not."""
+    return np.log(np.asarray(sigma, dtype=float) * math.sqrt(2.0 * math.pi))
+
+
+def ratio_log_scores(rule, cfg, xs, model_crps) -> np.ndarray:
+    """The log-scores ``[T, n]`` of a ratio-form rule at the observations
+    ``xs`` of one replication, with the library's float arithmetic in
+    scalar Python: the Gaussian log-density ``-z^2/2 - log(sigma sqrt(2
+    pi))``, or ``-rate * crps``."""
+    if rule.kind is RuleKind.GENERAL_BAYES:
+        return np.array([[c * -rule.learning_rate for c in row] for row in np.asarray(model_crps).tolist()])
+    if rule.kind is not RuleKind.INFERENTIAL:
+        raise ValueError(f"not a ratio-form rule: {rule!r}")
     forecasts = [m.forecast for m in cfg.models]
-    mixture = MixtureCRPS(forecasts)
-    exact = ExactMixture(mixture.pair, mixture.half_self)
+    norm = log_sigma_sqrt_2pi([f.sigma for f in forecasts]).tolist()
+    rows = []
+    for x in np.asarray(xs, dtype=float).tolist():
+        zs = [(x - f.mu) / f.sigma for f in forecasts]
+        rows.append([z * z * -0.5 - c for z, c in zip(zs, norm)])
+    return np.array(rows)
+
+
+def reference_harness(cfg) -> tuple[str, dict]:
+    """``(text, folds)`` of a simulation run step by step.
+
+    ``text`` is ``results.csv`` without its ``mixture_crps`` field: each
+    model's CRPS comes from the public scalar ``crps``, every field of every
+    row is formatted on its own.  The predictive rule updates a
+    ``ProbabilityVector`` one step at a time through the public
+    ``predictive_update``.  Each ratio-form rule's log-scores
+    (:func:`ratio_log_scores`) are folded exactly by
+    :func:`exact_log_fold`, and the text holds its weights rounded to
+    floats; ``folds[(rule index, replication)]`` holds the log-scores, for
+    :func:`fold_errors`.
+    """
+    import mpmath
+
+    forecasts = [m.forecast for m in cfg.models]
     observations = [
         generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep)
         for rep in range(cfg.replications)
     ]
     model_crps = [np.array([[crps(f, x) for f in forecasts] for x in xs.tolist()]) for xs in observations]
-    records, aggregates, mixtures = [], [], []
-    for rule in cfg.rules:
-        rep_means = []
+    lines, folds = [CSV_HEADER.rsplit(",", 1)[0]], {}
+    for k, rule in enumerate(cfg.rules):
         for rep, xs in enumerate(observations):
-            p = uniform(len(cfg.models))
-            step_scores = []
-            for t, x in enumerate(xs.tolist(), start=1):
-                per_model = model_crps[rep][t - 1]
-                mixtures.append(exact.score(p.values, per_model))
-                score = float(mixtures[-1][0])
-                p = _step_posterior(rule, p, cfg, x, per_model)
-                records.append(StepRecord(rule.kind.value, rep, t, p.values, per_model, score))
-                step_scores.append(score)
-            rep_means.append(float(np.mean(step_scores)))
-        mean = float(np.mean(rep_means))
-        se = float(np.std(rep_means, ddof=1) / math.sqrt(len(rep_means))) if len(rep_means) > 1 else 0.0
-        aggregates.append(RuleAggregate(rule.kind.value, mean, se, tuple(rep_means)))
-    lines = [CSV_HEADER]
-    for rec in records:
-        for i, model in enumerate(cfg.models):
-            fields = [rec.rule, str(rec.replication), str(rec.t), model.label]
-            fields += [f"{v:.17g}" for v in (rec.posterior[i], rec.crps[i], rec.mixture_crps)]
-            lines.append(",".join(fields))
-    return "\n".join(lines) + "\n", tuple(aggregates), mixtures
+            if rule.kind is RuleKind.PREDICTIVE:
+                p, posteriors = uniform(len(forecasts)), []
+                for per_model in model_crps[rep]:
+                    p = predictive_update(p, ScoreVector(cfg.a * per_model, Mode.ADDITIVE)).posterior
+                    posteriors.append(p.values)
+            else:
+                folds[k, rep] = ratio_log_scores(rule, cfg, xs, model_crps[rep])
+                logs, _ = exact_log_fold(uniform(len(forecasts)).values, folds[k, rep])
+                with mpmath.workdps(FOLD_DPS):
+                    posteriors = [[float(mpmath.exp(x)) for x in row] for row in logs[1:]]
+            for t, (post, per_model) in enumerate(zip(posteriors, model_crps[rep]), start=1):
+                for i, model in enumerate(cfg.models):
+                    fields = [rule.kind.value, str(rep), str(t), model.label]
+                    fields += [f"{v:.17g}" for v in (post[i], per_model[i])]
+                    lines.append(",".join(fields))
+    return "\n".join(lines) + "\n", folds

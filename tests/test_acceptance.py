@@ -344,6 +344,27 @@ def test_criterion_9_harness_elimination():
     )
 
 
+def test_ratio_form_log_weights_never_vanish_at_horizon_1000():
+    # criterion 9's models twenty times as long: the float weights of both
+    # ratio-form rules underflow to 0.0, their log-weights stay finite, and
+    # each posterior is the normalized exp of its log-weights
+    models = (
+        ModelSpec("good", Gaussian(0.0, 1.0)),
+        ModelSpec("near", Gaussian(0.5, 1.0)),
+        ModelSpec("far", Gaussian(5.0, 1.0)),
+    )
+    rules = (UpdateRule.inferential(), UpdateRule.general_bayes(1.0))
+    cfg = ExperimentConfig(0, Gaussian(0.0, 1.0), models, 1000, rules, a=-1.0, replications=20)
+    result = run_experiment(cfg)
+    logs, posterior = result.log_posterior, result.posterior
+    eps = np.finfo(float).eps
+    assert np.isfinite(logs).all() and not logs.flags.writeable
+    exact = np.exp(logs)
+    assert np.all(np.abs(posterior - exact) <= 4.0 * eps * (1.0 + np.abs(logs)) * exact + 2.0**-1073)
+    assert np.all(np.abs(exact.sum(-1) - 1.0) <= 2 * len(models) * eps)
+    assert np.any(posterior[0] == 0.0) and np.any(posterior[1] == 0.0)
+
+
 def test_criterion_10_characterization_checks():
     mul_rep = check_combination_axioms(operator.mul, seed=0, tol=1e-6)
     add_rep = check_combination_axioms(operator.add, seed=0, tol=1e-6)

@@ -9,6 +9,7 @@ import pytest
 import credal
 from credal import (
     Credibility,
+    DominanceReport,
     Empirical,
     ExperimentConfig,
     Gaussian,
@@ -121,6 +122,13 @@ VECTOR_INPUTS = [
     ("conservative_normalize", "q", lambda v, path: conservative_normalize(v), (0, 1)),
     ("verify_dominance", "c", lambda v, path: verify_dominance(v), (0, 1)),
     ("write_labeled_csv", "values", lambda v, path: (write_labeled_csv(path, ["a", "b"], v), path.read_bytes())[1], (0, 1)),
+    ("DominanceReport", "per vertex gap", lambda v, path: DominanceReport(False, None, v), (0, 1)),
+    (
+        "min_abs_error_score",
+        "predictions for hypothesis 0",
+        lambda v, path: min_abs_error_score([(0.0, 1.0), (1.0, 2.0)], [v], -1.0),
+        (0, 1),
+    ),
 ]
 NOT_VECTORS_OF_NUMBERS = {
     "bool-array": np.array([True, False]),
@@ -156,6 +164,8 @@ def test_vector_inputs_are_checked(name, call, ints, bad, tmp_path):
         (lambda: crps_measure([Gaussian(0.0, 1.0)], 0.5, 0.5), "scaling constant a: must be negative, got 0.5"),
         (lambda: crps_measure([Gaussian(0.0, 1.0)], 0.5, -np.inf), "scaling constant a: must be negative, got -inf"),
         (lambda: min_abs_error_score([(0.0, 1.0)], [[1.0]], 0.0), "scaling constant a: must be negative, got 0.0"),
+        # returned the scores [-0.0, -0.5], reading True and '1' as 1.0
+        (lambda: min_abs_error_score([(0.0, True)], [["1"], [0.5]], -1.0), "data point 0: must be a number, got True"),
         (
             lambda: ExperimentConfig(0, Gaussian(0.0, 1.0), (), 0, (), a=1.0),
             "invalid experiment config: horizon: must be at least 1; models: need at least one model; "

@@ -14,6 +14,7 @@ from credal import (
     ModelSpec,
     PointMass,
     ProbabilityVector,
+    UnderflowError,
     UpdateRule,
     crps,
     crps_monte_carlo,
@@ -477,3 +478,28 @@ def test_config_of_numpy_and_integer_numbers_survives_its_json_round_trip():
     assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
     loss = LossValue(np.int64(1), np.float32(0.5))
     assert (loss.value, loss.learning_rate) == (1.0, 0.5) and type(loss.value) is float
+
+
+def test_a_model_whose_log_score_overflows_gets_weight_zero_without_a_warning():
+    # |x - mu| / sigma overflows for the first model at every outcome; its
+    # log-density is -inf, so its weight is exactly 0 and its log-weight -inf
+    # under both ratio-form rules' kernel (pytest turns warnings into errors)
+    models = (ModelSpec("spike", Gaussian(3.0, 1e-200)), ModelSpec("good", Gaussian(0.0, 1.0)))
+    result = run_experiment(small_config(models=models, horizon=4, rules=(UpdateRule.inferential(),)))
+    assert np.all(result.posterior[0, ..., 0] == 0.0) and np.all(result.posterior[0, ..., 1] == 1.0)
+    assert np.all(result.log_posterior[0, ..., 0] == -np.inf) and np.all(result.log_posterior[0, ..., 1] == 0.0)
+
+
+def test_a_step_where_every_log_score_is_minus_inf_raises():
+    # both spreads are too small for the distance 5: at the first draw of 5
+    # every log-density overflows to -inf, and every weight would vanish
+    models = (ModelSpec("a", Gaussian(0.0, 1e-200)), ModelSpec("b", Gaussian(0.0, 2e-200)))
+    cfg = small_config(truth=Empirical([0.0, 0.0, 0.0, 5.0]), models=models, horizon=6, replications=4)
+    xs = np.array([generate_data(cfg.seed, cfg.truth, cfg.horizon, rep) for rep in range(cfg.replications)])
+    rep, t = np.argwhere(xs == 5.0)[0].tolist()
+    assert (rep, t) != (0, 0)
+    with pytest.raises(UnderflowError, match=rf"^replication {rep}, t = {t + 1}: every weight vanished"):
+        run_experiment(cfg)
+    # the predictive rule alone is unaffected
+    predictive = small_config(truth=cfg.truth, models=models, horizon=6, replications=4, rules=(UpdateRule.predictive(),))
+    assert np.isfinite(run_experiment(predictive).posterior).all()

@@ -1,11 +1,12 @@
 """The array-native harness against the step-by-step reference harness."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_harness
+from oracles import ExactMixture, fold_errors, ratio_log_scores, reference_harness
 
 from credal import (
     Empirical,
@@ -24,8 +25,8 @@ from credal import (
     sequential_update,
     uniform,
 )
-from credal.experiments import _LIKELIHOOD_FLOOR
-from credal.measures import MixtureCRPS, gaussian_density_matrix
+from credal.measures import MixtureCRPS
+from credal.updating import RuleKind
 
 # few distinct parameters, so that models tie and projections cut through ties
 LOCATIONS = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
@@ -61,34 +62,55 @@ def configs(draw):
 
 
 def assert_matches_reference(cfg, result):
-    """Every line's first six fields equal the reference's byte for byte;
-    the mixture scores and the aggregates lie within the bound that
-    ``MixtureCRPS.score`` states of the exact scores."""
-    text, aggregates, mixtures = reference_harness(cfg)
+    """Every row's ``rule``, ``replication``, ``t``, ``model`` and ``crps``
+    fields, and the predictive rule's ``posterior``, equal the reference's
+    byte for byte.  The ratio-form posteriors and log-posteriors lie within
+    the trajectory kernel's bound of the exact fold.  The mixture scores and
+    the aggregates lie within the bound that ``MixtureCRPS.score`` states of
+    the exact scores of the harness's own pre-update weights."""
+    text, folds = reference_harness(cfg)
     csv = result.to_csv_text()
     assert csv.endswith("\n")
     got, want = csv.splitlines(), text.splitlines()
-    assert got[0] == want[0]
+    assert got[0].rsplit(",", 1)[0] == want[0]
     # compared as lists of lines: pytest then names the first differing row,
     # where its diff of two texts this long takes minutes
-    got, want = [line.rsplit(",", 1) for line in got[1:]], [line.rsplit(",", 1) for line in want[1:]]
-    assert [head for head, _ in got] == [head for head, _ in want]
-    n = len(cfg.models)
-    for row, (_, score) in enumerate(got):
-        exact, bound = mixtures[row // n]
-        assert abs(Fraction(float(score)) - exact) <= bound, (row, score, float(exact), bound)
+    got, want = [line.split(",") for line in got[1:]], [line.split(",") for line in want[1:]]
+    assert [g[:4] + g[5:6] for g in got] == [w[:4] + w[5:6] for w in want]
+    n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
+    posterior = np.array([float(g[4]) for g in got]).reshape(result.posterior.shape)
+    predictive = [k for k, rule in enumerate(cfg.rules) if rule.kind is RuleKind.PREDICTIVE]
+    rows = np.arange(len(got)).reshape(len(cfg.rules), -1)
+    assert [got[r][4] for r in rows[predictive].ravel()] == [want[r][4] for r in rows[predictive].ravel()]
+    prior = uniform(n).values
+    for (k, rep), log_scores in folds.items():
+        worst, misses = fold_errors(prior, log_scores, posterior[k, rep], result.log_posterior[k, rep])
+        assert misses == 0, (cfg.rules[k], rep, worst)
+        assert np.isfinite(result.log_posterior[k, rep]).all()
+    mixture = MixtureCRPS([m.forecast for m in cfg.models])
+    exact = ExactMixture(mixture.pair, mixture.half_self)
+    # the pre-update weights: the uniform prior, then the posteriors of
+    # steps 1 .. horizon - 1
+    before = np.concatenate([np.broadcast_to(prior, (len(cfg.rules), reps, 1, n)), result.posterior[:, :, :-1]], 2)
+    crps_rows = np.broadcast_to(result.crps, before.shape).reshape(-1, n)
+    scores = [exact.score(w, c) for w, c in zip(before.reshape(-1, n), crps_rows)]
+    for row, g in enumerate(got):
+        value, bound = scores[row // n]
+        assert abs(Fraction(float(g[6])) - value) <= bound, (row, g[6], float(value), bound)
     # an aggregate is a mean, or the standard error of means, of scores each
     # within its bound; each side rounds its sums by at most (horizon +
     # replications + 4) eps of the largest score besides
-    largest = max(abs(float(exact)) for exact, _ in mixtures)
+    exact_means = np.array([float(value) for value, _ in scores]).reshape(len(cfg.rules), reps, horizon).mean(-1)
+    largest = max(abs(float(value)) for value, _ in scores)
     eps = np.finfo(float).eps
-    tolerance = max(bound for _, bound in mixtures) + (cfg.horizon + cfg.replications + 4) * eps * largest
-    assert [a.rule for a in result.aggregates] == [a.rule for a in aggregates]
-    for agg, ref in zip(result.aggregates, aggregates):
-        assert len(agg.replication_means) == len(ref.replication_means)
-        pairs = [(agg.mean_mixture_crps, ref.mean_mixture_crps), (agg.se_mixture_crps, ref.se_mixture_crps)]
-        pairs += zip(agg.replication_means, ref.replication_means)
-        assert all(abs(a - b) <= tolerance for a, b in pairs), (agg, ref, tolerance)
+    tolerance = max(bound for _, bound in scores) + (horizon + reps + 4) * eps * largest
+    assert [a.rule for a in result.aggregates] == [rule.kind.value for rule in cfg.rules]
+    for agg, means in zip(result.aggregates, exact_means.tolist()):
+        se = float(np.std(means, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        assert len(agg.replication_means) == reps
+        pairs = [(agg.mean_mixture_crps, float(np.mean(means))), (agg.se_mixture_crps, se)]
+        pairs += zip(agg.replication_means, means)
+        assert all(abs(a - b) <= tolerance for a, b in pairs), (agg, means, tolerance)
 
 
 ALL_RULES = (UpdateRule.inferential(), UpdateRule.predictive(), UpdateRule.general_bayes(1.0))
@@ -173,19 +195,31 @@ def test_mixture_scored_once_per_run(monkeypatch):
 
 
 def test_sequential_update_folds_a_replication_as_the_harness_does():
-    # the trajectory kernel's batch rows are its 1-d rows, bit for bit
+    # sequential_update folds the logs of its scores with the harness's kernel.
+    # A density is the exp of the harness's log-score, so the two folds differ
+    # by the rounding of exp and log alone, and that difference, taken
+    # exactly, widens the kernel's bound: a log-weight moves by at most twice
+    # the summed largest log-score shift
     rules = (UpdateRule.inferential(), UpdateRule.predictive(), UpdateRule.general_bayes(0.7))
     cfg = ExperimentConfig(2, Gaussian(0.0, 1.0), MEDIUM_MODELS[:5], 12, rules, a=-4.0, replications=3)
     result = run_experiment(cfg)
     assert np.any(result.posterior[1] == 0.0)  # the predictive rule zeroes models
-    forecasts = [m.forecast for m in cfg.models]
+    prior = uniform(len(cfg.models))
     for rep in range(cfg.replications):
-        density = gaussian_density_matrix(forecasts, generate_data(cfg.seed, cfg.truth, cfg.horizon, rep))
+        xs = generate_data(cfg.seed, cfg.truth, cfg.horizon, rep)
+        density = np.exp(ratio_log_scores(rules[0], cfg, xs, result.crps[rep]))
+        assert np.all(density > 0.0)
         streams = (
-            [likelihood_score(np.fmax(_LIKELIHOOD_FLOOR, row)) for row in density],
+            [likelihood_score(row) for row in density],
             [ScoreVector(cfg.a * row, Mode.ADDITIVE) for row in result.crps[rep]],
             [exp_loss_score([LossValue(c, 0.7) for c in row.tolist()]) for row in result.crps[rep]],
         )
         for k, (rule, stream) in enumerate(zip(cfg.rules, streams)):
-            trajectory = sequential_update(uniform(len(forecasts)), stream, rule)
-            assert np.array_equal([p.values for p in trajectory[1:]], result.posterior[k, rep])
+            trajectory = np.array([p.values for p in sequential_update(prior, stream, rule)[1:]])
+            if rule.kind is RuleKind.PREDICTIVE:
+                assert np.array_equal(trajectory, result.posterior[k, rep])
+                continue
+            log_scores = ratio_log_scores(rule, cfg, xs, result.crps[rep])
+            shift = np.abs(np.log([s.scores for s in stream]) - log_scores).max(-1)
+            assert fold_errors(prior.values, log_scores, trajectory, slack=2.0 * np.cumsum(shift))[1] == 0
+            assert fold_errors(prior.values, log_scores, result.posterior[k, rep], result.log_posterior[k, rep])[1] == 0

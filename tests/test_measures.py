@@ -39,7 +39,6 @@ from credal.measures import (
     _erf,
     crps_matrix,
     expected_abs_difference,
-    gaussian_density_matrix,
 )
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
@@ -167,7 +166,6 @@ def test_a_spread_too_small_for_the_distance_gives_the_limit_without_a_warning()
     # pytest turns numpy's overflow warnings into errors
     assert np.array_equal(bits(_abs_normal_mean([-3.0, 0.0, 2.0], [1e-300, 0.0, 5e-324])), bits([3.0, 0.0, 2.0]))
     assert crps(Gaussian(0.0, 1e-300), 1.0) == 1.0
-    assert gaussian_density_matrix([Gaussian(0.0, 1e-200), Gaussian(0.0, 5e-324)], [1.0]).tolist() == [[0.0, 0.0]]
 
 
 def test_closed_forms_match_mpmath():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_normalize_oracle, sort_scan_projection
+from oracles import brute_force_normalize_oracle, fold_errors, sort_scan_projection
 
 from credal import (
     LossValue,
@@ -609,20 +609,34 @@ def test_trajectory_rows_at_large_n_fold_as_alone(kind):
     n, horizon = _CANDIDATE_MIN_N, 3
     few = rng.uniform(0.0, 1.0, (horizon, n))
     most = (rng.exponential(size=(horizon, n)) - 2.0 * rng.uniform(size=(horizon, n))) / n
+    # additive scores for the predictive rule, log-scores for the others
     scores = np.stack([few, most])
-    if kind is not RuleKind.PREDICTIVE:
-        scores = np.exp(scores)
     p0 = np.stack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n))])
-    weights = updating._trajectory(kind, p0, scores)
+    weights, log_weights = updating._trajectory(kind, p0, scores)
     assert weights.shape == (2, horizon + 1, n)
+    assert (log_weights is None) == (kind is RuleKind.PREDICTIVE)
     for r in range(2):
-        assert_same_bits(weights[r], updating._trajectory(kind, p0[r], scores[r]))
+        alone, alone_logs = updating._trajectory(kind, p0[r], scores[r])
+        assert_same_bits(weights[r], alone)
+        if log_weights is not None:
+            assert_same_bits(log_weights[r], alone_logs)
     if kind is RuleKind.PREDICTIVE:
         # the row that passes sorts only its candidates when folded alone
         for prior, steps, widths in ((p0, scores, [(2, n)] * horizon), (p0[0], scores[0], [])):
             with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
                 updating._trajectory(kind, prior, steps)
             assert [c.args[0].shape for c in full.call_args_list if c.args[0].shape[-1] == n] == widths
+
+
+def test_sequential_ratio_form_from_a_prior_with_a_zero_matches_the_exact_fold():
+    # the harness's prior is uniform, so its log cancels; here it does not,
+    # and the zero entry stays exactly 0
+    rng = np.random.default_rng(12)
+    p0 = ProbabilityVector([0.6, 0.0, 0.3, 0.1])
+    stream = [ScoreVector(rng.uniform(0.05, 3.0, 4), Mode.MULTIPLICATIVE) for _ in range(30)]
+    trajectory = np.array([p.values for p in sequential_update(p0, stream, UpdateRule.inferential())[1:]])
+    assert np.all(trajectory[:, 1] == 0.0)
+    assert fold_errors(p0.values, np.log([s.scores for s in stream]), trajectory)[1] == 0
 
 
 def test_sequential_mode_mismatch_names_the_step():
