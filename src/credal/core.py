@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -479,10 +481,34 @@ def format_floats(values) -> np.ndarray:
     return out
 
 
+@contextmanager
+def _rewrite(path, mode: str, **kwargs):
+    """``open(path, mode, **kwargs)`` for writing, but an existing file is
+    overwritten in place rather than emptied first: on some file systems
+    truncating a large file to zero costs more than writing it again.
+
+    On leaving the block, also by an exception, a file longer than what was
+    written is shrunk to it, so it holds exactly the bytes written, as with
+    plain ``open``.  A missing file is created with the same permission bits.
+    A path of size 0, such as ``/dev/null`` or a FIFO, is never shrunk (nor
+    asked its position).  A process killed before the shrink can leave the
+    old file's tail after the new bytes.
+    """
+    with open(Path(path), mode, opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666), **kwargs) as fh:
+        try:
+            yield fh
+        finally:
+            size = os.fstat(fh.fileno()).st_size
+            if size and size > fh.tell():
+                fh.truncate()
+
+
 def write_labeled_csv(path, labels, values) -> None:
     """Write ``label,value`` rows under a header, values as ``%.17g`` (round-trip exact).
     Only what :func:`read_labeled_csv` reads back is written: a non-string, empty or repeated
-    label, or a non-finite value, raises ``ValueError`` naming the label before the file is opened."""
+    label, or a non-finite value, raises ``ValueError`` naming the label before the file is opened.
+    An existing file is overwritten in place and shrunk at the end, so a process killed
+    mid-write can leave the old file's tail after the new rows."""
     v = as_values(values, "values")
     labels = list(labels)
     if len(labels) != v.size:
@@ -496,7 +522,7 @@ def write_labeled_csv(path, labels, values) -> None:
         if not math.isfinite(value):
             raise ValueError(f"value for {label!r} is not finite: {value!r}")
         seen.add(label)
-    with open(Path(path), "w", newline="") as fh:
+    with _rewrite(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for lab, text in zip(labels, format_floats(v).tolist()):

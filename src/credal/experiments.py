@@ -28,7 +28,8 @@ once with the vectorized, exact ``%.17g`` of
 NUL-padded fields, formats the posteriors straight into their field, and
 streams the file in blocks of at most ``FLOAT_BLOCK`` (8192) posterior
 values with the NULs dropped; no Python code runs per row or per value,
-and its bytes are those of the per-step loop it replaced.
+and its bytes are those of the per-step loop it replaced.  An existing
+file is overwritten in place and shrunk at the end, not emptied first.
 
 The mixture score is exact up to rounding, within the bound that
 :meth:`~credal.measures.MixtureCRPS.score` states, so every rule is scored
@@ -279,7 +280,21 @@ class ExperimentResult:
     crps: np.ndarray
     mixture_crps: np.ndarray
     aggregates: tuple[RuleAggregate, ...]
-    ratio_log_weights: tuple[np.ndarray | None, ...] = field(repr=False, compare=False)
+    ratio_log_weights: tuple[np.ndarray | None, ...] = field(repr=False)
+
+    def __eq__(self, other):
+        """Equal configs and aggregates, and equal arrays, compared by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.config != other.config or self.aggregates != other.aggregates:
+            return False
+        ours = (self.posterior, self.crps, self.mixture_crps, *self.ratio_log_weights)
+        theirs = (other.posterior, other.crps, other.mixture_crps, *other.ratio_log_weights)
+        # np.array_equal finds None (a predictive rule's log-weights) equal to None alone
+        return all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+    def __hash__(self) -> int:
+        return hash(self.config)
 
     @cached_property
     def log_posterior(self) -> np.ndarray:
@@ -354,8 +369,13 @@ class ExperimentResult:
         return b"".join(self._csv_blocks()).decode("utf-8")
 
     def write_csv(self, path) -> None:
-        """Write :meth:`to_csv_text`'s bytes, one block of rows at a time."""
-        with open(Path(path), "wb") as fh:
+        """Write :meth:`to_csv_text`'s bytes, one block of rows at a time.
+
+        An existing file is overwritten in place and shrunk at the end, which
+        is cheaper than emptying it first, so a process killed mid-write can
+        leave the old file's tail after the new rows.
+        """
+        with core._rewrite(path, "wb") as fh:
             fh.writelines(self._csv_blocks())
 
 

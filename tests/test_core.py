@@ -4,9 +4,11 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from hypothesis import strategies as st
 
 from credal import core
 from credal.core import format_floats
-from credal.experiments import ExperimentConfig, run_experiment
+from credal.experiments import ExperimentConfig, ExperimentResult, run_experiment
 from credal import (
+    Gaussian,
+    ModelSpec,
+    UpdateRule,
     ProbabilityVector,
     Credibility,
     conservative_normalize,
@@ -266,6 +271,98 @@ def test_csv_writer_refuses_what_the_reader_refuses(tmp_path, labels, values, me
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         write_labeled_csv(path, labels, values)
     assert not path.exists()
+
+
+def labeled_output(size):
+    """``write_labeled_csv`` of ``size`` rows, and the bytes it must write."""
+    labels, values = [f"h{i}" for i in range(size)], np.arange(1, size + 1) / 7
+    text = "label,value\r\n" + "".join(f"{k},{v:.17g}\r\n" for k, v in zip(labels, values.tolist()))
+    return (lambda path: write_labeled_csv(path, labels, values)), text.encode()
+
+
+def results_output(horizon):
+    """``ExperimentResult.write_csv`` of a run of ``horizon`` steps, and the bytes it must write."""
+    models = (ModelSpec("good", Gaussian(0.0, 1.0)), ModelSpec("far", Gaussian(3.0, 1.0)))
+    result = run_experiment(ExperimentConfig(0, Gaussian(0.0, 1.0), models, horizon, (UpdateRule.predictive(),)))
+    return result.write_csv, result.to_csv_text().encode()
+
+
+WRITERS = pytest.mark.parametrize("output", [labeled_output, results_output], ids=["labeled", "results"])
+
+
+@WRITERS
+@pytest.mark.parametrize("old, new", [(5, 3), (3, 5), (4, 4)], ids=["shrink", "grow", "same"])
+def test_rewriting_a_file_leaves_the_new_bytes_in_the_same_inode(tmp_path, output, old, new):
+    path = tmp_path / "out.csv"
+    output(old)[0](path)
+    inode = path.stat().st_ino
+    write, expected = output(new)
+    write(path)
+    assert path.read_bytes() == expected
+    assert path.stat().st_ino == inode
+
+
+@WRITERS
+def test_a_missing_file_is_created_as_open_creates_it(tmp_path, output):
+    write, expected = output(3)
+    write(tmp_path / "out.csv")
+    with open(tmp_path / "plain", "wb"):
+        pass
+    assert (tmp_path / "out.csv").read_bytes() == expected
+    assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_an_error_mid_stream_leaves_exactly_the_bytes_written(tmp_path, monkeypatch):
+    def failing(rows):
+        yield from rows
+        raise RuntimeError("mid-stream")
+
+    # the labeled writer's rows: the first two values are formatted, then the third fails
+    write, expected = labeled_output(4)
+    path = tmp_path / "labeled.csv"
+    labeled_output(9)[0](path)
+    two_then_fail = lambda v, formatted=core.format_floats: failing(formatted(v)[:2].tolist())
+    monkeypatch.setattr(core, "format_floats", lambda v: SimpleNamespace(tolist=lambda: two_then_fail(v)))
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        write(path)
+    assert path.read_bytes() == b"".join(expected.splitlines(keepends=True)[:3])
+
+    # the results writer's blocks: the header and one block, then a failure
+    write, expected = results_output(2)
+    path = tmp_path / "results.csv"
+    results_output(6)[0](path)
+    blocks = [b"rule,replication\n", np.frombuffer(b"predictive,0\n", np.uint8)]
+    monkeypatch.setattr(ExperimentResult, "_csv_blocks", lambda self: failing(blocks))
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        write(path)
+    assert path.read_bytes() == b"rule,replication\npredictive,0\n"
+
+
+@WRITERS
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="POSIX only")
+def test_writing_to_dev_null_still_works(output):
+    output(3)[0]("/dev/null")
+
+
+@WRITERS
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX only")
+def test_writing_to_a_fifo_still_works(tmp_path, output):
+    # a FIFO has size 0 and no position, so it is neither asked for one nor shrunk
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    write, expected = output(3)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    reader.start()
+    write(path)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [expected]
+
+
+@WRITERS
+def test_a_directory_as_the_path_still_raises(tmp_path, output):
+    with pytest.raises(IsADirectoryError):
+        output(3)[0](tmp_path)
 
 
 def python_text(values) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -334,6 +335,18 @@ def test_reruns_are_byte_identical():
     a = run_experiment(cfg).to_csv_text()
     b = run_experiment(cfg).to_csv_text()
     assert a == b
+
+
+def test_results_compare_by_value():
+    cfg = small_config(horizon=6, rules=(UpdateRule.inferential(), UpdateRule.predictive(), UpdateRule.general_bayes(1.0)))
+    a, b = run_experiment(cfg), run_experiment(cfg)
+    assert a == b and hash(a) == hash(b)
+    assert a != run_experiment(small_config(horizon=6, seed=1))
+    # equal configs, one column or one rule's log-weights different
+    assert a != dataclasses.replace(a, crps=a.crps + 1.0)
+    assert a != dataclasses.replace(a, mixture_crps=a.mixture_crps[::-1].copy())
+    assert a != dataclasses.replace(a, ratio_log_weights=(None,) * 3)
+    assert a.__eq__(cfg) is NotImplemented and a != cfg
 
 
 # eight far models first, so that once the predictive rule has zeroed them a
