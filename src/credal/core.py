@@ -522,7 +522,7 @@ def write_labeled_csv(path, labels, values) -> None:
         if not math.isfinite(value):
             raise ValueError(f"value for {label!r} is not finite: {value!r}")
         seen.add(label)
-    with _rewrite(path, "w", newline="") as fh:
+    with _rewrite(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for lab, text in zip(labels, format_floats(v).tolist()):

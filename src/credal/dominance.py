@@ -18,6 +18,9 @@ import numpy as np
 from .core import DEFAULT_EPS, ProbabilityVector, as_values, is_probabilistic
 from .updating import _simplex_projection
 
+#: entries of the candidate compacted at a time into the gaps buffer
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class DominanceReport:
@@ -59,7 +62,9 @@ class DominanceReport:
     def _seal(self, gaps: np.ndarray) -> None:
         gaps.flags.writeable = False
         object.__setattr__(self, "per_vertex_gap", gaps)
-        if self.dominated and (self.dominator is None or not np.all(gaps >= 0.0)):
+        # gaps.min() >= 0.0 is False for a NaN, True for -0.0, as the
+        # entrywise test is, without an n-sized boolean array
+        if self.dominated and (self.dominator is None or not gaps.min() >= 0.0):
             raise ValueError("a dominated report requires a dominator and non-negative gaps")
 
     def to_json(self) -> dict:
@@ -99,7 +104,10 @@ def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
     non-negative and the exact sum is strictly positive unless ``c`` already
     lies on the simplex, so no difference of nearly equal terms is taken.
     The decision does not read the computed gaps, which can underflow to
-    0.0 (``[0.5, 0.5, -1e-170]`` has gaps ``[0, 0, 2e-170]``).
+    0.0 (``[0.5, 0.5, -1e-170]`` has gaps ``[0, 0, 2e-170]``).  Besides
+    the projection, the only n-sized arrays made are the outputs: the
+    dropped entries are compacted into the gaps' buffer ``_BLOCK`` entries
+    at a time for their sum of squares, and the gaps then overwrite them.
 
     Probabilistic input (entries non-negative, ``sum(c) = 1 + delta`` with
     ``|delta| <= eps``): ``dominated=False`` with no dominator and zero
@@ -116,12 +124,19 @@ def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
     if is_probabilistic(cv, eps):
         return DominanceReport._adopt(False, None, np.zeros(cv.size))
     posterior, d, keep = _simplex_projection(cv)
-    dropped = cv[~keep]
-    offset = np.count_nonzero(keep) * d * d + np.dot(dropped, dropped)
+    # the dot product reads the same contiguous values in the same order as
+    # it would on cv[~keep], so the offset has the same bits
+    gaps = np.empty(cv.size)
+    m = 0
+    for start in range(0, cv.size, _BLOCK):
+        dropped = cv[start : start + _BLOCK][~keep[start : start + _BLOCK]]
+        gaps[m : m + dropped.size] = dropped
+        m += dropped.size
+    offset = np.count_nonzero(keep) * d * d + np.dot(gaps[:m], gaps[:m])
     # (k d d + dropped.dropped) + 2 max(0, -(c + d)) in place: -2 min(c + d, 0)
     # has the same bits but for -0.0 where c + d > 0, which adding the
     # offset (never -0.0) turns into the same sum
-    gaps = np.add(cv, d)
+    np.add(cv, d, out=gaps)
     np.minimum(gaps, 0.0, out=gaps)
     gaps *= -2.0
     gaps += offset

@@ -205,7 +205,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(Path(path)) as fh:
+        with open(Path(path), encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
     def to_json(self) -> dict:

@@ -565,7 +565,9 @@ class MixtureCRPS:
                 length = f"a last axis of length {a.shape[-1]}" if a.ndim else "no axis"
                 raise ValueError(f"{name} have {length}, the mixture has {n} components")
         wc = np.einsum("...i,...i->...", w, c)
-        wpw = np.einsum("...i,...i->...", w @ self.pair, w)
+        # one GEMM of every row (a non-contiguous stack is copied first): a
+        # stacked w @ P makes one per trailing matrix and packs P for each
+        wpw = np.einsum("...i,...i->...", (w.reshape(-1, n) @ self.pair).reshape(w.shape), w)
         # grouped so that one-hot weights return that component's score exactly
         out = wc + (w @ self.half_self - 0.5 * wpw)
         return float(out) if out.ndim == 0 else out

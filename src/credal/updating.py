@@ -114,14 +114,16 @@ def _ratio_update(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     Works on any ``[..., n]`` pair of arrays; each row's denominator is
     numpy's pairwise sum of that row, as for a 1-d vector.  A denominator
     that is zero or not finite makes the update undefined and raises
-    :class:`UnderflowError`.
+    :class:`UnderflowError`.  The weights are divided in place, so the
+    result is the only array made of the inputs' size.
     """
     w = s * p
     denom = w.sum(axis=-1, keepdims=True)
     ok = (denom > 0.0) & (denom < np.inf)
     if not ok.all():
         raise UnderflowError(f"posterior weights sum to {float(denom[~ok][0])!r}")
-    return w / denom
+    w /= denom
+    return w
 
 
 def inferential_update(p: ProbabilityVector, s: ScoreVector) -> ProbabilityVector:

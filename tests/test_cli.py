@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -197,6 +198,50 @@ def test_python_m_runs_the_cli(module, capsys):
     assert proc.returncode == 0, proc.stderr
     assert dispatch(["props", "--samples", "5"]) == 0
     assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
+
+
+def test_a_non_ascii_label_survives_an_ascii_locale(tmp_path, capsys):
+    # JSON is UTF-8 (RFC 8259) and read_labeled_csv reads UTF-8, so neither
+    # the config nor a written CSV may take the locale's encoding
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    locale_encoding = run("-c", "import locale; print(locale.getpreferredencoding(False))").stdout.strip()
+    assert codecs.lookup(locale_encoding).name != "utf-8"
+    model = {"label": "μ", "forecast": {"kind": "gaussian", "mu": 0.5, "sigma": 1.0}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_config(models=[model]), ensure_ascii=False), encoding="utf-8")
+    prior, scores = tmp_path / "prior.csv", tmp_path / "scores.csv"
+    write_labeled_csv(prior, ["μ", "b"], [0.5, 0.5])
+    write_labeled_csv(scores, ["μ", "b"], [0.8, 0.2])
+    for side in ("ascii", "utf8"):
+        simulate = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / side)]
+        update = ["update", "--rule", "inferential", "--prior", str(prior), "--scores", str(scores)]
+        update += ["--out", str(tmp_path / side / "posterior.csv")]
+        for argv in (simulate, update):
+            if side == "ascii":
+                proc = run("-m", "credal", *argv)
+                assert proc.returncode == 0, proc.stderr
+            else:
+                assert dispatch(argv) == 0
+    capsys.readouterr()
+    for name in ("results.csv", "posterior.csv"):
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+    assert "μ" in (tmp_path / "ascii" / "results.csv").read_text(encoding="utf-8")
+    labels, values = read_labeled_csv(tmp_path / "ascii" / "posterior.csv")
+    assert labels == ("μ", "b")
+    np.testing.assert_allclose(values, [0.8, 0.2], rtol=1e-15)
 
 
 def test_props_detects_forced_failure(capsys):

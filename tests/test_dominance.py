@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -235,7 +236,9 @@ def test_certificate_identity(n, seed, rival, scale):
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.one_of(st.integers(1, 40), st.integers(1 << 14, 1 << 16)),
+    # the last two span several of the 2**16-entry compaction blocks, one
+    # ending mid-block
+    n=st.one_of(st.integers(1, 40), st.integers(1 << 14, 1 << 16), st.sampled_from([2**16 + 3, 3 * 2**16])),
     kind=st.sampled_from(["uniform", "scaled", "one", "ties", "negative"]),
 )
 def test_verify_dominance_matches_the_gap_formula_bit_for_bit(seed, n, kind):
@@ -260,6 +263,23 @@ def test_verify_dominance_matches_the_gap_formula_bit_for_bit(seed, n, kind):
     np.testing.assert_array_equal(rep.dominator.values.view(np.int64), posterior.view(np.int64))
     np.testing.assert_array_equal(rep.per_vertex_gap.view(np.int64), gaps.view(np.int64))
     assert rep.dominated and np.all(gaps >= 0.0)
+
+
+def test_verify_dominance_allocates_little_beyond_its_outputs():
+    # the dominator and the gaps take 2 x 8n bytes; the survivor mask and the
+    # projection's temporaries add about a quarter more, and a copy of the
+    # dropped entries would add another 8n
+    n = 1 << 20
+    c = np.random.default_rng(0).uniform(size=n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_dominance(c).dominated
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n
 
 
 def test_dominance_report_json():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,24 @@ def test_inferential_mode_and_underflow_errors():
         inferential_update(p, tiny)  # every product underflows to zero
     with pytest.raises(ValueError):
         inferential_update(p, ScoreVector([1.0, 1.0, 1.0], Mode.MULTIPLICATIVE))
+
+
+def test_inferential_update_allocates_little_beyond_its_output():
+    # the posterior takes 8n bytes; a second n-sized array for the
+    # normalized weights would double it
+    n = 1 << 20
+    rng = np.random.default_rng(0)
+    p = ProbabilityVector(np.full(n, 1.0 / n))
+    s = ScoreVector(rng.uniform(0.1, 1.0, n), Mode.MULTIPLICATIVE)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        inferential_update(p, s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n
 
 
 def test_combine_additive_examples():
