@@ -325,8 +325,8 @@ class ExperimentResult:
         A block is a byte matrix of NUL-padded fields, one row per (rule,
         replication, t, model), and it is yielded as the ``uint8`` array of
         its bytes with the NULs dropped, so no Python code runs per row or
-        per value.  ``crps`` is formatted once per run and ``mixture_crps``
-        once per rule, by :func:`~credal.core.format_floats`; posteriors are
+        per value.  ``crps`` and ``mixture_crps`` are each formatted once per
+        run, by :func:`~credal.core.format_floats`; posteriors are
         formatted straight into their field of the matrix, a block of at
         most ``FLOAT_BLOCK`` values (or one step) at a time.
         """
@@ -338,6 +338,7 @@ class ExperimentResult:
         t_text = np.arange(1, horizon + 1).astype(f"S{len(str(horizon))}")
         label_text = np.array([m.label.encode() for m in cfg.models])
         crps_text = format_floats(self.crps).reshape(reps * horizon, n)
+        mixture_text = format_floats(self.mixture_crps).reshape(len(cfg.rules), reps * horizon, 1)
         # a row is its seven fields, each followed by a separator byte
         widths = [a.itemsize for a in (rule_text, rep_text, t_text, label_text)] + [FLOAT_FIELD] * 3
         ends = np.cumsum(np.array(widths) + 1)
@@ -352,7 +353,6 @@ class ExperimentResult:
         label_field[...] = label_text
         for k in range(len(cfg.rules)):
             rule_field[...] = rule_text[k]
-            mixture_text = format_floats(self.mixture_crps[k]).reshape(-1, 1)
             for start in range(0, reps * horizon, steps):
                 end = min(start + steps, reps * horizon)
                 rep, t = divmod(np.arange(start, end), horizon)
@@ -361,7 +361,7 @@ class ExperimentResult:
                 t_field[:m] = t_text[t, None]
                 _format_into(self.posterior[k, rep, t], post_field[:m])
                 crps_field[:m] = crps_text[start:end]
-                mix_field[:m] = mixture_text[start:end]
+                mix_field[:m] = mixture_text[k, start:end]
                 block = rows[:m]
                 yield block[block != 0]
 

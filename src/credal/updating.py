@@ -227,7 +227,33 @@ def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
 
 
-def _sort_scan(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _ScanWork:
+    """The buffers of :func:`_sort_scan` for ``rows`` rows of ``n`` entries.
+
+    ``w`` and ``c`` hold the sorted negated rows and their prefix sums
+    (then d), ``test`` the scan's test, ``keep`` the survivor mask, and
+    ``d``, ``cut``, ``last`` and ``at`` one value per row.  ``starts`` is
+    each row's flat offset and ``ranks`` the prefix lengths 1 ... n; rows
+    of at least ``_CANDIDATE_MIN_N`` entries evaluate the test in windows
+    of their bracket, and have neither ``ranks`` nor ``test``.
+    """
+
+    __slots__ = ("starts", "ranks", "w", "c", "test", "keep", "d", "cut", "last", "at")
+
+    def __init__(self, rows: int, n: int):
+        short = n < _CANDIDATE_MIN_N
+        self.starts = np.arange(0, rows * n, n)
+        self.ranks = np.arange(1.0, n + 1.0) if short else None
+        self.w, self.c = np.empty((rows, n)), np.empty((rows, n))
+        self.test = np.empty((rows, n), dtype=bool) if short else None
+        self.keep = np.empty((rows, n), dtype=bool)
+        self.d, self.cut = np.empty(rows), np.empty(rows)
+        self.last, self.at = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
+
+
+def _sort_scan(
+    q: np.ndarray, work: _ScanWork | None = None, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The full sort-and-threshold scan of every row of a 2-d ``q``.
 
     Sorts -q ascending, so that w = -u: negation is exact and commutes
@@ -235,37 +261,52 @@ def _sort_scan(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``d_j > w_j`` is the sign of u_j + d_j.  A row of at least
     ``_CANDIDATE_MIN_N`` entries evaluates the test only inside its
     :func:`_bracket`.
+
+    ``work`` is a :class:`_ScanWork` for q's shape, or None for a fresh
+    one.  The posterior is written into ``out``, or into the prefix-sum
+    buffer ``work.c`` when ``out`` is None, and the returned ``d`` and
+    ``keep`` are ``work.d`` and ``work.keep``.  So a caller that passes the
+    same ``work`` and its own ``out`` on every call allocates nothing, and
+    each call overwrites the last call's ``d`` and ``keep``.
     """
-    n = q.shape[-1]
-    w = np.negative(q)
+    work = _ScanWork(*q.shape) if work is None else work
+    w = np.negative(q, work.w)
     w.sort(-1)
-    c = w.cumsum(-1)
-    if n < _CANDIDATE_MIN_N:
-        last = _scan_ends(w, c)
+    c = np.add.accumulate(w, 1, None, work.c)  # the bits of cumsum, for less fixed cost
+    if work.ranks is not None:
+        last = _scan_ends(w, c, 0, work.ranks, work.test, work.last)
     else:
-        last = np.empty(len(q), dtype=np.intp)
+        last = work.last
         for r in range(len(q)):
             lo, hi = _bracket(w[r], c[r])
-            last[r] = _scan_ends(w[r : r + 1, lo:hi], c[r : r + 1, lo:hi], lo)[0]
-    return _finish(q, w, c, last)
+            last[r] = _scan_ends(w[r : r + 1, lo:hi], c[r : r + 1, lo:hi], lo, np.arange(lo + 1.0, hi + 1.0))[0]
+    return _finish(q, w, c, last, work, c if out is None else out)
 
 
-def _scan_ends(w: np.ndarray, c: np.ndarray, start: int = 0) -> np.ndarray:
+def _scan_ends(
+    w: np.ndarray,
+    c: np.ndarray,
+    start: int,
+    ranks: np.ndarray,
+    test: np.ndarray | None = None,
+    last: np.ndarray | None = None,
+) -> np.ndarray:
     """The last position of each row where the scan's test passes.
 
     ``w`` and ``c`` are columns ``start, start + 1, ...`` of the sorted
-    negated rows and of their prefix sums; the test is taken to pass at
+    negated rows and of their prefix sums, and ``ranks`` their prefix
+    lengths ``start + 1, start + 2, ...``; the test is taken to pass at
     the first column (it does at ``start``, or is forced at position 0,
     where u1 + (1 - u1) = 1 > 0 identically).  ``c`` is overwritten with
-    d for each prefix length.
+    d for each prefix length.  ``test`` and ``last``, when given, receive
+    the test and the result.
     """
-    m = w.shape[-1]
-    shift = c
-    shift += 1.0
-    shift /= np.arange(start + 1.0, start + m + 1.0)
-    cond = shift > w
-    cond[:, 0] = True
-    return start + (m - 1) - cond[:, ::-1].argmax(-1)
+    c += 1.0
+    c /= ranks
+    test = np.greater(c, w, test)
+    test[:, 0] = True
+    last = test[:, ::-1].argmax(-1, last)
+    return np.subtract(start + w.shape[-1] - 1, last, last)
 
 
 def _bracket(w: np.ndarray, c: np.ndarray) -> tuple[int, int]:
@@ -305,22 +346,25 @@ def _bracket(w: np.ndarray, c: np.ndarray) -> tuple[int, int]:
     return lo, hi
 
 
-def _finish(q: np.ndarray, w: np.ndarray, shift: np.ndarray, last: np.ndarray):
+def _finish(q: np.ndarray, w: np.ndarray, c: np.ndarray, last: np.ndarray, work: _ScanWork, out: np.ndarray):
     """The projection of the rows of ``q`` whose scans end at ``last``:
     d, cut, survivor mask, tie split and the posterior, which is written
-    into ``shift``, the buffer that holds d at each row's ``last``."""
-    n = q.shape[-1]
-    at = np.arange(0, q.size, n) + last
-    d = shift.take(at)
-    cut = -w.take(at)
-    keep = q >= cut[:, None]
+    into ``out``.  ``w`` holds the sorted negated rows and ``c`` d at each
+    prefix length; ``out`` may be ``c`` itself."""
+    at = np.add(work.starts, last, work.at)
+    # every index is in range, so "clip" changes none; it lets take write
+    # into a given out without buffering
+    d = c.take(at, None, work.d, "clip")
+    cut = w.take(at, None, work.cut, "clip")
+    np.negative(cut, cut)
+    keep = np.greater_equal(q, cut[:, None], work.keep)
     if np.count_nonzero(keep) != last.sum() + len(last):
         # more entries reach the cut than the prefixes hold: a tie is split
         # at the cut, and its highest-index entries go
         extra = keep.sum(-1) - (last + 1)
         for r in np.flatnonzero(extra).tolist():
             keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
-    posterior = np.add(q, d[:, None], out=shift)
+    posterior = np.add(q, d[:, None], out)
     posterior *= keep
     posterior += 0.0  # a dropped entry is (q + d) * 0, which may be -0.0
     return posterior, d, keep
@@ -446,11 +490,29 @@ def _trajectory(
 
     Returns ``(weights, log_weights)``, each ``[..., T + 1, n]``: slot 0
     holds the prior (and its log), slot t the posterior after step t.
-    ``out``, when given, receives the weights.  Every row is folded bit for
-    bit as it would be on its own.
+    ``out``, when given, receives the weights; it must be C-contiguous, as
+    the predictive fold writes through a view of its rows.  Every row is
+    folded bit for bit as it would be on its own.
 
     The predictive rule takes additive scores and projects ``p + s`` onto
-    the simplex, one step at a time; its ``log_weights`` is None.
+    the simplex, one step at a time; its ``log_weights`` is None.  Rows
+    shorter than ``_CANDIDATE_MIN_N`` run :func:`_sort_scan` on one
+    :class:`_ScanWork` and one buffer for ``p + s``, allocated once per
+    fold, and each posterior is written straight into its slot of the
+    weights.  The finiteness of ``p + s``, which
+    :func:`_simplex_projection` checks at every step, is checked once,
+    before the loop: every prior and score entry must be at most 2^1000 in
+    magnitude, which a NaN or an infinity is not.  No step can then
+    overflow.  A posterior entry is +0.0, or a kept ``q_i + d``, which is
+    positive, and in exact arithmetic the kept entries sum to ``1 + (A_j -
+    c_j) + theta (1 - c_j)``, with ``|A_j - c_j| <= g S`` and ``|theta| <=
+    2.1 eps`` as in :func:`_simplex_projection`.  At n < 2^14 every entry
+    is then below ``2 + 2^-23 max|q|``.  So, by induction over t, every
+    ``|p + s|`` stays below 2^1002 and every prefix sum below 2^1016, each
+    step's sum is finite as the per-step check requires, and the fold is
+    the per-step fold bit for bit.  Other inputs, and long rows, take
+    :func:`_simplex_projection` one step at a time, which raises
+    ``ValueError`` at the first step whose sum is not finite.
 
     The ratio-form rules (inferential, and general-Bayes with ``-rate *
     loss``) take log-scores and keep log-weights, so no weight underflows
@@ -483,13 +545,28 @@ def _trajectory(
     log-sum-exp's own rounding.  It holds while (t + 6) eps A_t,i and
     (t + 6) eps Abar_t stay below 0.1.
     """
-    weights = np.empty(scores.shape[:-2] + (scores.shape[-2] + 1, scores.shape[-1])) if out is None else out
+    *_, horizon, n = scores.shape
+    weights = np.empty(scores.shape[:-2] + (horizon + 1, n)) if out is None else out
     weights[..., 0, :] = p0
     if kind is not RuleKind.PREDICTIVE:
         return weights, _log_fold(p0, scores, weights[..., 1:, :])
-    for t in range(scores.shape[-2]):
+    if n < _CANDIDATE_MIN_N and all(
+        a.max(initial=-np.inf) <= _FOLD_LIMIT and a.min(initial=np.inf) >= -_FOLD_LIMIT for a in (p0, scores)
+    ):
+        rows = weights.reshape(-1, horizon + 1, n)
+        grid = scores.reshape(len(rows), horizon, n)
+        work, q = _ScanWork(len(rows), n), np.empty((len(rows), n))
+        for t in range(horizon):
+            _sort_scan(np.add(rows[:, t], grid[:, t], q), work, rows[:, t + 1])
+        return weights, None
+    for t in range(horizon):
         weights[..., t + 1, :] = _simplex_projection(weights[..., t, :] + scores[..., t, :])[0]
     return weights, None
+
+
+#: the predictive fold skips the per-step check when no prior or score
+#: entry exceeds this (see :func:`_trajectory`)
+_FOLD_LIMIT = 2.0**1000
 
 
 def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray) -> np.ndarray:

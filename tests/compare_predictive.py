@@ -1,0 +1,104 @@
+"""Compare the library's predictive trajectories with the step-by-step
+sort-and-threshold fold of ``tests/oracles.py``, bit for bit.
+
+    PYTHONPATH=src python tests/compare_predictive.py [--count N] [--seed S]
+
+Folds two fixed stacks: the benchmark's sim-medium shape (10 replications
+of 8 Gaussian models, 200 steps, scored by ``a * crps`` with a = -1), and
+acceptance criterion 9's models at horizon 1000, where the far model is
+zeroed and the near one leaves and re-enters.  Then ``N`` (default 100)
+seeded stacks of two rows each, whose n is spread evenly in log scale over
+[1, 64] and whose horizon over [1, 1000], each of one kind of
+``predictive_stream`` in ``tests/test_updating.py`` in turn: normal scores,
+scores on a coarse grid whose zeroed entries tie at the cut, a first step
+that splits a tie at the cut, a prior with zeros, scores that change sign
+every step so that zeroed entries re-enter, scores on a grid of 1/(4n)
+whose margins at the cut are 0 up to rounding, and scores beyond 2^1000 in
+magnitude, which take the checked step-by-step path.  Last, one stack of each kind at n = 2^14 - 1, the longest row of the
+small-row scan, over 1 to 3 steps.
+
+Every stack must equal ``oracles.sort_scan_fold`` bit for bit, and every
+row must equal its own fold, folded alone.  Prints how many stacks and
+weights were compared, then every mismatch, and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+from oracles import sort_scan_fold
+from test_updating import PREDICTIVE_KINDS, predictive_stream
+
+from credal import Gaussian
+from credal.measures import crps_matrix
+from credal.updating import _CANDIDATE_MIN_N, RuleKind, _trajectory
+
+LARGEST_N, LONGEST = 64, 1000
+CRITERION_9 = (Gaussian(0.0, 1.0), Gaussian(0.5, 1.0), Gaussian(5.0, 1.0))
+MEDIUM = CRITERION_9 + (
+    Gaussian(-1.2, 0.7),
+    Gaussian(0.3, 1.9),
+    Gaussian(1.4, 1.1),
+    Gaussian(-0.4, 0.5),
+    Gaussian(0.9, 1.6),
+)
+
+
+def harness(rng: np.random.Generator, forecasts, reps: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The harness's uniform prior and predictive scores ``-crps`` at
+    standard normal draws, ``[reps, horizon, n]``."""
+    n = len(forecasts)
+    xs = rng.normal(size=reps * horizon)
+    return np.full((reps, n), 1.0 / n), -crps_matrix(list(forecasts), xs).reshape(reps, horizon, n)
+
+
+def stacks(rng: np.random.Generator, count: int):
+    """``(kind, p0, scores)`` of every stack compared, in order."""
+    yield ("sim-medium", *harness(rng, MEDIUM, 10, 200))
+    yield ("criterion-9", *harness(rng, CRITERION_9, 2, LONGEST))
+    for i in range(count):
+        kind = PREDICTIVE_KINDS[i % len(PREDICTIVE_KINDS)]
+        n = int(np.exp(rng.uniform(0.0, np.log(LARGEST_N + 1))))
+        horizon = int(np.exp(rng.uniform(0.0, np.log(LONGEST + 1))))
+        yield (kind, *predictive_stream(rng, (2,), horizon, n, kind))
+    for kind in PREDICTIVE_KINDS:
+        yield (kind, *predictive_stream(rng, (2,), int(rng.integers(1, 4)), _CANDIDATE_MIN_N - 1, kind))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mismatches(p0: np.ndarray, scores: np.ndarray) -> int:
+    """How many rows of one stack differ from the oracle fold, or from
+    their own fold folded alone."""
+    weights = _trajectory(RuleKind.PREDICTIVE, p0, scores)[0]
+    want = sort_scan_fold(p0, scores)
+    return sum(
+        not (same_bits(weights[r], want[r]) and same_bits(_trajectory(RuleKind.PREDICTIVE, p0[r], scores[r])[0], want[r]))
+        for r in range(len(p0))
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    rng = np.random.default_rng(args.seed)
+    compared, weights, failing = 0, 0, []
+    for i, (kind, p0, scores) in enumerate(stacks(rng, args.count)):
+        off = mismatches(p0, scores)
+        compared, weights = compared + 1, weights + scores.size
+        if off:
+            failing.append((i, kind, scores.shape, off))
+    print(f"{compared} stacks (seed {args.seed}), {weights} weights: {len(failing)} mismatching stacks")
+    for i, kind, shape, off in failing[:10]:
+        print(f"  stack {i}: {kind}, shape {list(shape)}, {off} rows off")
+    return 1 if failing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,9 @@ None is used by the library itself: the enumeration oracle tries every
 zero count directly, the Michelot projection reaches the same map by
 an active-set iteration instead of a sort-and-threshold scan, the
 sort-scan projection sorts and scans every entry of every row where the
-library's kernel first tries a candidate set, the dominance oracle computes
+library's kernel first tries a candidate set (and its fold projects a
+predictive trajectory one step at a time, on fresh arrays, where the
+library's fold reuses its buffers), the dominance oracle computes
 the closed-form gaps with fresh temporaries instead of in place, the
 normal absolute mean evaluates ``math.erf`` through ``np.frompyfunc``
 instead of the library's numpy erf, the mpmath forms evaluate it and the
@@ -132,6 +134,19 @@ def sort_scan_projection(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
     posterior = np.where(keep, q + d[:, None], 0.0)
     return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
+
+
+def sort_scan_fold(p0, scores) -> np.ndarray:
+    """The predictive trajectory ``[..., T + 1, n]`` of additive scores
+    ``[..., T, n]`` from the prior ``p0``: slot 0 is the prior, and each
+    later slot one :func:`sort_scan_projection` of the previous slot plus
+    that step's scores.  ``updating._trajectory`` must match it bit for
+    bit."""
+    scores = np.asarray(scores, dtype=float)
+    weights = [np.broadcast_to(np.asarray(p0, dtype=float), scores.shape[:-2] + scores.shape[-1:])]
+    for t in range(scores.shape[-2]):
+        weights.append(sort_scan_projection(weights[-1] + scores[..., t, :])[0])
+    return np.stack(weights, axis=-2)
 
 
 def dominance_gaps(c, d, keep) -> np.ndarray:

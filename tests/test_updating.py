@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_normalize_oracle, fold_errors, sort_scan_projection
+from oracles import brute_force_normalize_oracle, fold_errors, sort_scan_fold, sort_scan_projection
 
 from credal import (
     LossValue,
@@ -645,6 +645,95 @@ def test_trajectory_rows_at_large_n_fold_as_alone(kind):
             with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
                 updating._trajectory(kind, prior, steps)
             assert [c.args[0].shape for c in full.call_args_list if c.args[0].shape[-1] == n] == widths
+
+
+PREDICTIVE_KINDS = ("plain", "ties", "split-tie", "zero-prior", "re-entry", "near-cut", "huge")
+
+
+def predictive_stream(rng, lead, horizon, n, kind):
+    """A prior ``lead + (n,)`` and additive scores ``lead + (horizon, n)``
+    of one family: normal scores; scores on a grid of 0.1 from a uniform
+    prior, so that zeroed entries tie, at the cut too; a first step whose
+    ``p + s`` is ``projection_input``'s split tie exactly, from a vertex,
+    then normal scores; a prior with zeros; scores that change sign every
+    step, so that zeroed entries re-enter; scores on a grid of 1/(4n) from
+    a uniform prior, so that margins at the cut are 0 up to rounding; or
+    scores up to 2^1001 in magnitude, about half of them beyond the fold's
+    limit of 2^1000."""
+    shape = lead + (horizon, n)
+    uniform_prior = np.full(lead + (n,), 1.0 / n)
+    p0 = rng.dirichlet(np.ones(n), size=lead)
+    if kind == "plain":
+        return p0, rng.normal(0.0, 2.0 / n, shape)
+    if kind == "ties":
+        return uniform_prior, np.round(rng.normal(0.0, 1.0, shape), 1)
+    if kind == "split-tie":
+        first = projection_input(rng, lead + (n,), "split-tie")
+        vertex = np.zeros(lead + (n,))
+        vertex[..., int(np.argmax(first.reshape(-1, n)[0]))] = 1.0
+        scores = rng.normal(0.0, 2.0 / n, shape)
+        if horizon:
+            scores[..., 0, :] = first - vertex  # 0.5 - 1 and 0 + q are exact
+        return vertex, scores
+    if kind == "zero-prior":
+        p0[..., rng.random(n) < 0.3] = 0.0
+        p0[..., rng.integers(n)] += 0.5
+        p0 /= p0.sum(-1, keepdims=True)
+        return p0, rng.normal(0.0, 1.0 / n, shape)
+    if kind == "re-entry":
+        return p0, rng.normal(0.0, 1.0, lead + (1, n)) * (-1.0) ** np.arange(horizon)[:, None]
+    if kind == "near-cut":
+        return uniform_prior, rng.integers(-4, 5, shape) / (4.0 * n)
+    return p0, rng.uniform(-1.0, 1.0, shape) * 2.0**1001  # "huge"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.sampled_from([(), (1,), (3, 2)]),
+    n=st.one_of(st.integers(1, 64), st.just(_CANDIDATE_MIN_N - 1)),
+    horizon=st.integers(0, 40),
+    kind=st.sampled_from(PREDICTIVE_KINDS),
+)
+def test_predictive_trajectory_matches_the_step_by_step_oracle_fold(seed, lead, n, horizon, kind):
+    if n > 64:  # a few steps of the longest short rows are enough
+        horizon = min(horizon, 3)
+    p0, scores = predictive_stream(np.random.default_rng(seed), lead, horizon, n, kind)
+    weights, log_weights = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
+    assert log_weights is None
+    assert_same_bits(weights, sort_scan_fold(p0, scores))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.sampled_from([(), (1,), (3, 2)]),
+    n=st.integers(1, 64),
+    horizon=st.integers(1, 40),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_predictive_trajectory_rejects_a_non_finite_score(seed, lead, n, horizon, bad):
+    rng = np.random.default_rng(seed)
+    p0, scores = predictive_stream(rng, lead, horizon, n, "plain")
+    scores[tuple(int(rng.integers(size)) for size in scores.shape)] = bad
+    with pytest.raises(ValueError, match="entries must be finite"):
+        updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
+
+
+@pytest.mark.parametrize("kind", ["re-entry", "huge"])
+def test_the_predictive_fold_allocates_its_scan_buffers_once(kind):
+    # within the limit one set of buffers serves every step; beyond it every
+    # step is a checked projection of its own
+    horizon = 50
+    p0, scores = predictive_stream(np.random.default_rng(46), (10,), horizon, 8, kind)
+    if kind == "huge":
+        scores[0, 0, 0] = 2.0**1001
+    with mock.patch.object(updating, "_ScanWork", wraps=updating._ScanWork) as work, mock.patch.object(
+        updating, "_simplex_projection", wraps=updating._simplex_projection
+    ) as step:
+        weights, _ = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
+    assert (work.call_count, step.call_count) == ((1, 0) if kind == "re-entry" else (horizon, horizon))
+    assert_same_bits(weights, sort_scan_fold(p0, scores))
 
 
 def test_sequential_ratio_form_from_a_prior_with_a_zero_matches_the_exact_fold():
