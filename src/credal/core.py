@@ -165,11 +165,11 @@ def uniform(n: int) -> ProbabilityVector:
 _CSV_HEADER = ["label", "value"]
 
 
-def reject_unknown_keys(obj: dict, allowed, what: str) -> None:
-    """Raise ``ValueError`` naming every key of a parsed literal outside ``allowed``."""
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError(f"{what}: unknown keys {unknown}")
+def reject_unknown_keys(obj: dict, allowed: frozenset, what: str) -> None:
+    """Raise ``ValueError`` naming every key of a parsed literal outside the
+    set ``allowed``; a literal within it costs one subset test of its keys."""
+    if not obj.keys() <= allowed:
+        raise ValueError(f"{what}: unknown keys {sorted(obj.keys() - allowed)}")
 
 
 def required_key(obj: dict, key: str, what: str):
@@ -263,17 +263,16 @@ def _format_tables():
 
     ``powers``: the double-double powers of ten of :func:`_powers_of_ten`;
     ``groups``: the digits of 0000 .. 9999, each as one little-endian word;
-    ``trailing``: their trailing zero digits (4 for 0000);
-    ``suffixes``: ``e-324`` .. ``e+308`` as words, indexed by exponent + 324;
-    then the tables of :func:`_layout_tables`.
+    ``trailing``: their trailing zero digits (4 for 0000); then the tables
+    of :func:`_layout_tables`.  All are built at once, so that no table is
+    allocated between the blocks of an encode.
     """
     global _tables
     if _tables is None:
         digits = [f"{i:04d}" for i in range(10_000)]
         groups = np.array([_words(g.encode())[0] for g in digits], dtype=np.uint64)
         trailing = np.array([len(g) - len(g.rstrip("0")) for g in digits])
-        suffixes = np.array([_words(f"e{e:+03d}".encode())[0] for e in range(-324, 309)], dtype=np.uint64)
-        _tables = (_powers_of_ten(), groups, trailing, suffixes) + _layout_tables()
+        _tables = (_powers_of_ten(), groups, trailing) + _layout_tables()
     return _tables
 
 
@@ -284,11 +283,12 @@ def _layout_tables():
     are exponent notation, 1 .. 21 fixed, 1 .. 4 of them below 1.  A form
     is a class with a number of significant digits, ``nd``, at
     ``c * 18 + nd``.  Indexed by ``X + 324``: ``forms``, the form of
-    ``nd = 17``; ``shifts``, the shift of the digits in bits; and
-    ``exponential``, whether ``X`` is written in exponent notation.
-    Indexed by form: ``lengths`` of the text before any suffix, and
-    ``masks[kind, word]``, the masks ``keep``, ``tail`` and ``lead``, each
-    as three words.
+    ``nd = 17``, and ``shifts``, the shift of the digits in bits.  Indexed
+    by form: ``masks[kind, word]``, the masks ``keep`` and ``tail``, each as
+    three words.  Indexed by ``(X + 324) * 18 + nd``: ``leads``, the three
+    words of the lead cut at the length of the text, and in exponent
+    notation the suffix ``e-324`` .. ``e+308`` after it; 633 x 18 x 3
+    words, 273 KB.
     """
     shifts, lengths, masks = [], [], []
     for c in range(23):
@@ -308,7 +308,18 @@ def _layout_tables():
             masks.append([_words(k) for k in (b"\xff" * keep, tail, lead[:length])])
     c = np.clip(np.arange(-324, 309) + 5, 0, 22)
     masks = np.array(masks, dtype=np.uint64).transpose(1, 2, 0).copy()
-    return c * 18 + 17, np.array(shifts, dtype=np.uint64)[c], c % 22 == 0, np.array(lengths), masks
+    # each exponent's suffix, NUL-padded to 5 bytes, placed after the text of
+    # each digit count; both exponent-notation classes have class 0's lengths.
+    # Written in place, so that building the table allocates no copy of it
+    sci = c % 22 == 0
+    suffix = np.array([f"e{x:+03d}".encode() for x in range(-324, 309)], "S5")[:, None].view(np.uint8)
+    leads = np.zeros((c.size, 18, 3), "<u8")
+    text = leads.view(np.uint8)
+    for nd, at in enumerate(lengths[:18]):
+        text[sci, nd, at : at + 5] = suffix[sci]
+    for w in range(3):
+        leads[..., w] |= np.take(masks[2, w], c[:, None] * 18 + np.arange(18))
+    return c * 18 + 17, np.array(shifts, dtype=np.uint64)[c], masks[:2].copy(), leads.reshape(-1, 3)
 
 
 def _scaled(v: np.ndarray, x_exp: np.ndarray):
@@ -360,9 +371,10 @@ def _layout(n: np.ndarray, x_exp: np.ndarray, text: np.ndarray) -> None:
     notation), then the digits shifted one byte on, past the point, cut
     after the last significant digit.  Fixed notation with ``X < 0`` keeps
     no digit and shifts by ``1 - X``, behind a lead of ``0.`` and ``-X - 1``
-    zeros.  Exponent notation then appends its suffix.
+    zeros.  In exponent notation the lead also holds the suffix, placed
+    after the last digit, so the suffix costs no pass of its own.
     """
-    _, groups, trailing, suffixes, forms, shifts, exponential, lengths, masks = _format_tables()
+    _, groups, trailing, forms, shifts, masks, leads = _format_tables()
     # 8 + 9 digits, then groups of 4, 4 | 4, 4, 1 in int32
     high = n // 10**9
     low = (n - high * 10**9).astype(np.int32)
@@ -391,16 +403,11 @@ def _layout(n: np.ndarray, x_exp: np.ndarray, text: np.ndarray) -> None:
     a1 = np.take(groups, g[2]) | (np.take(groups, g[3]) << u64(32))
     a2 = (last + ord("0")).astype(u64)
     shifted = a0 << bits, (a1 << bits) | (a0 >> back), (a2 << bits) | (a1 >> back)
+    # the lead and any suffix, by exponent and digit count, in one gather
+    lead = np.take(leads, e * 18 + (17 - zeros), axis=0)
     for w, (digits, moved) in enumerate(zip((a0, a1, a2), shifted)):
-        keep, tail, lead = (np.take(m, form) for m in masks[:, w])
-        text[:, w] = (digits & keep) | (moved & tail) | lead
-    sci = np.flatnonzero(np.take(exponential, e))
-    if sci.size:
-        at = np.take(lengths, form[sci]).astype(u64)
-        word, bits = (at // u64(8)).astype(np.intp), at % u64(8) * u64(8)
-        suffix = np.take(suffixes, e[sci])
-        text[sci, word] |= suffix << bits
-        text[sci, np.minimum(word + 1, 2)] |= suffix >> (u64(64) - bits)
+        keep, tail = (np.take(m, form) for m in masks[:, w])
+        text[:, w] = (digits & keep) | (moved & tail) | lead[:, w]
 
 
 def _format_block(x: np.ndarray, out: np.ndarray, words: np.ndarray) -> None:

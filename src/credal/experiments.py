@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -70,7 +71,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 CSV_HEADER = "rule,replication,t,model,posterior,crps,mixture_crps"
 # a NUL would also end a label's fixed-width byte field in the encoder
-_CSV_SPECIAL = ',"\r\n\x00'
+_CSV_SPECIAL = re.compile('[,"\r\n\x00]')
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -86,18 +87,23 @@ class ModelSpec:
     forecast: Forecast
 
     def __post_init__(self):
-        if not isinstance(self.label, str):
-            raise ValueError(f"model label: must be a string, got {self.label!r}")
-        if not self.label:
+        label = self.label
+        if not isinstance(label, str):
+            raise ValueError(f"model label: must be a string, got {label!r}")
+        if not label:
             raise ValueError("model label must be non-empty")
         # results.csv writes labels unquoted
-        if any(c in self.label for c in _CSV_SPECIAL):
-            raise ValueError(
-                f"model label {self.label!r}: must not contain a comma, a double quote, a line break or a NUL"
-            )
+        if _CSV_SPECIAL.search(label):
+            raise ValueError(f"model label {label!r}: must not contain a comma, a double quote, a line break or a NUL")
 
 
-_RULE_KEYS = {"inferential": {"kind"}, "predictive": {"kind"}, "general_bayes": {"kind", "rate"}}
+#: each kind of rule literal: its keys, and the name its messages give it
+_RULE_KEYS = {
+    "inferential": (frozenset({"kind"}), "inferential rule literal"),
+    "predictive": (frozenset({"kind"}), "predictive rule literal"),
+    "general_bayes": (frozenset({"kind", "rate"}), "general_bayes rule literal"),
+}
+_MODEL_KEYS = frozenset({"label", "forecast"})
 
 
 def _parse_rule(obj) -> UpdateRule:
@@ -106,9 +112,10 @@ def _parse_rule(obj) -> UpdateRule:
     elif not isinstance(obj, dict):
         raise ValueError(f"cannot parse rule literal: {obj!r}")
     kind = required_key(obj, "kind", "rule literal")
-    if kind not in _RULE_KEYS:
+    literal = _RULE_KEYS.get(kind) if isinstance(kind, str) else None
+    if literal is None:
         raise ValueError(f"unknown rule kind: {kind!r}")
-    reject_unknown_keys(obj, _RULE_KEYS[kind], f"{kind} rule literal")
+    reject_unknown_keys(obj, *literal)
     if kind != "general_bayes":
         return UpdateRule(RuleKind(kind))
     if obj.get("rate") is None:
@@ -119,15 +126,31 @@ def _parse_rule(obj) -> UpdateRule:
 def _parse_model(obj) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse model literal: {obj!r}")
-    what = f"model literal {obj.get('label')!r}"
-    reject_unknown_keys(obj, {"label", "forecast"}, what)
-    return ModelSpec(required_key(obj, "label", what), forecast_from_json(required_key(obj, "forecast", what)))
+    if obj.keys() != _MODEL_KEYS:
+        # an unknown or a missing key, named with the literal's label
+        what = f"model literal {obj.get('label')!r}"
+        reject_unknown_keys(obj, _MODEL_KEYS, what)
+        required_key(obj, "label", what)
+        required_key(obj, "forecast", what)
+    return ModelSpec(obj["label"], forecast_from_json(obj["forecast"]))
 
 
 def _rule_to_json(rule: UpdateRule):
     if rule.kind is RuleKind.GENERAL_BAYES:
         return {"kind": "general_bayes", "rate": rule.learning_rate}
     return rule.kind.value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of a JSON file's key-value ``pairs``, none of its keys repeated."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"invalid experiment config: repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def _json_list(obj: dict, key: str) -> list:
@@ -185,14 +208,15 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """Parse a config object; ``models`` or ``rules`` that are not lists,
-        missing and unknown keys, also in the rule, model and forecast
-        literals, and a top level that is not an object are rejected here,
-        and the constructor rejects the rest (non-integer counts, numbers
-        given as booleans or strings, non-string labels)."""
+        missing and unknown keys and unknown kinds (a ``kind`` that is not a
+        string included), also in the rule, model and forecast literals, and
+        a top level that is not an object are rejected here, and the
+        constructor rejects the rest (non-integer counts, numbers given as
+        booleans or strings, non-string labels)."""
         what = "invalid experiment config"
         if not isinstance(obj, dict):
             raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
-        reject_unknown_keys(obj, {f.name for f in fields(cls)}, what)
+        reject_unknown_keys(obj, _CONFIG_KEYS, what)
         return cls(
             seed=required_key(obj, "seed", what),
             truth=forecast_from_json(required_key(obj, "truth", what)),
@@ -205,8 +229,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """Read and parse a JSON config file; a key given twice in any one
+        object raises ``ValueError`` naming it, where JSON would keep the last."""
         with open(Path(path), encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            return cls.from_json(json.load(fh, object_pairs_hook=_unique_keys))
 
     def to_json(self) -> dict:
         return {
@@ -221,6 +247,9 @@ class ExperimentConfig:
             "a": self.a,
             "replications": self.replications,
         }
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def generate_data(seed: int, truth: Forecast, horizon: int, replication: int = 0) -> np.ndarray:

@@ -89,11 +89,14 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", json_number(self.mu, "gaussian mu"))
-        object.__setattr__(self, "sigma", json_number(self.sigma, "gaussian sigma"))
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+        mu, sigma = self.mu, self.sigma
+        if type(mu) is not float or type(sigma) is not float:
+            mu, sigma = json_number(mu, "gaussian mu"), json_number(sigma, "gaussian sigma")
+            object.__setattr__(self, "mu", mu)
+            object.__setattr__(self, "sigma", sigma)
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
             raise ValueError("gaussian parameters must be finite")
-        if self.sigma <= 0.0:
+        if sigma <= 0.0:
             raise ValueError("sigma must be positive")
 
 
@@ -116,39 +119,43 @@ class Empirical:
 Forecast = Union[PointMass, Gaussian, Empirical]
 
 
+#: each kind of forecast literal: its keys, and the name its messages give it
 _FORECAST_KEYS = {
-    "gaussian": {"kind", "mu", "sigma"},
-    "pointmass": {"kind", "loc"},
-    "empirical": {"kind", "samples"},
+    "gaussian": (frozenset({"kind", "mu", "sigma"}), "gaussian forecast literal"),
+    "pointmass": (frozenset({"kind", "loc"}), "pointmass forecast literal"),
+    "empirical": (frozenset({"kind", "samples"}), "empirical forecast literal"),
 }
+
+
+def _param(obj: dict, key: str, what: str) -> float:
+    """``obj[key]`` of the literal ``what`` as a float, by :func:`~credal.core.json_number`."""
+    value = required_key(obj, key, what)
+    return value if type(value) is float else json_number(value, f"{what}: {key}")
 
 
 def forecast_from_json(obj: dict) -> Forecast:
     """Parse a forecast literal like ``{"kind": "gaussian", "mu": 0, "sigma": 1}``.
 
-    Missing and unknown keys are rejected by name, and so are parameters
-    and samples that are not JSON numbers (booleans and strings included).
+    Missing and unknown keys are rejected by name, and so are a ``kind`` that
+    is not one of the three strings, and parameters and samples that are not
+    JSON numbers (booleans and strings included).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"cannot parse forecast literal: {obj!r}")
     kind = required_key(obj, "kind", "forecast literal")
-    what = f"{kind} forecast literal"
-    if kind in _FORECAST_KEYS:
-        reject_unknown_keys(obj, _FORECAST_KEYS[kind], what)
-
-    def param(key):
-        return json_number(required_key(obj, key, what), f"{what}: {key}")
-
+    literal = _FORECAST_KEYS.get(kind) if isinstance(kind, str) else None
+    if literal is None:
+        raise ValueError(f"unknown forecast kind: {kind!r}")
+    keys, what = literal
+    reject_unknown_keys(obj, keys, what)
     if kind == "gaussian":
-        return Gaussian(param("mu"), param("sigma"))
+        return Gaussian(_param(obj, "mu", what), _param(obj, "sigma", what))
     if kind == "pointmass":
-        return PointMass(param("loc"))
-    if kind == "empirical":
-        samples = required_key(obj, "samples", what)
-        if not isinstance(samples, list):
-            raise ValueError(f"{what}: samples: must be a list of numbers, got {samples!r}")
-        return Empirical([json_number(v, f"{what}: samples") for v in samples])
-    raise ValueError(f"unknown forecast kind: {kind!r}")
+        return PointMass(_param(obj, "loc", what))
+    samples = required_key(obj, "samples", what)
+    if not isinstance(samples, list):
+        raise ValueError(f"{what}: samples: must be a list of numbers, got {samples!r}")
+    return Empirical([v if type(v) is float else json_number(v, f"{what}: samples") for v in samples])
 
 
 def forecast_to_json(f: Forecast) -> dict:
@@ -390,28 +397,34 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 def crps_matrix(forecasts: Sequence[Forecast], xs) -> np.ndarray:
     """``[len(xs), len(forecasts)]`` matrix of :func:`crps` at every outcome.
 
-    A Gaussian or a point mass is one normal atom (a point mass has
-    s = 0), so its score E|X - x| - E|X - X'|/2 is
-    E|N(x - mu, sigma^2)| - sigma/sqrt(pi) from :func:`_abs_normal_mean`,
-    which is |loc - x| for a point mass; the closed form is validated
-    against a Monte-Carlo estimate of the defining expectations (see
-    :func:`crps_monte_carlo`).  An empirical forecast with m samples takes
-    both terms from its sorted samples and their prefix sums
-    (:func:`_mean_abs_difference`), one binary search per outcome, in
-    O((len(xs) + m) log m).  An entry does not depend on the other
-    forecasts or outcomes.
+    A Gaussian is one normal atom, so its score E|X - x| - E|X - X'|/2 is
+    E|N(x - mu, sigma^2)| - sigma/sqrt(pi) from :func:`_abs_normal_mean`;
+    the closed form is validated against a Monte-Carlo estimate of the
+    defining expectations (see :func:`crps_monte_carlo`).  A point mass (or
+    a one-sample empirical forecast) is an atom with s = 0 and scores
+    |x - loc|, taken directly: bit for bit what :func:`_abs_normal_mean`
+    gives at s = 0, where erf(+inf) is 1 and exp(-inf) is 0, without its
+    erf.  An empirical forecast with m samples takes both terms from its
+    sorted samples and their prefix sums (:func:`_mean_abs_difference`),
+    one binary search per outcome, in O((len(xs) + m) log m).  An entry
+    does not depend on the other forecasts or outcomes.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("observed outcome must be finite")
     atoms = [_atoms(f) for f in forecasts]
     out = np.empty((xs.size, len(forecasts)))
-    single = [j for j, (locs, _) in enumerate(atoms) if len(locs) == 1]
-    if single:
-        loc = np.array([atoms[j][0][0] for j in single])
-        sd = np.array([atoms[j][1] for j in single])
+    spread = [j for j, (locs, s) in enumerate(atoms) if len(locs) == 1 and s > 0.0]
+    if spread:
+        loc = np.array([atoms[j][0][0] for j in spread])
+        sd = np.array([atoms[j][1] for j in spread])
         for rows in _row_blocks(xs.size, loc.size):
-            out[rows, single] = _abs_normal_mean(xs[rows, None] - loc, sd) - sd / _SQRT_PI
+            out[rows, spread] = _abs_normal_mean(xs[rows, None] - loc, sd) - sd / _SQRT_PI
+    point = [j for j, (locs, s) in enumerate(atoms) if len(locs) == 1 and s == 0.0]
+    if point:
+        loc = np.array([atoms[j][0][0] for j in point])
+        for rows in _row_blocks(xs.size, loc.size):
+            out[rows, point] = np.abs(xs[rows, None] - loc)
     for j, (locs, _) in enumerate(atoms):
         if len(locs) > 1:
             half_self = 0.5 * float(np.mean(_mean_abs_difference(locs, locs)))

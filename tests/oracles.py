@@ -22,23 +22,31 @@ the reference harness runs a simulation one (rule,
 replication, step) at a time, through the public 1-d update for the
 predictive rule and as an exact 50-digit mpmath fold of the log-scores,
 summed one step at a time, for the ratio-form rules, instead of on arrays
-in float64, and the dominator search tries random candidates instead of using
-the closed-form dominance certificates.
+in float64, the dominator search tries random candidates instead of using
+the closed-form dominance certificates, the point-mass CRPS goes through
+the normal atom's E|N(m, s^2)| at s = 0 instead of taking |x - loc|, and
+the reference config parser finds unknown keys by set difference and
+builds every message up front instead of testing key views against
+frozensets and building a message only to raise it.
 """
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from credal import (
     Empirical,
+    ExperimentConfig,
     Gaussian,
+    ModelSpec,
     Mode,
     NormalizationResult,
     PointMass,
     ProbabilityVector,
     ScoreVector,
+    UpdateRule,
     crps,
     generate_data,
     predictive_update,
@@ -46,7 +54,7 @@ from credal import (
 )
 from credal.core import as_values
 from credal.experiments import CSV_HEADER
-from credal.measures import sample_forecast
+from credal.measures import _abs_normal_mean, sample_forecast
 from credal.updating import RuleKind
 
 
@@ -500,3 +508,133 @@ def reference_harness(cfg) -> tuple[str, dict]:
                     fields += [f"{v:.17g}" for v in (post[i], per_model[i])]
                     lines.append(",".join(fields))
     return "\n".join(lines) + "\n", folds
+
+
+def point_mass_crps_as_normal_atom(xs, locs) -> np.ndarray:
+    """``[len(xs), len(locs)]`` CRPS of point masses at ``locs``, each taken
+    as a normal atom with s = 0 through the library's E|N(m, s^2)|, as
+    ``crps_matrix`` once scored them: erf(+inf) |m| + 0 exp(-inf) - 0."""
+    sd = np.zeros(len(locs))
+    m = np.asarray(xs, dtype=float)[:, None] - np.asarray(locs, dtype=float)
+    return _abs_normal_mean(m, sd) - sd / math.sqrt(math.pi)
+
+
+# The reference config parser: each literal's keys checked by set
+# difference, every message built before it is known to be needed, the
+# label's characters tested one at a time and the forecasts' own checks
+# repeated here, where the library tests subsets of key views against
+# frozensets and builds a message only to raise it.  A ``kind`` that cannot
+# be hashed raises ``TypeError`` here, and ``ValueError`` in the library.
+_REFERENCE_FORECAST_KEYS = {
+    "gaussian": {"kind", "mu", "sigma"},
+    "pointmass": {"kind", "loc"},
+    "empirical": {"kind", "samples"},
+}
+_REFERENCE_RULE_KEYS = {"inferential": {"kind"}, "predictive": {"kind"}, "general_bayes": {"kind", "rate"}}
+_REFERENCE_CONFIG_KEYS = {"seed", "truth", "models", "horizon", "rules", "a", "replications"}
+
+
+def _reference_unknown_keys(obj: dict, allowed, what: str) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {unknown}")
+
+
+def _reference_required(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return obj[key]
+
+
+def _reference_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what}: must be a number, got {value!r}")
+    return float(value)
+
+
+def reference_forecast_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError(f"cannot parse forecast literal: {obj!r}")
+    kind = _reference_required(obj, "kind", "forecast literal")
+    what = f"{kind} forecast literal"
+    if kind in _REFERENCE_FORECAST_KEYS:
+        _reference_unknown_keys(obj, _REFERENCE_FORECAST_KEYS[kind], what)
+
+    def param(key):
+        return _reference_number(_reference_required(obj, key, what), f"{what}: {key}")
+
+    if kind == "gaussian":
+        mu, sigma = param("mu"), param("sigma")
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise ValueError("gaussian parameters must be finite")
+        if sigma <= 0.0:
+            raise ValueError("sigma must be positive")
+        return Gaussian(mu, sigma)
+    if kind == "pointmass":
+        loc = param("loc")
+        if not math.isfinite(loc):
+            raise ValueError("point-mass location must be finite")
+        return PointMass(loc)
+    if kind == "empirical":
+        samples = _reference_required(obj, "samples", what)
+        if not isinstance(samples, list):
+            raise ValueError(f"{what}: samples: must be a list of numbers, got {samples!r}")
+        return Empirical([_reference_number(v, f"{what}: samples") for v in samples])
+    raise ValueError(f"unknown forecast kind: {kind!r}")
+
+
+def reference_model_from_json(obj) -> ModelSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"cannot parse model literal: {obj!r}")
+    what = f"model literal {obj.get('label')!r}"
+    _reference_unknown_keys(obj, {"label", "forecast"}, what)
+    label = _reference_required(obj, "label", what)
+    forecast = reference_forecast_from_json(_reference_required(obj, "forecast", what))
+    if not isinstance(label, str):
+        raise ValueError(f"model label: must be a string, got {label!r}")
+    if not label:
+        raise ValueError("model label must be non-empty")
+    if any(c in label for c in ',"\r\n\x00'):
+        raise ValueError(f"model label {label!r}: must not contain a comma, a double quote, a line break or a NUL")
+    return ModelSpec(label, forecast)
+
+
+def reference_rule_from_json(obj) -> UpdateRule:
+    if isinstance(obj, str):
+        obj = {"kind": obj}
+    elif not isinstance(obj, dict):
+        raise ValueError(f"cannot parse rule literal: {obj!r}")
+    kind = _reference_required(obj, "kind", "rule literal")
+    if kind not in _REFERENCE_RULE_KEYS:
+        raise ValueError(f"unknown rule kind: {kind!r}")
+    _reference_unknown_keys(obj, _REFERENCE_RULE_KEYS[kind], f"{kind} rule literal")
+    if kind != "general_bayes":
+        return UpdateRule(RuleKind(kind))
+    if obj.get("rate") is None:
+        raise ValueError("general_bayes rule literal needs a 'rate'")
+    return UpdateRule.general_bayes(_reference_number(obj["rate"], "general_bayes rule literal: rate"))
+
+
+def reference_config_from_json(obj) -> ExperimentConfig:
+    """``ExperimentConfig.from_json`` by the reference parser; the config's
+    own constructor checks the rest."""
+    what = "invalid experiment config"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    _reference_unknown_keys(obj, _REFERENCE_CONFIG_KEYS, what)
+
+    def listed(key):
+        value = _reference_required(obj, key, what)
+        if not isinstance(value, list):
+            raise ValueError(f"{what}: {key}: must be a list, got {value!r}")
+        return value
+
+    return ExperimentConfig(
+        seed=_reference_required(obj, "seed", what),
+        truth=reference_forecast_from_json(_reference_required(obj, "truth", what)),
+        models=tuple(reference_model_from_json(m) for m in listed("models")),
+        horizon=_reference_required(obj, "horizon", what),
+        rules=tuple(reference_rule_from_json(r) for r in listed("rules")),
+        a=obj.get("a", -1.0),
+        replications=obj.get("replications", 1),
+    )

@@ -326,3 +326,15 @@ def test_simulate_rejects_rules_that_are_not_a_list(tmp_path, capsys):
 def test_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
     code, err = _simulate_text(tmp_path, capsys, "[1, 2]")
     assert (code, err) == (2, "error: invalid experiment config: expected a JSON object, got list\n")
+
+
+def test_simulate_refuses_a_repeated_key(tmp_path, capsys):
+    text = json.dumps(_config(horizon=3)).replace('"horizon": 3', '"horizon": 3, "horizon": 5')
+    code, err = _simulate_text(tmp_path, capsys, text)
+    assert (code, err) == (2, "error: invalid experiment config: repeated key 'horizon'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_names_a_kind_that_is_not_a_string(tmp_path, capsys):
+    code, err = _simulate_text(tmp_path, capsys, json.dumps(_config(rules=[{"kind": ["predictive"]}])))
+    assert (code, err) == (2, "error: unknown rule kind: ['predictive']\n")

@@ -489,6 +489,54 @@ def test_format_into_writes_a_strided_field(monkeypatch, block):
     assert_formats_into_a_field_like_python(np.concatenate([NEAR_TIES, EXACT_TIES, 10.0 ** np.arange(-300.0, 301.0)]))
 
 
+def significant_digits(v: float) -> tuple[int, int]:
+    """The decimal exponent of ``format(v, ".17g")`` and its number of significant digits."""
+    mantissa, _, exponent = format(v, ".17g").partition("e")
+    return int(exponent or 0), len(mantissa.replace(".", "").rstrip("0"))
+
+
+def exponent_notation_values() -> dict:
+    """``{(X, nd): v}``: a double whose ``%.17g`` has decimal exponent ``X``
+    and ``nd`` significant digits, for each exponent written in exponent
+    notation (X < -4 or X >= 17) and each nd from 1 to 17 that some double
+    has.  A double whose 17 digits are ``k * 10**(X - nd + 1)`` is one of
+    the two that bracket that decimal, since no two doubles lie within half
+    a unit of the 17th digit of each other; so trying every ``k`` and both
+    neighbours of the nearest double, as for nd <= 2, finds every double
+    there is, and for nd >= 3 a few seeded ``k`` from 10**(nd - 1) on find one."""
+    rng = np.random.default_rng(24)
+    found = {}
+    for x in [x for x in range(-324, 309) if x < -4 or x > 16]:
+        for nd in range(1, 18):
+            low = 10 ** (nd - 1)
+            ks = range(low, 10 * low) if nd <= 2 else (low + int(r) for r in rng.integers(0, low, 30, dtype=np.int64))
+            for k in ks:
+                v = float(f"{k}e{x - nd + 1}")
+                hits = [w for w in (v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)) if 0.0 < w < math.inf]
+                hits = [w for w in hits if significant_digits(w) == (x, nd)]
+                if hits:
+                    found[x, nd] = hits[0]
+                    break
+    return found
+
+
+def test_every_exponent_notation_layout_formats_like_python():
+    # each (X, nd) is a row of the lead-and-suffix table of _layout_tables:
+    # the lead cut after nd digits and the suffix of X placed after them
+    found = exponent_notation_values()
+    normal = [x for x in range(-307, 309) if x < -4 or x > 16]
+    assert all((x, nd) in found for x in normal for nd in range(3, 18))
+    assert {nd for _, nd in found} == set(range(1, 18))
+    assert {x for x, _ in found} == {x for x in range(-324, 309) if x < -4 or x > 16}
+    subnormals = np.random.default_rng(25).integers(1, 2**52, 2000, dtype=np.int64).view(float)
+    extremes = [5e-324, np.nextafter(np.finfo(float).tiny, 0.0)]
+    values = np.concatenate([np.array(list(found.values())), subnormals, extremes])
+    # into a fresh array and into a strided field, in blocks mixing signs and
+    # NaN (through the gather) and of positive values alone (without it)
+    assert_formats_into_a_field_like_python(values)
+    assert_formats_into_a_field_like_python(np.concatenate([values, -values, [np.nan]]))
+
+
 def test_format_into_writes_through_a_copy_where_no_view_flattens():
     values = np.arange(1.0, 31.0).reshape(5, 6) / 7
     rows = np.zeros((5, 6, 30), np.uint8)

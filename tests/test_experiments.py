@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import monte_carlo_mixture_crps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import monte_carlo_mixture_crps, reference_config_from_json
 
 from credal import (
     ExperimentConfig,
@@ -440,6 +443,131 @@ def test_config_json_rejects_non_numbers_and_non_string_labels(mutate, message):
     mutate(obj)
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(obj)
+
+
+NOT_STRINGS = [["gaussian"], {"kind": "gaussian"}, None]
+
+
+@pytest.mark.parametrize("kind", NOT_STRINGS)
+@pytest.mark.parametrize("where", ["truth", "model", "rule"])
+def test_a_kind_that_is_not_a_string_is_an_unknown_kind(where, kind):
+    obj = small_config().to_json()
+    if where == "rule":
+        obj["rules"] = ["predictive", {"kind": kind}]
+    else:
+        (obj["truth"] if where == "truth" else obj["models"][1]["forecast"])["kind"] = kind
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_json(obj)
+    assert str(info.value) == f"unknown {'rule' if where == 'rule' else 'forecast'} kind: {kind!r}"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": 0, "horizon": 3, "horizon": 5}', "horizon"),
+        ('{"models": [{"label": "a", "label": "b"}]}', "label"),
+        ('{"truth": {"kind": "gaussian", "mu": 0, "mu": 1, "sigma": 1}}', "mu"),
+        ('{"rules": [{"kind": "general_bayes", "rate": 1, "rate": 2}], "rules": []}', "rate"),
+    ],
+)
+def test_a_config_file_with_a_repeated_key_is_refused(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_file(path)
+    assert str(info.value) == f"invalid experiment config: repeated key {key!r}"
+
+
+# values that break a literal: booleans, strings, lists, NaN, objects and
+# None in number fields; non-string and unknown kinds; labels that are not
+# strings or hold a character the CSV cannot carry
+MUTANTS = [
+    True, False, "1", "", "gaussian", "predictive", None, [], [0.5, "1"], ["gaussian"], {"kind": "gaussian"}, {},
+    math.nan, math.inf, -1.0, 0, 2, 0.5, "a,b", 'say "hi"', "line\nbreak", "cr\r", "nul\x00", "ok",
+]
+numbers = st.floats(-5.0, 5.0) | st.integers(-3, 3)
+spreads = st.floats(0.1, 3.0) | st.integers(1, 3)
+forecast_literals = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("gaussian"), "mu": numbers, "sigma": spreads}),
+    st.fixed_dictionaries({"kind": st.just("pointmass"), "loc": numbers}),
+    st.fixed_dictionaries({"kind": st.just("empirical"), "samples": st.lists(numbers, min_size=1, max_size=3)}),
+)
+rule_literals = st.sampled_from(
+    ["inferential", "predictive", {"kind": "predictive"}, {"kind": "general_bayes", "rate": 0.5}]
+)
+
+
+@st.composite
+def config_literals(draw):
+    """A config object that parses, with up to three mutations: a key dropped,
+    a key added, or a value or list entry replaced by one of ``MUTANTS``,
+    a ``kind`` or a ``label`` among them half the time."""
+    forecasts = draw(st.lists(forecast_literals, min_size=1, max_size=3))
+    rules = st.lists(rule_literals, min_size=1, max_size=3, unique_by=lambda r: r if isinstance(r, str) else r["kind"])
+    obj = {
+        "seed": draw(st.integers(0, 9)),
+        "truth": draw(forecast_literals),
+        "models": [{"label": f"m{i}", "forecast": f} for i, f in enumerate(forecasts)],
+        "horizon": draw(st.integers(1, 4)),
+        "rules": draw(rules),
+    }
+    if draw(st.booleans()):
+        obj["a"] = draw(st.floats(-3.0, -0.1))
+    obj = copy.deepcopy(obj)  # sampled literals are shared between examples
+    for _ in range(draw(st.integers(0, 3))):
+        slots = []
+
+        def collect(node):
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for key, value in items:
+                slots.append((node, key))
+                collect(value)
+
+        collect(obj)
+        named = [(node, key) for node, key in slots if key in ("kind", "label")]
+        node, key = draw(st.sampled_from(named if named and draw(st.booleans()) else slots))
+        action = draw(st.sampled_from(["drop", "add", "replace"]))
+        if action == "drop" and isinstance(node, dict):
+            del node[key]
+        elif action == "add" and isinstance(node, dict):
+            added = draw(st.sampled_from(["lable", "sigmaa", "kind", "label", "rate", "extra"]))
+            node[added] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+    return obj
+
+
+def parse_outcome(parse, obj):
+    """``("ok", config as JSON)`` or ``(exception type, message)``."""
+    try:
+        return "ok", parse(copy.deepcopy(obj)).to_json()
+    except Exception as exc:  # the outcome under test, whatever it is
+        return type(exc), str(exc)
+
+
+def _with_model(label, forecast, **extra):
+    obj = small_config(rules=(UpdateRule.predictive(),)).to_json()
+    obj["models"][1] = {"label": label, "forecast": forecast, **extra}
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_literals())
+# two faults in one literal: the first the reference meets is the one named
+@example(_with_model(3, {"kind": "gaussian", "mu": "0", "sigma": 1.0}))
+@example(_with_model("a,b", {"kind": "pointmass"}))
+@example(_with_model(None, {"kind": "gaussian", "mu": True}, lable="x"))
+@example(_with_model("m", {"kind": "gaussian", "mu": "x"}))
+@example(_with_model("m", {"kind": ["gaussian"], "extra": 1}))
+@example(dict(small_config().to_json(), seed="0", truth={"kind": "cauchy"}))
+def test_the_config_parser_agrees_with_the_reference(obj):
+    # the same config or the same error; where the reference cannot hash a
+    # kind, the library names it as an unknown kind
+    got, expected = parse_outcome(ExperimentConfig.from_json, obj), parse_outcome(reference_config_from_json, obj)
+    if expected[0] is TypeError and expected[1].startswith("unhashable type"):
+        assert got[0] is ValueError and re.fullmatch(r"unknown (forecast|rule) kind: .*", got[1], re.S)
+    else:
+        assert got == expected
 
 
 def test_config_json_accepts_integer_numbers():

@@ -15,23 +15,29 @@ from oracles import (
     crps_reference,
     crps_tolerance,
     gaussian_crps_mpmath,
+    point_mass_crps_as_normal_atom,
 )
 
 from credal import (
     Empirical,
+    ExperimentConfig,
     Gaussian,
     LossValue,
     Mode,
+    ModelSpec,
     PointMass,
     ScoreVector,
+    UpdateRule,
     crps,
     crps_measure,
     crps_monte_carlo,
     exp_loss_score,
     forecast_from_json,
     forecast_to_json,
+    generate_data,
     likelihood_score,
     min_abs_error_score,
+    run_experiment,
 )
 from credal.measures import (
     MixtureCRPS,
@@ -392,6 +398,86 @@ any_forecast = st.one_of(
     # draws from a short list repeat, so samples tie
     st.builds(Empirical, st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | reals, min_size=1, max_size=40)),
 )
+
+
+# a loc equal to an outcome, both zeros, the smallest subnormal, and pairs
+# whose difference is about 1.7e308, the largest finite value but 6%
+EDGE_LOCS = [0.0, -0.0, 1.5, -8e307, 8e307, 5e-324, -3.25]
+EDGE_XS = EDGE_LOCS + [9e307, -9e307, 1e-300, 0.7]
+wide_locs = st.sampled_from(EDGE_LOCS) | st.floats(-8e307, 8e307)
+wide_xs = st.sampled_from(EDGE_XS) | st.floats(-9e307, 9e307)
+
+
+def point_mass_columns(forecasts) -> tuple[list, np.ndarray]:
+    """The columns of ``crps_matrix`` that hold an atom without spread, and their locations."""
+    locs = {
+        j: f.location if isinstance(f, PointMass) else f.samples[0]
+        for j, f in enumerate(forecasts)
+        if isinstance(f, PointMass) or (isinstance(f, Empirical) and f.samples.size == 1)
+    }
+    return list(locs), np.array(list(locs.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.builds(PointMass, wide_locs),
+            st.builds(Gaussian, wide_locs, st.floats(1e-3, 1e3)),
+            st.builds(lambda v: Empirical([v]), wide_locs),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(wide_xs, min_size=1, max_size=12),
+)
+@example([Gaussian(0.5, 2.0), *map(PointMass, EDGE_LOCS), Empirical([1.5]), Gaussian(-8e307, 1.0)], EDGE_XS)
+def test_point_mass_columns_are_the_absolute_error_bit_for_bit(forecasts, xs):
+    # |x - loc| is what the normal atom's E|N(m, s^2)| gives at s = 0, and a
+    # Gaussian column is what it is when scored alone
+    xs = np.array(xs)
+    got = crps_matrix(forecasts, xs)
+    at, locs = point_mass_columns(forecasts)
+    if at:
+        assert np.array_equal(bits(got[:, at]), bits(np.abs(xs[:, None] - locs)))
+        assert np.array_equal(bits(got[:, at]), bits(point_mass_crps_as_normal_atom(xs, locs)))
+    for j, f in enumerate(forecasts):
+        assert np.array_equal(bits(crps_matrix([f], xs)[:, 0]), bits(got[:, j]))
+
+
+@pytest.mark.parametrize(
+    "truth, models",
+    [
+        # Gaussian data, every kind of model
+        (
+            Gaussian(0.0, 1.0),
+            [Gaussian(0.0, 1.0), PointMass(0.25), Empirical([-1.0, 0.5, 2.0]), PointMass(-0.0), Empirical([0.3])],
+        ),
+        # every outcome 4e307: a model at it, one 4e307 away, and an ensemble
+        # about it; the mean over the steps of a larger score would overflow
+        (
+            PointMass(4e307),
+            [PointMass(4e307), PointMass(0.0), Gaussian(4e307, 1.0), Empirical([3.5e307, 4e307, 4.5e307])],
+        ),
+        # every outcome -0.0: models at +0.0 and -0.0
+        (PointMass(-0.0), [PointMass(0.0), Gaussian(1.0, 2.0), PointMass(-0.0), Empirical([-1.0, 0.0, 1.0])]),
+    ],
+)
+def test_a_run_scores_its_point_masses_by_the_absolute_error(truth, models):
+    cfg = ExperimentConfig(
+        seed=5,
+        truth=truth,
+        models=tuple(ModelSpec(f"m{i}", f) for i, f in enumerate(models)),
+        horizon=4,
+        rules=(UpdateRule.predictive(),),
+        replications=2,
+    )
+    result = run_experiment(cfg)
+    xs = np.array([generate_data(cfg.seed, cfg.truth, cfg.horizon, replication=rep) for rep in range(2)])
+    at, locs = point_mass_columns(models)
+    assert np.array_equal(bits(result.crps[..., at]), bits(np.abs(xs[..., None] - locs)))
+    oracle = point_mass_crps_as_normal_atom(xs.ravel(), locs).reshape(2, 4, -1)
+    assert np.array_equal(bits(result.crps[..., at]), bits(oracle))
 
 
 @settings(max_examples=150, deadline=None)
