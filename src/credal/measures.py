@@ -462,15 +462,18 @@ def _mean_abs_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     O((len(a) + len(b)) log len(b)).
 
     Both are taken relative to the median of ``b``, so that samples
-    clustered far from 0 keep their digits."""
+    clustered far from 0 keep their digits, and each count is divided by
+    len(b) before it scales an ``a_i``, so that an outcome far from the
+    samples does not overflow."""
     b = np.sort(b)
     center = b[b.size // 2]
     a, b = a - center, b - center
     below = np.searchsorted(b, a)  # how many b_j lie below each a_i
     prefix = np.concatenate(([0.0], np.cumsum(b)))
-    lower = a * below - prefix[below]
-    upper = (prefix[-1] - prefix[below]) - a * (b.size - below)
-    return (lower + upper) / b.size
+    m = b.size
+    lower = a * (below / m) - prefix[below] / m
+    upper = (prefix[-1] - prefix[below]) / m - a * ((m - below) / m)
+    return lower + upper
 
 
 def _atoms(f: Forecast) -> tuple[Sequence[float], float]:

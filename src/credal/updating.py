@@ -109,19 +109,17 @@ def _paired(p: ProbabilityVector, s: ScoreVector, mode: Mode, op: str) -> tuple[
 
 
 def _ratio_update(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Ratio-form update along the last axis: ``w = s*p; w / w.sum(-1)``.
+    """Ratio-form update of two 1-d vectors: ``w = s*p; w / w.sum()``.
 
-    Works on any ``[..., n]`` pair of arrays; each row's denominator is
-    numpy's pairwise sum of that row, as for a 1-d vector.  A denominator
-    that is zero or not finite makes the update undefined and raises
-    :class:`UnderflowError`.  The weights are divided in place, so the
-    result is the only array made of the inputs' size.
+    The denominator is numpy's pairwise sum.  One that is zero or not
+    finite makes the update undefined and raises :class:`UnderflowError`.
+    The weights are divided in place, so the result is the only array made
+    of the inputs' size.
     """
     w = s * p
-    denom = w.sum(axis=-1, keepdims=True)
-    ok = (denom > 0.0) & (denom < np.inf)
-    if not ok.all():
-        raise UnderflowError(f"posterior weights sum to {float(denom[~ok][0])!r}")
+    denom = float(w.sum())
+    if not 0.0 < denom < math.inf:
+        raise UnderflowError(f"posterior weights sum to {denom!r}")
     w /= denom
     return w
 
@@ -499,18 +497,14 @@ def _trajectory(
     shorter than ``_CANDIDATE_MIN_N`` run :func:`_sort_scan` on one
     :class:`_ScanWork` and one buffer for ``p + s``, allocated once per
     fold, and each posterior is written straight into its slot of the
-    weights.  The finiteness of ``p + s``, which
-    :func:`_simplex_projection` checks at every step, is checked once,
-    before the loop: every prior and score entry must be at most 2^1000 in
-    magnitude, which a NaN or an infinity is not.  No step can then
-    overflow.  A posterior entry is +0.0, or a kept ``q_i + d``, which is
-    positive, and in exact arithmetic the kept entries sum to ``1 + (A_j -
-    c_j) + theta (1 - c_j)``, with ``|A_j - c_j| <= g S`` and ``|theta| <=
-    2.1 eps`` as in :func:`_simplex_projection`.  At n < 2^14 every entry
-    is then below ``2 + 2^-23 max|q|``.  So, by induction over t, every
-    ``|p + s|`` stays below 2^1002 and every prefix sum below 2^1016, each
-    step's sum is finite as the per-step check requires, and the fold is
-    the per-step fold bit for bit.  Other inputs, and long rows, take
+    weights.  That loop checks its result, not its inputs: it raises
+    ``ValueError`` when the last posterior holds an entry that is not
+    finite, which it does whenever some step's ``p + s`` does.  A NaN or
+    an infinity in ``p + s`` leaves a NaN in that step's posterior, as a
+    dropped entry is ``(q + d) * 0`` and an infinity turns ``d`` or the
+    whole row into NaN; a NaN in a posterior makes the next step's ``p +
+    s`` NaN, so it reaches the last row.  Only the invalid operations on
+    the way are silenced; an overflowing prefix sum warns.  Long rows take
     :func:`_simplex_projection` one step at a time, which raises
     ``ValueError`` at the first step whose sum is not finite.
 
@@ -550,23 +544,19 @@ def _trajectory(
     weights[..., 0, :] = p0
     if kind is not RuleKind.PREDICTIVE:
         return weights, _log_fold(p0, scores, weights[..., 1:, :])
-    if n < _CANDIDATE_MIN_N and all(
-        a.max(initial=-np.inf) <= _FOLD_LIMIT and a.min(initial=np.inf) >= -_FOLD_LIMIT for a in (p0, scores)
-    ):
-        rows = weights.reshape(-1, horizon + 1, n)
-        grid = scores.reshape(len(rows), horizon, n)
-        work, q = _ScanWork(len(rows), n), np.empty((len(rows), n))
+    if n >= _CANDIDATE_MIN_N:
+        for t in range(horizon):
+            weights[..., t + 1, :] = _simplex_projection(weights[..., t, :] + scores[..., t, :])[0]
+        return weights, None
+    rows = weights.reshape(-1, horizon + 1, n)
+    grid = scores.reshape(len(rows), horizon, n)
+    work, q = _ScanWork(len(rows), n), np.empty((len(rows), n))
+    with np.errstate(invalid="ignore"):
         for t in range(horizon):
             _sort_scan(np.add(rows[:, t], grid[:, t], q), work, rows[:, t + 1])
-        return weights, None
-    for t in range(horizon):
-        weights[..., t + 1, :] = _simplex_projection(weights[..., t, :] + scores[..., t, :])[0]
+    if not np.isfinite(rows[:, -1]).all():
+        raise ValueError("entries must be finite")
     return weights, None
-
-
-#: the predictive fold skips the per-step check when no prior or score
-#: entry exceeds this (see :func:`_trajectory`)
-_FOLD_LIMIT = 2.0**1000
 
 
 def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray) -> np.ndarray:

@@ -13,9 +13,11 @@ seeded stacks of two rows each, whose n is spread evenly in log scale over
 scores on a coarse grid whose zeroed entries tie at the cut, a first step
 that splits a tie at the cut, a prior with zeros, scores that change sign
 every step so that zeroed entries re-enter, scores on a grid of 1/(4n)
-whose margins at the cut are 0 up to rounding, and scores beyond 2^1000 in
-magnitude, which take the checked step-by-step path.  Last, one stack of each kind at n = 2^14 - 1, the longest row of the
-small-row scan, over 1 to 3 steps.
+whose margins at the cut are 0 up to rounding, and scores up to 2^1001 in
+magnitude.  Last, one stack of each kind on each side of the row-length
+split, over 1 to 3 steps: at n = 2^14 - 1, the longest row of the
+buffered small-row loop, and at n = 2^14, the shortest row that steps
+through the long-row projection.
 
 Every stack must equal ``oracles.sort_scan_fold`` bit for bit, and every
 row must equal its own fold, folded alone.  Prints how many stacks and
@@ -63,8 +65,9 @@ def stacks(rng: np.random.Generator, count: int):
         n = int(np.exp(rng.uniform(0.0, np.log(LARGEST_N + 1))))
         horizon = int(np.exp(rng.uniform(0.0, np.log(LONGEST + 1))))
         yield (kind, *predictive_stream(rng, (2,), horizon, n, kind))
-    for kind in PREDICTIVE_KINDS:
-        yield (kind, *predictive_stream(rng, (2,), int(rng.integers(1, 4)), _CANDIDATE_MIN_N - 1, kind))
+    for n in (_CANDIDATE_MIN_N - 1, _CANDIDATE_MIN_N):
+        for kind in PREDICTIVE_KINDS:
+            yield (kind, *predictive_stream(rng, (2,), int(rng.integers(1, 4)), n, kind))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
