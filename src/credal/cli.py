@@ -99,21 +99,17 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.write_csv(out_dir / "results.csv")
-    print(
-        json.dumps(
-            {
-                "results": str(out_dir / "results.csv"),
-                "aggregates": [
-                    {
-                        "rule": agg.rule,
-                        "mean_mixture_crps": agg.mean_mixture_crps,
-                        "se_mixture_crps": agg.se_mixture_crps,
-                    }
-                    for agg in result.aggregates
-                ],
-            }
-        )
-    )
+    summary = {
+        "results": str(out_dir / "results.csv"),
+        "aggregates": [
+            {"rule": agg.rule, "mean_mixture_crps": agg.mean_mixture_crps, "se_mixture_crps": agg.se_mixture_crps}
+            for agg in result.aggregates
+        ],
+    }
+    try:
+        print(json.dumps(summary, allow_nan=False))
+    except ValueError:
+        raise ValueError("an aggregate is not finite, and strict JSON (RFC 8259) has no NaN or Infinity") from None
     return 0
 
 

@@ -207,6 +207,17 @@ def checked_int(value, what: str, least: int | None = None) -> int:
     return int(value)
 
 
+def unit_scale(x: np.ndarray) -> float:
+    """A power of two that takes the largest magnitude of ``x`` to [0.5, 1),
+    within 2^±1021 (1.0 when it is not finite).
+
+    Sums and squares taken of the scaled values, then scaled back, neither
+    overflow nor underflow on the way.  Scaling by a power of two is exact
+    and commutes with rounding, and sqrt(4^m v) = 2^m sqrt(v), so a result
+    in the normal range keeps every bit of the unscaled one."""
+    return math.ldexp(1.0, -min(max(math.frexp(max(x.max(), -x.min()))[1], -1021), 1021))
+
+
 #: Bytes of one :func:`format_floats` field; the longest positive output,
 #: ``d.dddddddddddddddde-XXX``, is 23.
 FLOAT_FIELD = 24

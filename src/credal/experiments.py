@@ -471,11 +471,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         logs = _trajectory(rule.kind, prior, _score_grid(rule, cfg, xs, model_crps), out=weights[k])[1]
         ratio_log_weights.append(None if logs is None else _readonly(logs[:, 1:]))
     mixture_crps = MixtureCRPS(forecasts).score(weights[:, :, :-1], model_crps)
-    rep_means = mixture_crps.mean(-1)
-    se = rep_means.std(-1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(cfg.rules))
+    scale = core.unit_scale(mixture_crps)
+    rep_means = (mixture_crps * scale).mean(-1) / scale
+    scale = core.unit_scale(rep_means)
+    scaled = rep_means * scale
+    se = scaled.std(-1, ddof=1) / scale / math.sqrt(reps) if reps > 1 else np.zeros(len(cfg.rules))
     aggregates = tuple(
         RuleAggregate(rule.kind.value, mean, err, tuple(row))
-        for rule, mean, err, row in zip(cfg.rules, rep_means.mean(-1).tolist(), se.tolist(), rep_means.tolist())
+        for rule, mean, err, row in zip(cfg.rules, (scaled.mean(-1) / scale).tolist(), se.tolist(), rep_means.tolist())
     )
     return ExperimentResult(
         cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(mixture_crps), aggregates, tuple(ratio_log_weights)

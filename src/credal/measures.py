@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import as_values, checked_int, json_number, negative_number, reject_unknown_keys, required_key
+from .core import as_values, checked_int, json_number, negative_number, reject_unknown_keys, required_key, unit_scale
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -427,7 +427,7 @@ def crps_matrix(forecasts: Sequence[Forecast], xs) -> np.ndarray:
             out[rows, point] = np.abs(xs[rows, None] - loc)
     for j, (locs, _) in enumerate(atoms):
         if len(locs) > 1:
-            half_self = 0.5 * float(np.mean(_mean_abs_difference(locs, locs)))
+            half_self = 0.5 * _mean(_mean_abs_difference(locs, locs))
             out[:, j] = _mean_abs_difference(xs, locs) - half_self
     return out
 
@@ -464,16 +464,26 @@ def _mean_abs_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Both are taken relative to the median of ``b``, so that samples
     clustered far from 0 keep their digits, and each count is divided by
     len(b) before it scales an ``a_i``, so that an outcome far from the
-    samples does not overflow."""
+    samples does not overflow.  The prefix sums are taken of ``b`` scaled
+    by :func:`~credal.core.unit_scale`, and scaled back once divided by
+    len(b), so that samples near the largest float do not overflow them."""
     b = np.sort(b)
     center = b[b.size // 2]
     a, b = a - center, b - center
     below = np.searchsorted(b, a)  # how many b_j lie below each a_i
-    prefix = np.concatenate(([0.0], np.cumsum(b)))
+    scale = unit_scale(b)
+    prefix = np.concatenate(([0.0], np.cumsum(b * scale)))
     m = b.size
-    lower = a * (below / m) - prefix[below] / m
-    upper = (prefix[-1] - prefix[below]) / m - a * ((m - below) / m)
+    lower = a * (below / m) - prefix[below] / m / scale
+    upper = (prefix[-1] - prefix[below]) / m / scale - a * ((m - below) / m)
     return lower + upper
+
+
+def _mean(x: np.ndarray) -> float:
+    """The mean of ``x``, taken of ``x`` scaled by :func:`~credal.core.unit_scale`
+    so that its sum does not overflow; a normal mean keeps every bit."""
+    scale = unit_scale(x)
+    return float(np.mean(x * scale)) / scale
 
 
 def _atoms(f: Forecast) -> tuple[Sequence[float], float]:
@@ -515,7 +525,7 @@ def expected_abs_difference(forecasts: Sequence[Forecast]) -> np.ndarray:
             continue
         for j, (ys, t) in enumerate(atoms):
             if s == 0.0 and t == 0.0:
-                value = float(np.mean(_mean_abs_difference(xs, np.asarray(ys))))
+                value = _mean(_mean_abs_difference(xs, np.asarray(ys)))
             else:
                 value = float(np.mean(_abs_normal_mean(xs[:, None] - np.asarray(ys), math.hypot(s, t))))
             pair[i, j] = pair[j, i] = value

@@ -216,12 +216,9 @@ def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     shape = q.shape
     n = shape[-1]
     q = q.reshape(-1, n)
-    if n < _CANDIDATE_MIN_N:
-        if not np.isfinite(q).all():
-            raise ValueError("entries must be finite")
-        posterior, d, keep = _sort_scan(q)
-    else:
-        posterior, d, keep = _long_rows(q)
+    if n < _CANDIDATE_MIN_N and not np.isfinite(q).all():
+        raise ValueError("entries must be finite")
+    posterior, d, keep = _project_rows(q)
     return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
 
 
@@ -368,9 +365,14 @@ def _finish(q: np.ndarray, w: np.ndarray, c: np.ndarray, last: np.ndarray, work:
     return posterior, d, keep
 
 
-def _long_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the rows of a 2-d ``q`` by the candidate scan, or all of
-    them by the full scan once the candidate scan refuses a row."""
+def _project_rows(q: np.ndarray, work: _ScanWork | None = None, out: np.ndarray | None = None):
+    """The projection of the rows of a 2-d ``q``: :func:`_sort_scan` for
+    rows shorter than ``_CANDIDATE_MIN_N``; longer rows, whose entries must
+    be finite, by the candidate scan, or all by the full scan once it
+    refuses a row.  ``work`` and ``out`` are :func:`_sort_scan`'s, given
+    together or not at all."""
+    if q.shape[-1] < _CANDIDATE_MIN_N:
+        return _sort_scan(q, work, out)
     hi, lo = q.max(-1), q.min(-1)  # a NaN or an infinity reaches one of them
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("entries must be finite")
@@ -379,14 +381,17 @@ def _long_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = _candidate_threshold(row, h, m_inf)
         scans.append(None if t is None else _candidate_scan(row, t, m_inf))
         if scans[-1] is None:
-            return _sort_scan(q)
-    posterior = np.zeros(q.shape)
-    d = np.empty(len(q))
-    keep = np.zeros(q.shape, dtype=bool)
+            return _sort_scan(q, work, out)
+    if work is None:
+        out, d, keep = np.zeros(q.shape), np.empty(len(q)), np.zeros(q.shape, dtype=bool)
+    else:  # the buffers hold the last call's projection
+        out.fill(0.0)
+        work.keep.fill(False)
+        d, keep = work.d, work.keep
     for r, (kept, values, d[r]) in enumerate(scans):
-        posterior[r, kept] = values
+        out[r, kept] = values
         keep[r, kept] = True
-    return posterior, d, keep
+    return out, d, keep
 
 
 def _bound(n: int, m_inf: float, k: int, t: float) -> float:
@@ -493,20 +498,19 @@ def _trajectory(
     folded bit for bit as it would be on its own.
 
     The predictive rule takes additive scores and projects ``p + s`` onto
-    the simplex, one step at a time; its ``log_weights`` is None.  Rows
-    shorter than ``_CANDIDATE_MIN_N`` run :func:`_sort_scan` on one
-    :class:`_ScanWork` and one buffer for ``p + s``, allocated once per
-    fold, and each posterior is written straight into its slot of the
-    weights.  That loop checks its result, not its inputs: it raises
-    ``ValueError`` when the last posterior holds an entry that is not
-    finite, which it does whenever some step's ``p + s`` does.  A NaN or
-    an infinity in ``p + s`` leaves a NaN in that step's posterior, as a
-    dropped entry is ``(q + d) * 0`` and an infinity turns ``d`` or the
-    whole row into NaN; a NaN in a posterior makes the next step's ``p +
-    s`` NaN, so it reaches the last row.  Only the invalid operations on
-    the way are silenced; an overflowing prefix sum warns.  Long rows take
-    :func:`_simplex_projection` one step at a time, which raises
-    ``ValueError`` at the first step whose sum is not finite.
+    the simplex by :func:`_project_rows`, one step at a time, on one
+    :class:`_ScanWork` and one buffer for ``p + s`` allocated once per
+    fold; each posterior is written straight into its slot of the weights,
+    and ``log_weights`` is None.  The loop checks its result, not its
+    inputs: it raises ``ValueError`` when the last posterior holds an
+    entry that is not finite, which it does whenever some step's ``p + s``
+    does.  A NaN or an infinity in ``p + s`` leaves a NaN in that step's
+    posterior, as a dropped entry is ``(q + d) * 0`` and an infinity turns
+    ``d`` or the whole row into NaN; a NaN in a posterior makes the next
+    step's ``p + s`` NaN, so it reaches the last row.  Only the invalid
+    operations on the way are silenced; an overflowing prefix sum warns.
+    Long rows raise at the first such step, as the candidate scan reads
+    each row's max and min.
 
     The ratio-form rules (inferential, and general-Bayes with ``-rate *
     loss``) take log-scores and keep log-weights, so no weight underflows
@@ -544,16 +548,12 @@ def _trajectory(
     weights[..., 0, :] = p0
     if kind is not RuleKind.PREDICTIVE:
         return weights, _log_fold(p0, scores, weights[..., 1:, :])
-    if n >= _CANDIDATE_MIN_N:
-        for t in range(horizon):
-            weights[..., t + 1, :] = _simplex_projection(weights[..., t, :] + scores[..., t, :])[0]
-        return weights, None
     rows = weights.reshape(-1, horizon + 1, n)
     grid = scores.reshape(len(rows), horizon, n)
     work, q = _ScanWork(len(rows), n), np.empty((len(rows), n))
     with np.errstate(invalid="ignore"):
         for t in range(horizon):
-            _sort_scan(np.add(rows[:, t], grid[:, t], q), work, rows[:, t + 1])
+            _project_rows(np.add(rows[:, t], grid[:, t], q), work, rows[:, t + 1])
     if not np.isfinite(rows[:, -1]).all():
         raise ValueError("entries must be finite")
     return weights, None

@@ -15,25 +15,29 @@ that splits a tie at the cut, a prior with zeros, scores that change sign
 every step so that zeroed entries re-enter, scores on a grid of 1/(4n)
 whose margins at the cut are 0 up to rounding, and scores up to 2^1001 in
 magnitude.  Last, one stack of each kind on each side of the row-length
-split, over 1 to 3 steps: at n = 2^14 - 1, the longest row of the
-buffered small-row loop, and at n = 2^14, the shortest row that steps
-through the long-row projection.
+split, over 1 to 3 steps: at n = 2^14 - 1, the longest row the full scan
+takes at every step, and at n = 2^14, the shortest row that tries the
+candidate scan first.
 
 Every stack must equal ``oracles.sort_scan_fold`` bit for bit, and every
 row must equal its own fold, folded alone.  Prints how many stacks and
-weights were compared, then every mismatch, and exits 1 if there is one.
+weights were compared, and how many steps of the stacks at n = 2^14 the
+candidate scan took and how many it refused; then every mismatch.  Exits
+1 if there is one, or if either path of those long rows went unused.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 from oracles import sort_scan_fold
 from test_updating import PREDICTIVE_KINDS, predictive_stream
 
-from credal import Gaussian
+from credal import Gaussian, updating
 from credal.measures import crps_matrix
 from credal.updating import _CANDIDATE_MIN_N, RuleKind, _trajectory
 
@@ -74,10 +78,25 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def mismatches(p0: np.ndarray, scores: np.ndarray) -> int:
+def long_row_fold(p0: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, Counter]:
+    """The predictive fold of a stack of rows of at least ``_CANDIDATE_MIN_N``
+    entries, and how many of its steps the candidate scan took and how many
+    it refused, sending the stack to the full scan."""
+    *_, horizon, n = scores.shape
+    with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
+        weights = _trajectory(RuleKind.PREDICTIVE, p0, scores)[0]
+    refused = sum(call.args[0].shape[-1] == n for call in full.call_args_list)
+    return weights, Counter(candidate=horizon - refused, refused=refused)
+
+
+def mismatches(p0: np.ndarray, scores: np.ndarray, paths: Counter) -> int:
     """How many rows of one stack differ from the oracle fold, or from
-    their own fold folded alone."""
-    weights = _trajectory(RuleKind.PREDICTIVE, p0, scores)[0]
+    their own fold folded alone; a long-row stack's paths go into ``paths``."""
+    if scores.shape[-1] < _CANDIDATE_MIN_N:
+        weights = _trajectory(RuleKind.PREDICTIVE, p0, scores)[0]
+    else:
+        weights, taken = long_row_fold(p0, scores)
+        paths.update(taken)
     want = sort_scan_fold(p0, scores)
     return sum(
         not (same_bits(weights[r], want[r]) and same_bits(_trajectory(RuleKind.PREDICTIVE, p0[r], scores[r])[0], want[r]))
@@ -91,16 +110,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
-    compared, weights, failing = 0, 0, []
+    compared, weights, failing, paths = 0, 0, [], Counter()
     for i, (kind, p0, scores) in enumerate(stacks(rng, args.count)):
-        off = mismatches(p0, scores)
+        off = mismatches(p0, scores, paths)
         compared, weights = compared + 1, weights + scores.size
         if off:
             failing.append((i, kind, scores.shape, off))
-    print(f"{compared} stacks (seed {args.seed}), {weights} weights: {len(failing)} mismatching stacks")
+    print(
+        f"{compared} stacks (seed {args.seed}), {weights} weights: {len(failing)} mismatching stacks; "
+        f"steps at n = {_CANDIDATE_MIN_N}: {paths['candidate']} by the candidate scan, {paths['refused']} refused"
+    )
     for i, kind, shape, off in failing[:10]:
         print(f"  stack {i}: {kind}, shape {list(shape)}, {off} rows off")
-    return 1 if failing else 0
+    return 1 if failing or not (paths["candidate"] and paths["refused"]) else 0
 
 
 if __name__ == "__main__":

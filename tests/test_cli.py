@@ -283,6 +283,25 @@ def test_simulate_writes_results(tmp_path, capsys):
     assert len(results.strip().split("\n")) == 1 + 2 * 2 * 5 * 2
 
 
+def test_a_summary_that_is_not_finite_is_refused_as_strict_json(tmp_path):
+    # the mixture score is not finite here; RFC 8259 has no NaN or Infinity,
+    # so the run fails rather than print them (in a subprocess, as the
+    # suite turns the run's overflow warnings into errors)
+    def gaussian(mu):
+        return {"kind": "gaussian", "mu": mu, "sigma": 1.0}
+
+    models = [{"label": "lo", "forecast": gaussian(-1e308)}, {"label": "hi", "forecast": gaussian(1e308)}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_config(truth=gaussian(-1e308), models=models, rules=["inferential"])))
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "credal", "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "strict JSON" in proc.stderr
+    assert not any(word in proc.stdout for word in ("NaN", "Infinity"))
+
+
 def _simulate_text(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -644,3 +645,42 @@ def test_a_step_where_every_log_score_is_minus_inf_raises():
     # the predictive rule alone is unaffected
     predictive = small_config(truth=cfg.truth, models=models, horizon=6, replications=4, rules=(UpdateRule.predictive(),))
     assert np.isfinite(run_experiment(predictive).posterior).all()
+
+
+def far_scale_config(scale):
+    """Two Gaussian models and a Gaussian truth, every location and spread
+    ``scale`` times those of a unit-scale run."""
+    models = (ModelSpec("a", Gaussian(0.0, scale)), ModelSpec("b", Gaussian(scale, scale)))
+    rules = (UpdateRule.predictive(), UpdateRule.general_bayes(1.0 / scale))
+    return small_config(truth=Gaussian(0.0, scale), models=models, horizon=5, rules=rules, a=-1.0 / scale)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # each score is 1.7e308, and their sum over t overflows
+        small_config(
+            truth=PointMass(9e307),
+            models=(ModelSpec("m", PointMass(-8e307)),),
+            horizon=6,
+            rules=(UpdateRule.general_bayes(1.0),),
+            replications=2,
+        ),
+        # the squared deviations overflow, or underflow to 0
+        far_scale_config(2.0**600),
+        far_scale_config(2.0**-600),
+    ],
+    ids=["1.7e308", "2^600", "2^-600"],
+)
+def test_aggregates_of_large_and_small_scores_match_exact_ones(cfg):
+    result = run_experiment(cfg)
+    reps, tol = cfg.replications, Fraction(1, 10**14)  # relative, in exact arithmetic throughout
+    for agg, scores in zip(result.aggregates, result.mixture_crps):
+        exact = [sum(map(Fraction, row.tolist())) / cfg.horizon for row in scores]
+        for got, want in zip(agg.replication_means, exact):
+            assert abs(Fraction(got) - want) <= tol * want
+        mean = sum(exact) / reps
+        assert abs(Fraction(agg.mean_mixture_crps) - mean) <= tol * mean
+        # the squared standard error, against the exact variance of the mean
+        var = sum((m - mean) ** 2 for m in exact) / (reps - 1) / reps
+        assert abs(Fraction(agg.se_mixture_crps) ** 2 - var) <= tol * var

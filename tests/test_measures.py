@@ -386,12 +386,16 @@ def test_empirical_crps_of_a_tight_cluster_keeps_its_digits():
     assert crps(Empirical(cluster), float(cluster[1])) == pytest.approx(naive, rel=1e-9)
 
 
-@pytest.mark.parametrize("samples", [[0.0, 1.0, 4.0], [-1e307, 0.5, 2.0, 1e307], [3.0] * 5 + [-7.0] * 4])
-@pytest.mark.parametrize("x", [9e307, -9e307, 1.7e308, -1.7e308])
+@pytest.mark.parametrize(
+    "samples",
+    [[0.0, 1.0, 4.0], [-1e307, 0.5, 2.0, 1e307], [3.0] * 5 + [-7.0] * 4, [-1e308, -1e308, 0.0, 1e308, 1e308]],
+)
+@pytest.mark.parametrize("x", [0.0, 9e307, -9e307, 1.7e308, -1.7e308])
 def test_empirical_crps_of_a_far_outcome_does_not_overflow(samples, x):
-    # each sample count is divided by m before it scales x - median, so the
-    # score is finite, and no warning is raised (the suite makes each an
-    # error); the exact value is the defining sums in rationals
+    # each sample count is divided by m before it scales x - median, and
+    # the prefix sums and means are taken of power-of-two-scaled values, so
+    # the score is finite, and no warning is raised (the suite makes each
+    # an error); the exact value is the defining sums in rationals
     m = len(samples)
     exact = sum(abs(Fraction(s) - Fraction(x)) for s in samples) / m - sum(
         abs(Fraction(s) - Fraction(t)) for s in samples for t in samples

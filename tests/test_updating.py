@@ -722,6 +722,29 @@ def test_the_predictive_fold_allocates_its_scan_buffers_once(kind):
     assert_same_bits(weights, sort_scan_fold(p0, scores))
 
 
+@pytest.mark.parametrize("path", ["candidate", "refused"])
+def test_long_rows_fold_on_one_set_of_scan_buffers(path):
+    # the candidate scan takes every step of one row and refuses every step
+    # of the other, where most entries survive; either way the steps share
+    # the fold's buffers, and none is a projection of its own
+    rng = np.random.default_rng(47)
+    n, horizon = _CANDIDATE_MIN_N, 4
+    if path == "candidate":
+        p0, scores = np.full(n, 1.0 / n), rng.uniform(0.0, 1.0, (horizon, n))
+    else:
+        p0 = rng.dirichlet(np.ones(n))
+        scores = (rng.exponential(size=(horizon, n)) - 2.0 * rng.uniform(size=(horizon, n))) / n
+    with mock.patch.object(updating, "_ScanWork", wraps=updating._ScanWork) as work, mock.patch.object(
+        updating, "_simplex_projection", wraps=updating._simplex_projection
+    ) as step, mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
+        weights, _ = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
+    assert [c.args for c in work.call_args_list if c.args[-1] == n] == [(1, n)]
+    assert step.call_count == 0
+    full_width = sum(c.args[0].shape[-1] == n for c in full.call_args_list)
+    assert full_width == (0 if path == "candidate" else horizon)
+    assert_same_bits(weights, sort_scan_fold(p0, scores))
+
+
 def test_a_predictive_fold_whose_prefix_sums_overflow_warns():
     # the fold silences only the invalid operations of a non-finite row;
     # an overflow still warns, which the suite turns into an error
