@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_EPS, ProbabilityVector, as_values, is_probabilistic
-from .updating import _simplex_projection
+from .updating import conservative_normalize
 
 #: entries of the candidate compacted at a time into the gaps buffer
 _BLOCK = 1 << 16
@@ -87,11 +87,11 @@ def divergence(a, b) -> float:
 def project_to_simplex(v) -> ProbabilityVector:
     """Euclidean projection onto the probability simplex.
 
-    The same map as the additive rule's conservative normalization
-    (:func:`credal.updating.conservative_normalize`), computed by the same
-    kernel; only the projected vector is returned.
+    The additive rule's conservative normalization
+    (:func:`credal.updating.conservative_normalize`), of which only the
+    projected vector is returned.
     """
-    return ProbabilityVector._adopt(_simplex_projection(as_values(v, "v"))[0])
+    return conservative_normalize(as_values(v, "v")).posterior
 
 
 def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
@@ -123,7 +123,8 @@ def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
     cv = as_values(c, "c")
     if is_probabilistic(cv, eps):
         return DominanceReport._adopt(False, None, np.zeros(cv.size))
-    posterior, d, keep = _simplex_projection(cv)
+    projection = conservative_normalize(cv)
+    d, keep = projection.d, projection.keep
     # the dot product reads the same contiguous values in the same order as
     # it would on cv[~keep], so the offset has the same bits
     gaps = np.empty(cv.size)
@@ -140,4 +141,4 @@ def verify_dominance(c, eps: float = DEFAULT_EPS) -> DominanceReport:
     np.minimum(gaps, 0.0, out=gaps)
     gaps *= -2.0
     gaps += offset
-    return DominanceReport._adopt(True, ProbabilityVector._adopt(posterior), gaps)
+    return DominanceReport._adopt(True, projection.posterior, gaps)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProbabilityVector, as_values, json_number
+from .core import DEFAULT_EPS, ProbabilityVector, as_values, json_number
 from .measures import LossValue, Mode, ModeMismatchError, ScoreVector, _shared_rate_losses
 
 
@@ -149,79 +149,6 @@ _CANDIDATE_MIN_N = 1 << 14
 _SAMPLE_SIZE = 1 << 12
 
 
-def _simplex_projection(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euclidean projection of each row of q onto the probability simplex.
-
-    ``q`` is any ``[..., n]`` float array; each slice along the last axis
-    is projected on its own.  Returns ``(posterior, d, keep)``:
-    ``posterior`` is ``q + d`` where the survivor mask ``keep`` is set and
-    +0.0 elsewhere, and ``d`` has the shape of ``q`` without its last axis.
-
-    Sort-and-threshold (Duchi et al. 2008; Condat 2016): sort the values
-    descending as u, take the largest j whose entry stays strictly
-    positive after adding d_j = (1 - c_j)/j, where c_j is the sequential
-    prefix sum of u.  The prefix sums depend only on the sorted values, so
-    survivors are then picked from q directly: every entry above the cut
-    value u_j, then entries equal to it in index order until j are kept
-    (the stable-sort tie rule).  The full scan costs O(n log n) per row.
-
-    Rows of at least ``_CANDIDATE_MIN_N`` entries first try a candidate
-    scan: the full scan of the k entries above a threshold t alone, placed
-    from max(q) - 1 (a lower bound on the cut) and a strided sample of
-    the row.  The candidates are the row's top k values, so their prefix
-    sums c_1 ... c_k are the full scan's.  It is accepted only when no
-    j > k can pass the full scan's test.  The full scan then ends at the
-    same j, with the same d, cut, mask and posterior, bit for bit.
-
-    The bound: let A_j be the exact prefix sums, S = sum |q|, eps = 2^-53
-    and g = n eps / (1 - n eps).  Every excluded entry is at most t, so
-    for j > k::
-
-        A_j - j u_j = A_k - k u_j + sum_{k<i<=j} (u_i - u_j) >= A_k - k t.
-
-    Let s be any computed sum of the k candidates: every summation order
-    errs by at most g S, so A_k >= s - g S.  With |c_j - A_j| <= g S and
-    two roundings in d_j::
-
-        j (u_j + d_j) <= -(s - 1 - k t) + 2 g S + 2.1 eps (1 + S + g S),
-
-    and the computed u_j + d_j has the sign of the exact one.  So no
-    j > k passes when s - 1 - k t exceeds 2 g S + 2.1 eps (1 + S + g S).
-    The scan asks, before it sorts, that numpy's sum s of the candidates
-    give s - 1 - k t > 8 (n + 1) eps (1 + n max|q| + k |t|), more than
-    twice that after the rounding of the check itself.  When the check
-    fails for a row, or the sample puts more than an eighth of a row
-    above t, the whole array takes the full sort: the library passes
-    rows this long one at a time.
-
-    The full scan of a row this long sorts it and takes its prefix sums,
-    but evaluates the test only inside a bracket.  The exact value
-    F_j = j (u_j + d_j) = j u_j + 1 - A_j is non-increasing in j, since
-    F_{j+1} - F_j = j (u_{j+1} - u_j) <= 0.  The bound above with k = 0
-    puts the computed j (u_j + d_j) within E = g S + 2.1 eps (1 + S + g S)
-    of F_j, and the probe fl(j fl(d_j - w_j)) adds two roundings that keep
-    its sign.  With n eps < 1/8, B = 8 (n + 1) eps (1 + n max|q|), the
-    candidate scan's bound at k = 0, exceeds 3 E.  So a probe above B
-    passes the test, and a probe below -B at j gives F_j < -E, hence
-    F_i < -E and a failing test at every i >= j.  One bisection keeps a
-    passing j (j = 1 passes by definition), the other a j from which
-    every test fails; the scan's end lies between them, and the test is
-    evaluated there alone.  The bracket holds the j whose F_j is within
-    about B of 0: one or two in a row of distinct values, a run of ties
-    whose F_j is near 0, the whole row where B exceeds every |F_j| (as at
-    an offset of 1e15).  An overflowed prefix sum stays infinite to the
-    end of the row, so a finite last prefix sum rules overflow out; when
-    it is not finite the bracket is the whole row.
-    """
-    shape = q.shape
-    n = shape[-1]
-    q = q.reshape(-1, n)
-    if n < _CANDIDATE_MIN_N and not np.isfinite(q).all():
-        raise ValueError("entries must be finite")
-    posterior, d, keep = _project_rows(q)
-    return posterior.reshape(shape), d.reshape(shape[:-1]), keep.reshape(shape)
-
-
 class _ScanWork:
     """The buffers of :func:`_sort_scan` for ``rows`` rows of ``n`` entries.
 
@@ -307,7 +234,7 @@ def _scan_ends(
 def _bracket(w: np.ndarray, c: np.ndarray) -> tuple[int, int]:
     """Positions ``lo < hi`` of one sorted negated row ``w``, with prefix
     sums ``c``, such that the scan's test passes at ``lo`` and fails at
-    every position from ``hi`` on (proved in :func:`_simplex_projection`).
+    every position from ``hi`` on (proved in :func:`_project_rows`).
 
     Two bisections on the computed ``j (u_j + d_j)`` against the bound B
     of the candidate scan at k = 0: the lower keeps a position whose value
@@ -366,11 +293,71 @@ def _finish(q: np.ndarray, w: np.ndarray, c: np.ndarray, last: np.ndarray, work:
 
 
 def _project_rows(q: np.ndarray, work: _ScanWork | None = None, out: np.ndarray | None = None):
-    """The projection of the rows of a 2-d ``q``: :func:`_sort_scan` for
-    rows shorter than ``_CANDIDATE_MIN_N``; longer rows, whose entries must
-    be finite, by the candidate scan, or all by the full scan once it
-    refuses a row.  ``work`` and ``out`` are :func:`_sort_scan`'s, given
-    together or not at all."""
+    """Euclidean projection of each row of a 2-d ``q`` onto the simplex.
+
+    Returns ``(posterior, d, keep)``: ``posterior`` is ``q + d`` where the
+    survivor mask ``keep`` is set and +0.0 elsewhere, and ``d`` holds one
+    value per row.  ``work`` and ``out`` are :func:`_sort_scan`'s, given
+    together or not at all.  Rows shorter than ``_CANDIDATE_MIN_N`` go to
+    :func:`_sort_scan` unchecked: a NaN or an infinity leaves a NaN in its
+    row's posterior.  Longer rows, whose entries must be finite, try the
+    candidate scan below, and all take the full scan once it refuses one.
+
+    Sort-and-threshold (Duchi et al. 2008; Condat 2016): sort the values
+    descending as u, take the largest j whose entry stays strictly
+    positive after adding d_j = (1 - c_j)/j, where c_j is the sequential
+    prefix sum of u.  The prefix sums depend only on the sorted values, so
+    survivors are then picked from q directly: every entry above the cut
+    value u_j, then entries equal to it in index order until j are kept
+    (the stable-sort tie rule).  The full scan costs O(n log n) per row.
+
+    Rows of at least ``_CANDIDATE_MIN_N`` entries first try a candidate
+    scan: the full scan of the k entries above a threshold t alone, placed
+    from max(q) - 1 (a lower bound on the cut) and a strided sample of
+    the row.  The candidates are the row's top k values, so their prefix
+    sums c_1 ... c_k are the full scan's.  It is accepted only when no
+    j > k can pass the full scan's test.  The full scan then ends at the
+    same j, with the same d, cut, mask and posterior, bit for bit.
+
+    The bound: let A_j be the exact prefix sums, S = sum |q|, eps = 2^-53
+    and g = n eps / (1 - n eps).  Every excluded entry is at most t, so
+    for j > k::
+
+        A_j - j u_j = A_k - k u_j + sum_{k<i<=j} (u_i - u_j) >= A_k - k t.
+
+    Let s be any computed sum of the k candidates: every summation order
+    errs by at most g S, so A_k >= s - g S.  With |c_j - A_j| <= g S and
+    two roundings in d_j::
+
+        j (u_j + d_j) <= -(s - 1 - k t) + 2 g S + 2.1 eps (1 + S + g S),
+
+    and the computed u_j + d_j has the sign of the exact one.  So no
+    j > k passes when s - 1 - k t exceeds 2 g S + 2.1 eps (1 + S + g S).
+    The scan asks, before it sorts, that numpy's sum s of the candidates
+    give s - 1 - k t > 8 (n + 1) eps (1 + n max|q| + k |t|), more than
+    twice that after the rounding of the check itself.  When the check
+    fails for a row, or the sample puts more than an eighth of a row
+    above t, the whole stack takes the full sort.
+
+    The full scan of a row this long sorts it and takes its prefix sums,
+    but evaluates the test only inside a bracket.  The exact value
+    F_j = j (u_j + d_j) = j u_j + 1 - A_j is non-increasing in j, since
+    F_{j+1} - F_j = j (u_{j+1} - u_j) <= 0.  The bound above with k = 0
+    puts the computed j (u_j + d_j) within E = g S + 2.1 eps (1 + S + g S)
+    of F_j, and the probe fl(j fl(d_j - w_j)) adds two roundings that keep
+    its sign.  With n eps < 1/8, B = 8 (n + 1) eps (1 + n max|q|), the
+    candidate scan's bound at k = 0, exceeds 3 E.  So a probe above B
+    passes the test, and a probe below -B at j gives F_j < -E, hence
+    F_i < -E and a failing test at every i >= j.  One bisection keeps a
+    passing j (j = 1 passes by definition), the other a j from which
+    every test fails; the scan's end lies between them, and the test is
+    evaluated there alone.  The bracket holds the j whose F_j is within
+    about B of 0: one or two in a row of distinct values, a run of ties
+    whose F_j is near 0, the whole row where B exceeds every |F_j| (as at
+    an offset of 1e15).  An overflowed prefix sum stays infinite to the
+    end of the row, so a finite last prefix sum rules overflow out; when
+    it is not finite the bracket is the whole row.
+    """
     if q.shape[-1] < _CANDIDATE_MIN_N:
         return _sort_scan(q, work, out)
     hi, lo = q.max(-1), q.min(-1)  # a NaN or an infinity reaches one of them
@@ -396,7 +383,7 @@ def _project_rows(q: np.ndarray, work: _ScanWork | None = None, out: np.ndarray 
 
 def _bound(n: int, m_inf: float, k: int, t: float) -> float:
     """What the candidate scan's ``s - 1 - k t`` must exceed (see
-    :func:`_simplex_projection`); ``n m_inf`` bounds sum |q|."""
+    :func:`_project_rows`); ``n m_inf`` bounds sum |q|."""
     return 8.0 * (n + 1) * _EPS * (1.0 + n * m_inf + k * abs(t))
 
 
@@ -428,7 +415,7 @@ def _candidate_scan(row: np.ndarray, t: float, m_inf: float):
 
     Returns ``(kept, values, d)``: the survivors' indices, their posterior
     values and the shift; or None when the bound of
-    :func:`_simplex_projection` does not prove that the full scan ends
+    :func:`_project_rows` does not prove that the full scan ends
     within the candidates (as when there are none: the sum is then 0).
     ``m_inf`` is at least max |row|.
     """
@@ -447,7 +434,8 @@ def conservative_normalize(q) -> NormalizationResult:
     Finds the unique posterior of the form ``max(q + d, 0)`` on the largest
     possible support, which is the Euclidean projection of q onto the
     simplex.  Minimizing the number of zeroed entries and minimizing d
-    coincide.  Runs in O(n log n).
+    coincide.  Runs in O(n log n): ``q`` is the one row of
+    :func:`_project_rows`, which proves its bits.
 
     Entries landing exactly on zero are reported as zeroed.  Equal entries
     at the threshold are kept in index order (lower index survives first).
@@ -455,9 +443,13 @@ def conservative_normalize(q) -> NormalizationResult:
     error above zero), so this fixes the reported bookkeeping, not the
     posterior.
     """
-    posterior, d, keep = _simplex_projection(as_values(q, "q"))
+    q = as_values(q, "q")
+    if q.size < _CANDIDATE_MIN_N and not np.isfinite(q).all():
+        raise ValueError("entries must be finite")
+    posterior, d, keep = _project_rows(q[None])
+    keep = keep[0]
     keep.flags.writeable = False
-    return NormalizationResult(ProbabilityVector._adopt(posterior), float(d), keep)
+    return NormalizationResult(ProbabilityVector._adopt(posterior[0]), float(d[0]), keep)
 
 
 def predictive_update(p: ProbabilityVector, s: ScoreVector) -> NormalizationResult:
@@ -473,16 +465,22 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     """Loss-based update: posterior[i] proportional to exp(-rate*L[i]) * p[i].
 
     Equals :func:`inferential_update` with :func:`~credal.measures.exp_loss_score`
-    scores, bit for bit.  The scores go to the kernel without a
-    :class:`~credal.measures.ScoreVector`, which rejects a score that
-    underflowed to zero, so an update whose weights all vanish raises
-    :class:`UnderflowError`.
+    scores, bit for bit, wherever the weights ``exp(-rate*L[i]) * p[i]``
+    sum to a normal float.  Where their sum is subnormal or 0.0, as at
+    losses 800 and 801 with rate 1, the scores are taken from the losses
+    less their smallest, which leaves the exact posterior as it is and
+    gives the smallest loss a score of 1.  Should the weights still all
+    vanish (the smallest loss on a zero prior), :class:`UnderflowError`
+    is raised.
     """
     rate, values = _shared_rate_losses(losses)
     pv = p.values
     if pv.size != values.size:
         raise ValueError("prior and losses must have the same length")
-    return ProbabilityVector._adopt(_ratio_update(pv, np.exp(-rate * values)))
+    scores = np.exp(-rate * values)
+    if (scores * pv).sum() < np.finfo(float).tiny:
+        scores = np.exp(-rate * (values - values.min()))
+    return ProbabilityVector._adopt(_ratio_update(pv, scores))
 
 
 def _trajectory(
@@ -502,15 +500,20 @@ def _trajectory(
     :class:`_ScanWork` and one buffer for ``p + s`` allocated once per
     fold; each posterior is written straight into its slot of the weights,
     and ``log_weights`` is None.  The loop checks its result, not its
-    inputs: it raises ``ValueError`` when the last posterior holds an
-    entry that is not finite, which it does whenever some step's ``p + s``
-    does.  A NaN or an infinity in ``p + s`` leaves a NaN in that step's
-    posterior, as a dropped entry is ``(q + d) * 0`` and an infinity turns
-    ``d`` or the whole row into NaN; a NaN in a posterior makes the next
-    step's ``p + s`` NaN, so it reaches the last row.  Only the invalid
-    operations on the way are silenced; an overflowing prefix sum warns.
-    Long rows raise at the first such step, as the candidate scan reads
-    each row's max and min.
+    inputs: one product of the posteriors with a vector of ones sums each
+    of them.  A sum that is not finite raises ``ValueError("entries must
+    be finite")``: a NaN or an infinity in ``p + s`` leaves a NaN in that
+    step's posterior, as a dropped entry is ``(q + d) * 0`` and an
+    infinity turns ``d`` or the whole row into NaN.  A sum off 1 by more
+    than ``DEFAULT_EPS``, which :class:`~credal.core.ProbabilityVector`
+    refuses too, raises ``ValueError`` naming the first such replication
+    and step.  Such a row lost its mass to rounding at the scores'
+    magnitude: ``q = [1 - 1.7e308]`` gives ``d = 1.7e308`` and ``q + d =
+    0.0``, and a prefix sum that overflows to inf zeroes every entry.
+    Only the invalid operations on the way are silenced; an overflowing
+    prefix sum warns.  Long rows raise ``entries must be finite`` at the
+    first non-finite step, as the candidate scan reads each row's max and
+    min.
 
     The ratio-form rules (inferential, and general-Bayes with ``-rate *
     loss``) take log-scores and keep log-weights, so no weight underflows
@@ -554,9 +557,24 @@ def _trajectory(
     with np.errstate(invalid="ignore"):
         for t in range(horizon):
             _project_rows(np.add(rows[:, t], grid[:, t], q), work, rows[:, t + 1])
-    if not np.isfinite(rows[:, -1]).all():
+        mass = (rows[:, 1:] @ np.ones(n)).reshape(scores.shape[:-1])
+    if not np.isfinite(mass).all():
         raise ValueError("entries must be finite")
+    lost = np.abs(mass - 1.0) > DEFAULT_EPS
+    if lost.any():
+        at = np.argwhere(lost)[0].tolist()
+        raise ValueError(
+            f"{_step_name(at)}: the posterior sums to {float(mass[tuple(at)])!r}, not 1, "
+            "as the scores are too large for the prior's mass to survive rounding"
+        )
     return weights, None
+
+
+def _step_name(at: list[int]) -> str:
+    """The name of the step of :func:`_trajectory` at index ``[*r, t - 1]``:
+    ``replication r, t = t``, or ``t = t`` in a fold of one row."""
+    *row, t = at
+    return f"replication {', '.join(map(str, row))}, t = {t + 1}" if row else f"t = {t + 1}"
 
 
 def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -574,10 +592,9 @@ def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray) -> np.nd
     top = logs.max(-1, keepdims=True)
     vanished = np.isneginf(top)
     if vanished.any():
-        *row, t, _ = np.argwhere(vanished)[0].tolist()
-        where = f"replication {', '.join(map(str, row))}, " if row else ""
+        *at, _ = np.argwhere(vanished)[0].tolist()
         raise UnderflowError(
-            f"{where}t = {t + 1}: every weight vanished, as no model with a positive prior has a finite log-score"
+            f"{_step_name(at)}: every weight vanished, as no model with a positive prior has a finite log-score"
         )
     logs -= top
     np.exp(logs, out=post)

@@ -20,10 +20,14 @@ takes at every step, and at n = 2^14, the shortest row that tries the
 candidate scan first.
 
 Every stack must equal ``oracles.sort_scan_fold`` bit for bit, and every
-row must equal its own fold, folded alone.  Prints how many stacks and
-weights were compared, and how many steps of the stacks at n = 2^14 the
-candidate scan took and how many it refused; then every mismatch.  Exits
-1 if there is one, or if either path of those long rows went unused.
+row must equal its own fold, folded alone, wherever every posterior of the
+oracle fold keeps its mass (sums to 1 within ``DEFAULT_EPS``); where one
+does not, as rounding at 2^1001 loses it, the library must raise the
+lost-mass ``ValueError`` instead.  Prints how many stacks and weights were
+compared, how many stacks had to raise, and how many steps of the stacks
+at n = 2^14 the candidate scan took and how many it refused; then every
+mismatch.  Exits 1 if there is one, or if no stack had to raise, or if
+either path of those long rows went unused.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from unittest import mock
 
 import numpy as np
 from oracles import sort_scan_fold
-from test_updating import PREDICTIVE_KINDS, predictive_stream
+from test_updating import PREDICTIVE_KINDS, keeps_mass, predictive_stream
 
 from credal import Gaussian, updating
 from credal.measures import crps_matrix
@@ -78,30 +82,46 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def long_row_fold(p0: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, Counter]:
-    """The predictive fold of a stack of rows of at least ``_CANDIDATE_MIN_N``
+def fold(p0: np.ndarray, scores: np.ndarray) -> np.ndarray | None:
+    """The library's predictive fold of a stack, or None where it raises
+    that a posterior lost its mass."""
+    try:
+        return _trajectory(RuleKind.PREDICTIVE, p0, scores)[0]
+    except ValueError as exc:
+        if "the posterior sums to" not in str(exc):
+            raise
+        return None
+
+
+def long_row_fold(p0: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray | None, Counter]:
+    """:func:`fold` of a stack of rows of at least ``_CANDIDATE_MIN_N``
     entries, and how many of its steps the candidate scan took and how many
     it refused, sending the stack to the full scan."""
     *_, horizon, n = scores.shape
     with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
-        weights = _trajectory(RuleKind.PREDICTIVE, p0, scores)[0]
+        weights = fold(p0, scores)
     refused = sum(call.args[0].shape[-1] == n for call in full.call_args_list)
     return weights, Counter(candidate=horizon - refused, refused=refused)
 
 
-def mismatches(p0: np.ndarray, scores: np.ndarray, paths: Counter) -> int:
-    """How many rows of one stack differ from the oracle fold, or from
-    their own fold folded alone; a long-row stack's paths go into ``paths``."""
+def agrees(got: np.ndarray | None, want: np.ndarray) -> bool:
+    """Whether a fold is the oracle fold ``want`` bit for bit where that
+    keeps its mass, and raised (None) where it does not."""
+    return got is not None and same_bits(got, want) if keeps_mass(want) else got is None
+
+
+def mismatches(p0: np.ndarray, scores: np.ndarray, paths: Counter) -> tuple[int, bool]:
+    """How many rows of one stack disagree with the oracle fold in the
+    stack, or folded alone, and whether the stack had to raise; a long-row
+    stack's paths go into ``paths``."""
     if scores.shape[-1] < _CANDIDATE_MIN_N:
-        weights = _trajectory(RuleKind.PREDICTIVE, p0, scores)[0]
+        weights = fold(p0, scores)
     else:
         weights, taken = long_row_fold(p0, scores)
         paths.update(taken)
     want = sort_scan_fold(p0, scores)
-    return sum(
-        not (same_bits(weights[r], want[r]) and same_bits(_trajectory(RuleKind.PREDICTIVE, p0[r], scores[r])[0], want[r]))
-        for r in range(len(p0))
-    )
+    stack = agrees(weights, want)
+    return sum(not (stack and agrees(fold(p0[r], scores[r]), want[r])) for r in range(len(p0))), not keeps_mass(want)
 
 
 def main(argv=None) -> int:
@@ -110,19 +130,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
-    compared, weights, failing, paths = 0, 0, [], Counter()
+    compared, weights, raised, failing, paths = 0, 0, 0, [], Counter()
     for i, (kind, p0, scores) in enumerate(stacks(rng, args.count)):
-        off = mismatches(p0, scores, paths)
-        compared, weights = compared + 1, weights + scores.size
+        off, lost = mismatches(p0, scores, paths)
+        compared, weights, raised = compared + 1, weights + scores.size, raised + lost
         if off:
             failing.append((i, kind, scores.shape, off))
     print(
-        f"{compared} stacks (seed {args.seed}), {weights} weights: {len(failing)} mismatching stacks; "
+        f"{compared} stacks (seed {args.seed}), {weights} weights; {raised} stacks must raise, as a posterior "
+        f"loses its mass; {len(failing)} mismatching stacks; "
         f"steps at n = {_CANDIDATE_MIN_N}: {paths['candidate']} by the candidate scan, {paths['refused']} refused"
     )
     for i, kind, shape, off in failing[:10]:
         print(f"  stack {i}: {kind}, shape {list(shape)}, {off} rows off")
-    return 1 if failing or not (paths["candidate"] and paths["refused"]) else 0
+    return 1 if failing or not (raised and paths["candidate"] and paths["refused"]) else 0
 
 
 if __name__ == "__main__":

@@ -44,13 +44,13 @@ def sample_row(rng: np.random.Generator, kind: str) -> np.ndarray:
 
 
 def project(q: np.ndarray):
-    """``_simplex_projection(q)`` of one row, and the way it was found:
+    """``_project_rows(q)`` of a stack of one row, and the way it was found:
     "candidate", "bracket" or "whole row"."""
-    n = q.size
+    n = q.shape[-1]
     with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full, mock.patch.object(
         updating, "_scan_ends", wraps=updating._scan_ends
     ) as ends:
-        got = updating._simplex_projection(q)
+        got = updating._project_rows(q)
     if not any(call.args[0].shape[-1] == n for call in full.call_args_list):
         return got, "candidate"
     whole = any(call.args[0].shape[-1] == n for call in ends.call_args_list)
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     paths, mismatches = Counter(), []
     for i in range(args.count):
         kind = KINDS[i % len(KINDS)]
-        q = sample_row(rng, kind)
+        q = sample_row(rng, kind)[None]
         got, path = project(q)
         paths[path] += 1
         if not all(same_bits(g, w) for g, w in zip(got, sort_scan_projection(q))):

@@ -113,7 +113,8 @@ def michelot_projection(v) -> np.ndarray:
 def sort_scan_projection(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euclidean projection of each row of ``q`` onto the simplex by a full
     sort-and-threshold scan: ``(posterior, d, keep)`` as from
-    ``updating._simplex_projection``, which must match it bit for bit.
+    ``updating._project_rows`` on the rows of ``q``, which must match it
+    bit for bit.
 
     Sorts every row ascending, scans it descending with prefix sums, keeps
     the longest prefix whose last entry stays positive after adding

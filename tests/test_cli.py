@@ -78,6 +78,19 @@ def test_update_general_bayes(tmp_path, capsys):
     assert summary["min_posterior"] == pytest.approx(1.0 / 17.0, rel=1e-15)
 
 
+def test_update_general_bayes_at_large_losses(tmp_path, capsys):
+    # exp(-800) and exp(-801) underflow to 0.0; the update takes the
+    # losses less 800
+    prior, losses, out = tmp_path / "p.csv", tmp_path / "l.csv", tmp_path / "post.csv"
+    write_labeled_csv(prior, ["H1", "H2"], [0.5, 0.5])
+    write_labeled_csv(losses, ["H1", "H2"], [800.0, 801.0])
+    args = ["update", "--rule", "general-bayes", "--prior", str(prior), "--scores", str(losses), "--out", str(out)]
+    assert dispatch(args) == 0
+    _, values = read_labeled_csv(out)
+    np.testing.assert_array_equal(values, [0.7310585786300049, 0.2689414213699951])
+    assert json.loads(capsys.readouterr().out) == {"rule": "general-bayes", "min_posterior": 0.2689414213699951}
+
+
 def test_update_general_bayes_rate_defaults_to_one(tmp_path, prior_csv):
     losses = tmp_path / "l.csv"
     write_labeled_csv(losses, ["H1", "H2", "H3"], [0.5, 0.4, 2.0])
@@ -300,6 +313,22 @@ def test_a_summary_that_is_not_finite_is_refused_as_strict_json(tmp_path):
     assert proc.returncode == 2
     assert "strict JSON" in proc.stderr
     assert not any(word in proc.stdout for word in ("NaN", "Infinity"))
+
+
+def test_simulate_refuses_a_predictive_posterior_that_lost_its_mass(tmp_path, capsys):
+    # every score is -1.7e308: p + s is 1 - 1.7e308, d is 1.7e308, and the
+    # posterior q + d rounds to 0.0 at the first step of each replication
+    cfg = _config(
+        truth={"kind": "pointmass", "loc": 9e307},
+        models=[{"label": "m", "forecast": {"kind": "pointmass", "loc": -8e307}}],
+        horizon=6,
+        rules=["predictive"],
+        a=-1.0,
+        replications=2,
+    )
+    code, err = _simulate_text(tmp_path, capsys, json.dumps(cfg))
+    assert code == 2
+    assert err.startswith("error: replication 0, t = 1: the posterior sums to 0.0, not 1")
 
 
 def _simulate_text(tmp_path, capsys, text):

@@ -23,12 +23,16 @@ from credal import (
     exp_loss_score,
     general_bayes_update,
     inferential_update,
+    is_probabilistic,
     predictive_update,
+    project_to_simplex,
     sequential_update,
     uniform,
+    verify_dominance,
 )
 from credal import updating
-from credal.updating import _CANDIDATE_MIN_N, _candidate_scan, _simplex_projection
+from credal.core import DEFAULT_EPS
+from credal.updating import _CANDIDATE_MIN_N, _candidate_scan, _project_rows
 
 
 def random_raw_vectors(rng, count, n_max=12):
@@ -201,7 +205,7 @@ def test_batched_projection_matches_rows():
     grid = np.round(rng.normal(0.0, 1.0, (300, 6)), 1)  # coarse grid forces ties
     scaled = rng.normal(0.5, 3.0, (300, 6)) * 10.0 ** rng.integers(-2, 3, (300, 1))
     q = np.concatenate([fixed, grid, scaled])
-    posterior, d, keep = _simplex_projection(q)
+    posterior, d, keep = _project_rows(q)
     assert sorted(np.flatnonzero(~keep[0]).tolist()) == [1, 2, 5]
     assert np.count_nonzero(keep[1]) == 1 and keep[2].all()
     assert len({int(k) for k in keep.sum(axis=1)}) == 6  # every survivor count from 1 to 6
@@ -210,10 +214,10 @@ def test_batched_projection_matches_rows():
         np.testing.assert_array_equal(posterior[i], one.posterior.values)
         assert d[i] == one.d
         assert set(np.flatnonzero(~keep[i]).tolist()) == one.zeroed
-    # any leading shape: each slice along the last axis is projected on its own
-    stacked = _simplex_projection(q.reshape(5, -1, 6))
-    for whole, part in zip((posterior, d, keep), stacked):
-        np.testing.assert_array_equal(whole, part.reshape(whole.shape))
+    # each row is projected on its own, whatever stack it is in
+    for rows in np.array_split(np.arange(len(q)), 5):
+        for whole, part in zip((posterior, d, keep), _project_rows(q[rows])):
+            np.testing.assert_array_equal(whole[rows], part)
 
 
 def assert_same_bits(got, want):
@@ -270,22 +274,47 @@ def projection_input(rng, shape, kind):
     kind=st.sampled_from(["one", "few", "most", "ties", "split-tie", "near-cut", "offset"]),
 )
 def test_projection_matches_full_sort_scan_bit_for_bit(seed, n, lead, kind):
-    q = projection_input(np.random.default_rng(seed), lead + (n,), kind)
+    q = projection_input(np.random.default_rng(seed), lead + (n,), kind).reshape(-1, n)
     with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
-        got = _simplex_projection(q)
+        got = _project_rows(q)
     for g, w in zip(got, sort_scan_projection(q)):
         assert_same_bits(g, w)
     if kind == "offset":  # the bound refuses every row, so the full scan runs on all of them
-        assert sum(len(call.args[0]) for call in full.call_args_list) == q.size // n
+        assert sum(len(call.args[0]) for call in full.call_args_list) == len(q)
     if kind == "near-cut":
         # candidates cut at the cut value, or at the entry planted there
         # (kept or excluded by rounding): the bound cannot prove where the
         # full scan ends
         _, d, _ = got
-        for r in np.ndindex(lead):
-            row, tau = q[r], -float(d[r])
+        for row, d_row in zip(q, d.tolist()):
+            tau = -d_row
             for t in (tau, *row[np.abs(row - tau) <= 1e-12]):
                 assert _candidate_scan(row, float(t), float(np.abs(row).max())) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 64), st.sampled_from([_CANDIDATE_MIN_N - 1, _CANDIDATE_MIN_N])),
+    kind=st.sampled_from(["one", "few", "most", "ties", "split-tie", "near-cut", "offset"]),
+)
+def test_one_map_behind_three_names(seed, n, kind):
+    # at n = 2^14 the candidate scan takes "one" and "few" rows and refuses
+    # "most" and "offset" ones
+    v = projection_input(np.random.default_rng(seed), (n,), kind)
+    posterior, d, keep = _project_rows(v[None])
+    if not is_probabilistic(posterior[0]):  # rounding at an offset of 1e15 can lose mass
+        for name in (conservative_normalize, project_to_simplex, verify_dominance):
+            with pytest.raises(ValueError, match="probabilities must sum to 1"):
+                name(v)
+        return
+    result = conservative_normalize(v)
+    assert_same_bits(result.posterior.values, posterior[0])
+    assert_same_bits(np.array([result.d]), d)
+    assert_same_bits(result.keep, keep[0])
+    assert_same_bits(project_to_simplex(v).values, posterior[0])
+    if not is_probabilistic(v):
+        assert_same_bits(verify_dominance(v).dominator.values, posterior[0])
 
 
 def test_candidate_scan_refuses_a_threshold_at_or_above_the_cut():
@@ -312,7 +341,7 @@ def test_a_refused_long_row_sends_every_row_to_one_full_scan():
     n = _CANDIDATE_MIN_N
     q = np.stack([rng.uniform(0.0, 1.0, n), 1e15 + rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
     with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
-        got = _simplex_projection(q)
+        got = _project_rows(q)
     shapes = [call.args[0].shape for call in full.call_args_list]
     assert [s for s in shapes if s[-1] == n] == [q.shape]
     assert shapes[0][0] == 1 and shapes[0][-1] < n  # the first row's candidates
@@ -337,10 +366,10 @@ def tie_at_cut(rng, n):
 
 
 def scan_windows(q):
-    """The projection of ``q``, with the (start, width) of every window
-    in which the full scan evaluated its test."""
+    """The projection of the rows of ``q``, with the (start, width) of
+    every window in which the full scan evaluated its test."""
     with mock.patch.object(updating, "_scan_ends", wraps=updating._scan_ends) as ends:
-        got = _simplex_projection(q)
+        got = _project_rows(q)
     return got, [(call.args[2] if len(call.args) > 2 else 0, call.args[0].shape[-1]) for call in ends.call_args_list]
 
 
@@ -368,7 +397,7 @@ def test_the_bracket_closes_on_long_rows_where_most_entries_survive(kind):
 def test_rows_whose_bracket_the_bound_cannot_close_take_the_whole_row(kind):
     rng = np.random.default_rng(45)
     n = _CANDIDATE_MIN_N
-    q = 1e15 + rng.uniform(0.0, 1.0, n) if kind == "offset" else tie_at_cut(rng, n)
+    q = (1e15 + rng.uniform(0.0, 1.0, n) if kind == "offset" else tie_at_cut(rng, n))[None]
     got, windows = scan_windows(q)
     for g, w in zip(got, sort_scan_projection(q)):
         assert_same_bits(g, w)
@@ -381,7 +410,10 @@ def test_projection_rejects_non_finite_entries_at_any_length():
             q = np.zeros((2, n))
             q[1, n // 2] = bad
             with pytest.raises(ValueError, match="finite"):
-                _simplex_projection(q)
+                conservative_normalize(q[1])
+            if n >= _CANDIDATE_MIN_N:  # a stack of short rows is checked by the fold, after its last step
+                with pytest.raises(ValueError, match="finite"):
+                    _project_rows(q)
 
 
 def test_normalization_results_compare_by_posterior_and_d():
@@ -543,10 +575,42 @@ def test_loss_list_may_be_any_iterable():
 
 
 def test_general_bayes_underflow():
-    p = ProbabilityVector([0.5, 0.5])
-    # exp(-800) underflows to zero in float64, so every weight vanishes
+    p = ProbabilityVector([1.0, 0.0])
+    # the smallest loss sits on the zero prior, so the losses less it still
+    # leave exp(-800), which underflows to zero, and every weight vanishes
     with pytest.raises(UnderflowError):
-        general_bayes_update(p, [LossValue(800.0, 1.0), LossValue(900.0, 1.0)])
+        general_bayes_update(p, [LossValue(800.0, 1.0), LossValue(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("smallest", [720.0, 745.0, 800.0, 1e4])
+def test_general_bayes_at_large_losses_takes_them_less_their_smallest(smallest):
+    # the weights are subnormal, or vanish; losses L and L + 1 give
+    # e / (1 + e) and 1 / (1 + e), correctly rounded
+    p = ProbabilityVector([0.5, 0.5])
+    post = general_bayes_update(p, [LossValue(smallest, 1.0), LossValue(smallest + 1.0, 1.0)])
+    np.testing.assert_array_equal(post.values, [0.7310585786300049, 0.2689414213699951])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+    losses=st.lists(st.floats(0.0, 1000.0), min_size=8, max_size=8),
+    rate=st.floats(0.01, 10.0),
+    c=st.floats(0.0, 1e4),
+)
+def test_general_bayes_moves_little_when_every_loss_grows_by_one_constant(weights, losses, rate, c):
+    # adding c to every loss leaves the exact posterior as it is.  With
+    # u = 2^-53 and A = rate (max L + c), each computed posterior lies
+    # within 6 u A + (n + 8) u of it, relatively (the argument of each exp
+    # errs by at most 3 u A), and within 2^-51 absolutely where a weight
+    # leaves the normal range; the bound below is more than twice that
+    n = len(weights)
+    p = ProbabilityVector(np.array(weights) / sum(weights))
+    losses = losses[:n]
+    base = general_bayes_update(p, [LossValue(v, rate) for v in losses]).values
+    moved = general_bayes_update(p, [LossValue(v + c, rate) for v in losses]).values
+    a = rate * (max(losses) + c)
+    assert np.all(np.abs(moved - base) <= 2.0**-47 * (a + n + 1) * np.maximum(base, moved) + 2.0**-48)
 
 
 def test_general_bayes_matches_exponential_score_route():
@@ -685,9 +749,27 @@ def test_predictive_trajectory_matches_the_step_by_step_oracle_fold(seed, lead, 
     if n > 64:  # a few steps of the longest short rows are enough
         horizon = min(horizon, 3)
     p0, scores = predictive_stream(np.random.default_rng(seed), lead, horizon, n, kind)
-    weights, log_weights = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
-    assert log_weights is None
-    assert_same_bits(weights, sort_scan_fold(p0, scores))
+    fold_as_oracle(p0, scores)
+
+
+def keeps_mass(fold) -> bool:
+    """Whether every posterior of a predictive fold sums to 1 within ``DEFAULT_EPS``."""
+    return bool(np.all(np.abs(fold[..., 1:, :].sum(-1) - 1.0) <= DEFAULT_EPS))
+
+
+def fold_as_oracle(p0, scores):
+    """The predictive fold of a stack, which must equal the oracle fold
+    bit for bit where every posterior of it keeps its mass, and raise
+    naming a step where one does not: the "huge" family's scores, up to
+    2^1001, round the mass of most stacks away."""
+    want = sort_scan_fold(p0, scores)
+    if keeps_mass(want):
+        weights, log_weights = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
+        assert log_weights is None
+        assert_same_bits(weights, want)
+    else:
+        with pytest.raises(ValueError, match=r"t = \d+: the posterior sums to .+, not 1"):
+            updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,11 +797,10 @@ def test_the_predictive_fold_allocates_its_scan_buffers_once(kind):
     if kind == "huge":
         scores[0, 0, 0] = 2.0**1001
     with mock.patch.object(updating, "_ScanWork", wraps=updating._ScanWork) as work, mock.patch.object(
-        updating, "_simplex_projection", wraps=updating._simplex_projection
+        updating, "conservative_normalize", wraps=updating.conservative_normalize
     ) as step:
-        weights, _ = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
+        fold_as_oracle(p0, scores)
     assert (work.call_count, step.call_count) == (1, 0)
-    assert_same_bits(weights, sort_scan_fold(p0, scores))
 
 
 @pytest.mark.parametrize("path", ["candidate", "refused"])
@@ -735,7 +816,7 @@ def test_long_rows_fold_on_one_set_of_scan_buffers(path):
         p0 = rng.dirichlet(np.ones(n))
         scores = (rng.exponential(size=(horizon, n)) - 2.0 * rng.uniform(size=(horizon, n))) / n
     with mock.patch.object(updating, "_ScanWork", wraps=updating._ScanWork) as work, mock.patch.object(
-        updating, "_simplex_projection", wraps=updating._simplex_projection
+        updating, "conservative_normalize", wraps=updating.conservative_normalize
     ) as step, mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
         weights, _ = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
     assert [c.args for c in work.call_args_list if c.args[-1] == n] == [(1, n)]
