@@ -153,24 +153,37 @@ class _ScanWork:
     """The buffers of :func:`_sort_scan` for ``rows`` rows of ``n`` entries.
 
     ``w`` and ``c`` hold the sorted negated rows and their prefix sums
-    (then d), ``test`` the scan's test, ``keep`` the survivor mask, and
-    ``d``, ``cut``, ``last`` and ``at`` one value per row.  ``starts`` is
-    each row's flat offset and ``ranks`` the prefix lengths 1 ... n; rows
-    of at least ``_CANDIDATE_MIN_N`` entries evaluate the test in windows
-    of their bracket, and have neither ``ranks`` nor ``test``.
+    (then d), ``keep`` the survivor mask, and ``d``, ``cut``, ``last`` and
+    ``at`` one value per row, ``d_col`` and ``cut_col`` being ``d`` and
+    ``cut`` as columns; ``starts`` is each row's flat offset.  Rows shorter
+    than ``_CANDIDATE_MIN_N`` also have ``ranks``, the prefix lengths
+    1 ... n, the views ``w_tail``, ``c_tail`` and ``test_tail`` of columns
+    1 ... n - 1 of ``w``, ``c`` and the scan's test, whose column 0 is set
+    once (the test passes there by definition), the test reversed as
+    ``test_rev``, and ``ends``, each row's last flat index.  Longer rows
+    evaluate the test in windows of their bracket and have none of these.
     """
 
-    __slots__ = ("starts", "ranks", "w", "c", "test", "keep", "d", "cut", "last", "at")
+    __slots__ = (
+        "starts", "w", "c", "keep", "d", "cut", "last", "at", "d_col", "cut_col",
+        "ranks", "w_tail", "c_tail", "test_tail", "test_rev", "ends",
+    )
 
     def __init__(self, rows: int, n: int):
-        short = n < _CANDIDATE_MIN_N
         self.starts = np.arange(0, rows * n, n)
-        self.ranks = np.arange(1.0, n + 1.0) if short else None
         self.w, self.c = np.empty((rows, n)), np.empty((rows, n))
-        self.test = np.empty((rows, n), dtype=bool) if short else None
         self.keep = np.empty((rows, n), dtype=bool)
         self.d, self.cut = np.empty(rows), np.empty(rows)
         self.last, self.at = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
+        self.d_col, self.cut_col = self.d[:, None], self.cut[:, None]
+        self.ranks = self.w_tail = self.c_tail = self.test_tail = self.test_rev = self.ends = None
+        if n < _CANDIDATE_MIN_N:
+            test = np.empty((rows, n), dtype=bool)
+            test[:, 0] = True
+            self.ranks = np.arange(1.0, n + 1.0)
+            self.w_tail, self.c_tail = self.w[:, 1:], self.c[:, 1:]
+            self.test_tail, self.test_rev = test[:, 1:], test[:, ::-1]
+            self.ends = self.starts + (n - 1)
 
 
 def _sort_scan(
@@ -180,9 +193,14 @@ def _sort_scan(
 
     Sorts -q ascending, so that w = -u: negation is exact and commutes
     with rounding, so 1 + cumsum(w) is 1 - c bit for bit, and
-    ``d_j > w_j`` is the sign of u_j + d_j.  A row of at least
-    ``_CANDIDATE_MIN_N`` entries evaluates the test only inside its
-    :func:`_bracket`.
+    ``d_j > w_j`` is the sign of u_j + d_j.  The prefix sums become d at
+    each prefix length in place, and a row's scan ends at the last
+    position where the test passes.  It passes at position 0 by
+    definition, where u1 + (1 - u1) = 1 > 0 identically.  A row of at
+    least ``_CANDIDATE_MIN_N`` entries evaluates the test only inside its
+    :func:`_bracket`, where it passes at the first position.  The end
+    gives d, the cut and the survivor mask; the posterior is q + d on the
+    mask and +0.0 elsewhere.
 
     ``work`` is a :class:`_ScanWork` for q's shape, or None for a fresh
     one.  The posterior is written into ``out``, or into the prefix-sum
@@ -195,40 +213,41 @@ def _sort_scan(
     w = np.negative(q, work.w)
     w.sort(-1)
     c = np.add.accumulate(w, 1, None, work.c)  # the bits of cumsum, for less fixed cost
+    last, at = work.last, work.at
     if work.ranks is not None:
-        last = _scan_ends(w, c, 0, work.ranks, work.test, work.last)
+        c += 1.0
+        c /= work.ranks
+        np.greater(work.c_tail, work.w_tail, work.test_tail)
+        work.test_rev.argmax(-1, last)  # each row's end, counted back from its last entry
+        np.subtract(work.ends, last, at)
+        survivors = c.size - sum(last.tolist())
     else:
-        last = work.last
         for r in range(len(q)):
             lo, hi = _bracket(w[r], c[r])
-            last[r] = _scan_ends(w[r : r + 1, lo:hi], c[r : r + 1, lo:hi], lo, np.arange(lo + 1.0, hi + 1.0))[0]
-    return _finish(q, w, c, last, work, c if out is None else out)
-
-
-def _scan_ends(
-    w: np.ndarray,
-    c: np.ndarray,
-    start: int,
-    ranks: np.ndarray,
-    test: np.ndarray | None = None,
-    last: np.ndarray | None = None,
-) -> np.ndarray:
-    """The last position of each row where the scan's test passes.
-
-    ``w`` and ``c`` are columns ``start, start + 1, ...`` of the sorted
-    negated rows and of their prefix sums, and ``ranks`` their prefix
-    lengths ``start + 1, start + 2, ...``; the test is taken to pass at
-    the first column (it does at ``start``, or is forced at position 0,
-    where u1 + (1 - u1) = 1 > 0 identically).  ``c`` is overwritten with
-    d for each prefix length.  ``test`` and ``last``, when given, receive
-    the test and the result.
-    """
-    c += 1.0
-    c /= ranks
-    test = np.greater(c, w, test)
-    test[:, 0] = True
-    last = test[:, ::-1].argmax(-1, last)
-    return np.subtract(start + w.shape[-1] - 1, last, last)
+            window = c[r, lo:hi]
+            window += 1.0
+            window /= np.arange(lo + 1.0, hi + 1.0)
+            test = np.greater(window, w[r, lo:hi])
+            test[0] = True
+            last[r] = hi - 1 - int(test[::-1].argmax())
+        np.add(work.starts, last, at)
+        survivors = int(last.sum()) + len(last)
+    # every index is in range, so "clip" changes none; it lets take write
+    # into a given out without buffering
+    d = c.take(at, None, work.d, "clip")
+    cut = w.take(at, None, work.cut, "clip")
+    np.negative(cut, cut)
+    keep = np.greater_equal(q, work.cut_col, work.keep)
+    if np.count_nonzero(keep) != survivors:
+        # more entries reach the cut than the prefixes hold: a tie is split
+        # at the cut, and its highest-index entries go
+        extra = keep.sum(-1) - (at - work.starts + 1)
+        for r in np.flatnonzero(extra).tolist():
+            keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
+    posterior = np.add(q, work.d_col, c if out is None else out)
+    posterior *= keep
+    posterior += 0.0  # a dropped entry is (q + d) * 0, which may be -0.0
+    return posterior, d, keep
 
 
 def _bracket(w: np.ndarray, c: np.ndarray) -> tuple[int, int]:
@@ -266,30 +285,6 @@ def _bracket(w: np.ndarray, c: np.ndarray) -> tuple[int, int]:
         else:
             top = mid
     return lo, hi
-
-
-def _finish(q: np.ndarray, w: np.ndarray, c: np.ndarray, last: np.ndarray, work: _ScanWork, out: np.ndarray):
-    """The projection of the rows of ``q`` whose scans end at ``last``:
-    d, cut, survivor mask, tie split and the posterior, which is written
-    into ``out``.  ``w`` holds the sorted negated rows and ``c`` d at each
-    prefix length; ``out`` may be ``c`` itself."""
-    at = np.add(work.starts, last, work.at)
-    # every index is in range, so "clip" changes none; it lets take write
-    # into a given out without buffering
-    d = c.take(at, None, work.d, "clip")
-    cut = w.take(at, None, work.cut, "clip")
-    np.negative(cut, cut)
-    keep = np.greater_equal(q, cut[:, None], work.keep)
-    if np.count_nonzero(keep) != last.sum() + len(last):
-        # more entries reach the cut than the prefixes hold: a tie is split
-        # at the cut, and its highest-index entries go
-        extra = keep.sum(-1) - (last + 1)
-        for r in np.flatnonzero(extra).tolist():
-            keep[r, np.flatnonzero(q[r] == cut[r])[-extra[r]:]] = False
-    posterior = np.add(q, d[:, None], out)
-    posterior *= keep
-    posterior += 0.0  # a dropped entry is (q + d) * 0, which may be -0.0
-    return posterior, d, keep
 
 
 def _project_rows(q: np.ndarray, work: _ScanWork | None = None, out: np.ndarray | None = None):
@@ -468,10 +463,10 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     scores, bit for bit, wherever the weights ``exp(-rate*L[i]) * p[i]``
     sum to a normal float.  Where their sum is subnormal or 0.0, as at
     losses 800 and 801 with rate 1, the scores are taken from the losses
-    less their smallest, which leaves the exact posterior as it is and
-    gives the smallest loss a score of 1.  Should the weights still all
-    vanish (the smallest loss on a zero prior), :class:`UnderflowError`
-    is raised.
+    less the smallest loss on a positive prior, which leaves the exact
+    posterior as it is and gives that hypothesis a score of 1, so its
+    weight is its prior and the weights never all vanish.  A loss below
+    it, which only a zero prior carries, takes a score of 1 too.
     """
     rate, values = _shared_rate_losses(losses)
     pv = p.values
@@ -479,7 +474,7 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
         raise ValueError("prior and losses must have the same length")
     scores = np.exp(-rate * values)
     if (scores * pv).sum() < np.finfo(float).tiny:
-        scores = np.exp(-rate * (values - values.min()))
+        scores = np.exp(-rate * np.maximum(values - values[pv > 0.0].min(), 0.0))
     return ProbabilityVector._adopt(_ratio_update(pv, scores))
 
 
@@ -554,9 +549,10 @@ def _trajectory(
     rows = weights.reshape(-1, horizon + 1, n)
     grid = scores.reshape(len(rows), horizon, n)
     work, q = _ScanWork(len(rows), n), np.empty((len(rows), n))
+    steps = rows.transpose(1, 0, 2)
     with np.errstate(invalid="ignore"):
-        for t in range(horizon):
-            _project_rows(np.add(rows[:, t], grid[:, t], q), work, rows[:, t + 1])
+        for p, s, post in zip(steps, grid.transpose(1, 0, 2), steps[1:]):
+            _project_rows(np.add(p, s, q), work, post)
         mass = (rows[:, 1:] @ np.ones(n)).reshape(scores.shape[:-1])
     if not np.isfinite(mass).all():
         raise ValueError("entries must be finite")

@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 from oracles import sort_scan_projection
-from test_updating import most_survive, projection_input, tie_at_cut
+from test_updating import most_survive, projection_input, scan_windows, tie_at_cut
 
 from credal import updating
 
@@ -47,14 +47,11 @@ def project(q: np.ndarray):
     """``_project_rows(q)`` of a stack of one row, and the way it was found:
     "candidate", "bracket" or "whole row"."""
     n = q.shape[-1]
-    with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full, mock.patch.object(
-        updating, "_scan_ends", wraps=updating._scan_ends
-    ) as ends:
-        got = updating._project_rows(q)
+    with mock.patch.object(updating, "_sort_scan", wraps=updating._sort_scan) as full:
+        got, windows = scan_windows(q)
     if not any(call.args[0].shape[-1] == n for call in full.call_args_list):
         return got, "candidate"
-    whole = any(call.args[0].shape[-1] == n for call in ends.call_args_list)
-    return got, "whole row" if whole else "bracket"
+    return got, "whole row" if (0, n) in windows else "bracket"
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

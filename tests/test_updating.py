@@ -367,10 +367,41 @@ def tie_at_cut(rng, n):
 
 def scan_windows(q):
     """The projection of the rows of ``q``, with the (start, width) of
-    every window in which the full scan evaluated its test."""
-    with mock.patch.object(updating, "_scan_ends", wraps=updating._scan_ends) as ends:
+    every window in which the full scan evaluated its test: the ``(lo,
+    hi)`` of each :func:`~credal.updating._bracket`."""
+    brackets, bracket = [], updating._bracket
+
+    def record(w, c):
+        brackets.append(bracket(w, c))
+        return brackets[-1]
+
+    with mock.patch.object(updating, "_bracket", record):
         got = _project_rows(q)
-    return got, [(call.args[2] if len(call.args) > 2 else 0, call.args[0].shape[-1]) for call in ends.call_args_list]
+    return got, [(lo, hi - lo) for lo, hi in brackets]
+
+
+def test_a_reused_scan_work_projects_as_a_fresh_one():
+    # one _ScanWork and one out per row length serve unlike stacks in turn:
+    # the test column set once and the views made once must not carry a
+    # stack's bits into the next; the n = 1 stack, whose every column is
+    # column 0, runs on a work of its own shape between two uses of the other
+    split = np.stack([SPLIT_TIE, SPLIT_TIE[::-1]])
+    stacks = [
+        split,
+        np.array([[0.3, 0.1, -0.2, 0.6, 0.05, -1.0], [0.9, -0.4, 0.2, 0.15, -0.05, 0.7]]),
+        np.array([[5.0, 0.0, 0.1, -0.3, 0.2, 0.0], [-1.0, -2.0, -3.0, -4.0, -5.0, 3.0]]),
+        np.array([[0.3], [-4.0]]),
+        split,
+    ]
+    works = {}
+    for q in stacks:
+        work, out = works.setdefault(q.shape, (updating._ScanWork(*q.shape), np.empty(q.shape)))
+        got = updating._sort_scan(q, work, out)
+        assert got[0] is out and got[1] is work.d and got[2] is work.keep
+        for g, w in zip(got, updating._sort_scan(q)):
+            assert_same_bits(g, w)
+        if q is split:  # the scan keeps the lower-index -0.2 of each row's pair
+            np.testing.assert_array_equal(got[2][q == -0.2], [True, False, True, False])
 
 
 @pytest.mark.parametrize("kind", ["most", "ties"])
@@ -575,20 +606,26 @@ def test_loss_list_may_be_any_iterable():
 
 
 def test_general_bayes_underflow():
+    # the losses are shifted by the smallest loss on a positive prior, 800,
+    # so that hypothesis keeps its prior's weight and none underflows
     p = ProbabilityVector([1.0, 0.0])
-    # the smallest loss sits on the zero prior, so the losses less it still
-    # leave exp(-800), which underflows to zero, and every weight vanishes
-    with pytest.raises(UnderflowError):
-        general_bayes_update(p, [LossValue(800.0, 1.0), LossValue(0.0, 1.0)])
+    post = general_bayes_update(p, [LossValue(800.0, 1.0), LossValue(0.0, 1.0)])
+    np.testing.assert_array_equal(post.values, [1.0, 0.0])
 
 
-@pytest.mark.parametrize("smallest", [720.0, 745.0, 800.0, 1e4])
-def test_general_bayes_at_large_losses_takes_them_less_their_smallest(smallest):
+@pytest.mark.parametrize(
+    "prior, losses",
+    [([0.5, 0.5], [smallest, smallest + 1.0]) for smallest in (720.0, 745.0, 800.0, 1e4)]
+    # the smallest loss sits on a zero prior, which takes no part in the shift
+    + [([0.5, 0.5, 0.0], [740.0, 741.0, 0.0])],
+    ids=["720.0", "745.0", "800.0", "10000.0", "740.0-on-a-zero-prior"],
+)
+def test_general_bayes_at_large_losses_takes_them_less_their_smallest(prior, losses):
     # the weights are subnormal, or vanish; losses L and L + 1 give
     # e / (1 + e) and 1 / (1 + e), correctly rounded
-    p = ProbabilityVector([0.5, 0.5])
-    post = general_bayes_update(p, [LossValue(smallest, 1.0), LossValue(smallest + 1.0, 1.0)])
-    np.testing.assert_array_equal(post.values, [0.7310585786300049, 0.2689414213699951])
+    post = general_bayes_update(ProbabilityVector(prior), [LossValue(loss, 1.0) for loss in losses])
+    np.testing.assert_array_equal(post.values[:2], [0.7310585786300049, 0.2689414213699951])
+    np.testing.assert_array_equal(post.values[2:], 0.0)
 
 
 @settings(max_examples=200, deadline=None)
