@@ -46,8 +46,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -295,13 +294,11 @@ class ExperimentResult:
     ``mixture_crps[rule, replication, t]`` is the CRPS of the pre-update
     mixture at that step.
 
-    ``log_posterior`` has the shape of ``posterior``.  For a ratio-form rule
-    it holds the log-weights of the trajectory kernel, finite wherever the
-    log-scores are, so it shows that the rule zeroes no model where the
-    float ``posterior`` underflows to 0.0; ``ratio_log_weights`` holds them,
-    one array per rule.  For the predictive rule (None there) it is
-    ``log(posterior)``, -inf exactly where the rule zeroed a model, built on
-    first access.
+    ``log_posterior``, shaped like ``posterior``, holds the log-weights of
+    the trajectory kernel.  For a ratio-form rule they are finite wherever
+    the log-scores are, so they show that the rule zeroes no model where
+    the float ``posterior`` underflows to 0.0; for the predictive rule they
+    are ``log(posterior)``, -inf exactly where the rule zeroed a model.
     """
 
     config: ExperimentConfig
@@ -309,7 +306,7 @@ class ExperimentResult:
     crps: np.ndarray
     mixture_crps: np.ndarray
     aggregates: tuple[RuleAggregate, ...]
-    ratio_log_weights: tuple[np.ndarray | None, ...] = field(repr=False)
+    log_posterior: np.ndarray
 
     def __eq__(self, other):
         """Equal configs and aggregates, and equal arrays, compared by value."""
@@ -317,25 +314,11 @@ class ExperimentResult:
             return NotImplemented
         if self.config != other.config or self.aggregates != other.aggregates:
             return False
-        ours = (self.posterior, self.crps, self.mixture_crps, *self.ratio_log_weights)
-        theirs = (other.posterior, other.crps, other.mixture_crps, *other.ratio_log_weights)
-        # np.array_equal finds None (a predictive rule's log-weights) equal to None alone
-        return all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        columns = ("posterior", "crps", "mixture_crps", "log_posterior")
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in columns)
 
     def __hash__(self) -> int:
         return hash(self.config)
-
-    @cached_property
-    def log_posterior(self) -> np.ndarray:
-        """Read-only log-weights shaped like ``posterior`` (see the class docstring)."""
-        out = np.empty(self.posterior.shape)
-        with np.errstate(divide="ignore"):
-            for k, logs in enumerate(self.ratio_log_weights):
-                if logs is None:
-                    np.log(self.posterior[k], out=out[k])
-                else:
-                    out[k] = logs
-        return _readonly(out)
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
@@ -464,12 +447,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     model_crps = _readonly(crps_matrix(forecasts, xs.ravel()).reshape(reps, horizon, n))
     prior = np.full((reps, n), 1.0 / n)
     # weights[..., t, :] is the prior of step t + 1, so the posterior column
-    # and the pre-update grid are both views of it
+    # and the pre-update grid are both views of it; logs holds their logs
     weights = np.empty((len(cfg.rules), reps, horizon + 1, n))
-    ratio_log_weights = []
+    logs = np.empty(weights.shape)
     for k, rule in enumerate(cfg.rules):
-        logs = _trajectory(rule.kind, prior, _score_grid(rule, cfg, xs, model_crps), out=weights[k])[1]
-        ratio_log_weights.append(None if logs is None else _readonly(logs[:, 1:]))
+        _trajectory(rule.kind, prior, _score_grid(rule, cfg, xs, model_crps), weights[k], logs[k])
     mixture_crps = MixtureCRPS(forecasts).score(weights[:, :, :-1], model_crps)
     scale = core.unit_scale(mixture_crps)
     rep_means = (mixture_crps * scale).mean(-1) / scale
@@ -481,5 +463,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for rule, mean, err, row in zip(cfg.rules, (scaled.mean(-1) / scale).tolist(), se.tolist(), rep_means.tolist())
     )
     return ExperimentResult(
-        cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(mixture_crps), aggregates, tuple(ratio_log_weights)
+        cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(mixture_crps), aggregates, _readonly(logs[:, :, 1:])
     )

@@ -648,7 +648,8 @@ def exp_loss_score(losses: Sequence[LossValue]) -> ScoreVector:
     independent evidence while scores stay multiplicative.
     """
     rate, values = _shared_rate_losses(losses)
-    return ScoreVector(np.exp(-rate * values), Mode.MULTIPLICATIVE)
+    with np.errstate(over="ignore"):  # an infinite product scores exp(-inf) = 0
+        return ScoreVector(np.exp(-rate * values), Mode.MULTIPLICATIVE)
 
 
 def min_abs_error_score(

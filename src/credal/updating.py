@@ -472,43 +472,44 @@ def general_bayes_update(p: ProbabilityVector, losses: Sequence[LossValue]) -> P
     pv = p.values
     if pv.size != values.size:
         raise ValueError("prior and losses must have the same length")
-    scores = np.exp(-rate * values)
-    if (scores * pv).sum() < np.finfo(float).tiny:
-        scores = np.exp(-rate * np.maximum(values - values[pv > 0.0].min(), 0.0))
+    with np.errstate(over="ignore"):  # an infinite product scores exp(-inf) = 0
+        scores = np.exp(-rate * values)
+        if (scores * pv).sum() < np.finfo(float).tiny:
+            scores = np.exp(-rate * np.maximum(values - values[pv > 0.0].min(), 0.0))
     return ProbabilityVector._adopt(_ratio_update(pv, scores))
 
 
 def _trajectory(
-    kind: RuleKind, p0: np.ndarray, scores: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+    kind: RuleKind, p0: np.ndarray, scores: np.ndarray, out: np.ndarray | None = None, log_out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Fold scores ``[..., T, n]`` through a rule from the prior ``p0``
     ``[..., n]``, along the last axis.
 
     Returns ``(weights, log_weights)``, each ``[..., T + 1, n]``: slot 0
     holds the prior (and its log), slot t the posterior after step t.
-    ``out``, when given, receives the weights; it must be C-contiguous, as
-    the predictive fold writes through a view of its rows.  Every row is
-    folded bit for bit as it would be on its own.
+    ``out`` and ``log_out``, when given, receive them; ``out`` must be
+    C-contiguous, as the predictive fold writes through a view of its rows.
+    Every row is folded bit for bit as it would be on its own.
 
     The predictive rule takes additive scores and projects ``p + s`` onto
     the simplex by :func:`_project_rows`, one step at a time, on one
     :class:`_ScanWork` and one buffer for ``p + s`` allocated once per
     fold; each posterior is written straight into its slot of the weights,
-    and ``log_weights`` is None.  The loop checks its result, not its
-    inputs: one product of the posteriors with a vector of ones sums each
-    of them.  A sum that is not finite raises ``ValueError("entries must
-    be finite")``: a NaN or an infinity in ``p + s`` leaves a NaN in that
-    step's posterior, as a dropped entry is ``(q + d) * 0`` and an
-    infinity turns ``d`` or the whole row into NaN.  A sum off 1 by more
-    than ``DEFAULT_EPS``, which :class:`~credal.core.ProbabilityVector`
-    refuses too, raises ``ValueError`` naming the first such replication
-    and step.  Such a row lost its mass to rounding at the scores'
-    magnitude: ``q = [1 - 1.7e308]`` gives ``d = 1.7e308`` and ``q + d =
-    0.0``, and a prefix sum that overflows to inf zeroes every entry.
-    Only the invalid operations on the way are silenced; an overflowing
-    prefix sum warns.  Long rows raise ``entries must be finite`` at the
-    first non-finite step, as the candidate scan reads each row's max and
-    min.
+    and the log-weights are their ``log``, -inf exactly where the rule
+    zeroed a model.  The loop checks its result, not its inputs: one
+    product of the posteriors with a vector of ones sums each of them.  A
+    sum that is not finite raises ``ValueError("entries must be finite")``:
+    a NaN or an infinity in ``p + s`` leaves a NaN in that step's
+    posterior, as a dropped entry is ``(q + d) * 0`` and an infinity turns
+    ``d`` or the whole row into NaN.  A sum off 1 by more than
+    ``DEFAULT_EPS``, which :class:`~credal.core.ProbabilityVector` refuses
+    too, raises ``ValueError`` naming the first such replication and step.
+    Such a row lost its mass to rounding at the scores' magnitude: ``q =
+    [1 - 1.7e308]`` gives ``d = 1.7e308`` and ``q + d = 0.0``, and a
+    prefix sum that overflows to inf zeroes every entry.  Only the invalid
+    operations on the way are silenced; an overflowing prefix sum warns.
+    Long rows raise ``entries must be finite`` at the first non-finite
+    step, as the candidate scan reads each row's max and min.
 
     The ratio-form rules (inferential, and general-Bayes with ``-rate *
     loss``) take log-scores and keep log-weights, so no weight underflows
@@ -543,9 +544,11 @@ def _trajectory(
     """
     *_, horizon, n = scores.shape
     weights = np.empty(scores.shape[:-2] + (horizon + 1, n)) if out is None else out
+    logs = np.empty(weights.shape) if log_out is None else log_out
     weights[..., 0, :] = p0
     if kind is not RuleKind.PREDICTIVE:
-        return weights, _log_fold(p0, scores, weights[..., 1:, :])
+        _log_fold(p0, scores, weights[..., 1:, :], logs)
+        return weights, logs
     rows = weights.reshape(-1, horizon + 1, n)
     grid = scores.reshape(len(rows), horizon, n)
     work, q = _ScanWork(len(rows), n), np.empty((len(rows), n))
@@ -563,7 +566,9 @@ def _trajectory(
             f"{_step_name(at)}: the posterior sums to {float(mass[tuple(at)])!r}, not 1, "
             "as the scores are too large for the prior's mass to survive rounding"
         )
-    return weights, None
+    with np.errstate(divide="ignore"):
+        np.log(weights, out=logs)
+    return weights, logs
 
 
 def _step_name(at: list[int]) -> str:
@@ -573,10 +578,10 @@ def _step_name(at: list[int]) -> str:
     return f"replication {', '.join(map(str, row))}, t = {t + 1}" if row else f"t = {t + 1}"
 
 
-def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray) -> np.ndarray:
+def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray, log_weights: np.ndarray) -> None:
     """The ratio-form half of :func:`_trajectory`: writes the posteriors
-    into ``post`` and returns the log-weights, the prior's log included."""
-    log_weights = np.empty(log_scores.shape[:-2] + (log_scores.shape[-2] + 1, log_scores.shape[-1]))
+    into ``post`` and the log-weights, the prior's log included, into
+    ``log_weights``."""
     with np.errstate(divide="ignore", over="ignore"):
         np.log(p0, out=log_weights[..., 0, :])
         # a step whose log-scores are all -inf is centred on the lowest float,
@@ -597,7 +602,6 @@ def _log_fold(p0: np.ndarray, log_scores: np.ndarray, post: np.ndarray) -> np.nd
     total = post.sum(-1, keepdims=True)
     post /= total
     logs -= np.log(total)
-    return log_weights
 
 
 def sequential_update(

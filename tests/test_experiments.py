@@ -30,6 +30,7 @@ from credal import (
 )
 from credal import core
 from credal.measures import MixtureCRPS
+from credal.updating import RuleKind, _trajectory
 
 
 def small_config(**overrides):
@@ -346,11 +347,29 @@ def test_results_compare_by_value():
     a, b = run_experiment(cfg), run_experiment(cfg)
     assert a == b and hash(a) == hash(b)
     assert a != run_experiment(small_config(horizon=6, seed=1))
-    # equal configs, one column or one rule's log-weights different
+    # equal configs, one column different
     assert a != dataclasses.replace(a, crps=a.crps + 1.0)
     assert a != dataclasses.replace(a, mixture_crps=a.mixture_crps[::-1].copy())
-    assert a != dataclasses.replace(a, ratio_log_weights=(None,) * 3)
+    assert a != dataclasses.replace(a, log_posterior=a.log_posterior + 1.0)
     assert a.__eq__(cfg) is NotImplemented and a != cfg
+
+
+def test_the_predictive_log_posterior_is_the_log_of_its_posterior():
+    rules = (UpdateRule.inferential(), UpdateRule.predictive(), UpdateRule.general_bayes(1.0))
+    result = run_experiment(small_config(rules=rules))
+    logs, posterior = result.log_posterior, result.posterior
+    assert logs.shape == posterior.shape and not logs.flags.writeable
+    with np.errstate(divide="ignore"):
+        want = np.log(posterior[1])
+    # bit for bit, -0.0 apart from +0.0
+    np.testing.assert_array_equal(logs[1].view(np.int64), want.view(np.int64))
+    zeroed = posterior[1] == 0.0
+    assert zeroed.any() and np.array_equal(np.isneginf(logs[1]), zeroed)
+    # the prior's slot holds the log of the prior, -inf where it is 0
+    p0 = np.array([0.5, 0.0, 0.5])
+    slot0 = _trajectory(RuleKind.PREDICTIVE, p0, np.zeros((2, 3)))[1][..., 0, :]
+    with np.errstate(divide="ignore"):
+        np.testing.assert_array_equal(slot0.view(np.int64), np.log(p0).view(np.int64))
 
 
 # eight far models first, so that once the predictive rule has zeroed them a

@@ -605,6 +605,16 @@ def test_loss_list_may_be_any_iterable():
     np.testing.assert_array_equal(exp_loss_score(iter(losses)).scores, exp_loss_score(losses).scores)
 
 
+def test_general_bayes_at_a_loss_product_beyond_the_float_range():
+    # 10 * 1e308 overflows to inf, which scores exp(-inf) = 0 without a
+    # warning (pytest turns warnings into errors)
+    losses = [LossValue(1e308, 10.0), LossValue(0.0, 10.0)]
+    post = general_bayes_update(ProbabilityVector([0.5, 0.5]), losses)
+    np.testing.assert_array_equal(post.values, [0.0, 1.0])
+    with pytest.raises(ValueError, match="multiplicative scores must be strictly positive"):
+        exp_loss_score(losses)
+
+
 def test_general_bayes_underflow():
     # the losses are shifted by the smallest loss on a positive prior, 800,
     # so that hypothesis keeps its prior's weight and none underflows
@@ -720,13 +730,11 @@ def test_trajectory_rows_at_large_n_fold_as_alone(kind):
     scores = np.stack([few, most])
     p0 = np.stack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n))])
     weights, log_weights = updating._trajectory(kind, p0, scores)
-    assert weights.shape == (2, horizon + 1, n)
-    assert (log_weights is None) == (kind is RuleKind.PREDICTIVE)
+    assert weights.shape == log_weights.shape == (2, horizon + 1, n)
     for r in range(2):
         alone, alone_logs = updating._trajectory(kind, p0[r], scores[r])
         assert_same_bits(weights[r], alone)
-        if log_weights is not None:
-            assert_same_bits(log_weights[r], alone_logs)
+        assert_same_bits(log_weights[r], alone_logs)
     if kind is RuleKind.PREDICTIVE:
         # the row that passes sorts only its candidates when folded alone
         for prior, steps, widths in ((p0, scores, [(2, n)] * horizon), (p0[0], scores[0], [])):
@@ -802,8 +810,9 @@ def fold_as_oracle(p0, scores):
     want = sort_scan_fold(p0, scores)
     if keeps_mass(want):
         weights, log_weights = updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
-        assert log_weights is None
         assert_same_bits(weights, want)
+        with np.errstate(divide="ignore"):
+            assert_same_bits(log_weights, np.log(want))
     else:
         with pytest.raises(ValueError, match=r"t = \d+: the posterior sums to .+, not 1"):
             updating._trajectory(RuleKind.PREDICTIVE, p0, scores)
