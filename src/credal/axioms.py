@@ -137,8 +137,10 @@ def check_combination_axioms(
     occurred.  Sample triples always include one fixed asymmetric probe and
     three diagonal probes in addition to the seeded draws.  ``n_samples``
     (at least 1) and ``seed`` must be integers: ``seed=0.7`` raises
-    ``ValueError("seed: must be an integer, got 0.7")``.
+    ``ValueError("seed: must be an integer, got 0.7")``; so does a negative or NaN ``tol``.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
     triples = _sample_triples(n_samples, seed, diagonal_probes=True)
 
     def comm(x, y, z):
@@ -207,9 +209,11 @@ def check_commutation(
     on every triple sampled from ``DOMAIN``.  Residuals are relative.
     Constant-scale families pass for the matching combination; genuinely
     nonlinear rescalings such as squaring fail.  A non-finite value fails
-    the check and names the first triple where it occurred.  ``n_samples``
-    and ``seed`` are checked as in :func:`check_combination_axioms`.
+    the check and names the first triple where it occurred.  ``n_samples``,
+    ``seed`` and ``tol`` are checked as in :func:`check_combination_axioms`.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
     c = _combiner(combination)
     f = rescale_family
 

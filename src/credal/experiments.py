@@ -32,7 +32,7 @@ and its bytes are those of the per-step loop it replaced.  An existing
 file is overwritten in place and shrunk at the end, not emptied first.
 
 The mixture score is exact up to rounding, within the bound that
-:meth:`~credal.measures.MixtureCRPS.score` states, so every rule is scored
+:func:`~credal.measures.mixture_crps` states, so every rule is scored
 without sampling noise.  Randomness drives only the data: each
 replication's observations come from a counter-based Philox stream keyed
 by (seed, replication), so every rule sees the same data, replications are
@@ -57,10 +57,11 @@ from .core import FLOAT_FIELD, _format_into, format_floats, json_number, reject_
 from .measures import (
     Forecast,
     Gaussian,
-    MixtureCRPS,
     crps_matrix,
+    expected_abs_difference,
     forecast_from_json,
     forecast_to_json,
+    mixture_crps,
     sample_forecast,
 )
 from .updating import RuleKind, UpdateRule, _trajectory
@@ -276,11 +277,11 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class RuleAggregate:
-    """Across-replication summary of a rule's mixture predictive accuracy."""
+    """Across-replication summary of a rule's mixture accuracy (no SE from one replication)."""
 
     rule: str
     mean_mixture_crps: float
-    se_mixture_crps: float
+    se_mixture_crps: float | None
     replication_means: tuple[float, ...]
 
 
@@ -438,8 +439,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     :class:`~credal.updating.UnderflowError` naming the replication and t.
     Then the pre-update weights of every rule
     (the uniform prior, then the posteriors of steps 1 .. horizon - 1) are
-    scored in one last-axis :meth:`MixtureCRPS.score` call, each within the
-    bound it states of the exact score.
+    scored in one last-axis :func:`~credal.measures.mixture_crps` call on
+    the forecasts' pairwise matrix, each within the bound it states of the
+    exact score.  With one replication the standard error is ``None``.
     """
     n, horizon, reps = len(cfg.models), cfg.horizon, cfg.replications
     forecasts = [m.forecast for m in cfg.models]
@@ -452,16 +454,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     logs = np.empty(weights.shape)
     for k, rule in enumerate(cfg.rules):
         _trajectory(rule.kind, prior, _score_grid(rule, cfg, xs, model_crps), weights[k], logs[k])
-    mixture_crps = MixtureCRPS(forecasts).score(weights[:, :, :-1], model_crps)
-    scale = core.unit_scale(mixture_crps)
-    rep_means = (mixture_crps * scale).mean(-1) / scale
+    scores = mixture_crps(expected_abs_difference(forecasts), weights[:, :, :-1], model_crps)
+    scale = core.unit_scale(scores)
+    rep_means = (scores * scale).mean(-1) / scale
     scale = core.unit_scale(rep_means)
     scaled = rep_means * scale
-    se = scaled.std(-1, ddof=1) / scale / math.sqrt(reps) if reps > 1 else np.zeros(len(cfg.rules))
+    se = (scaled.std(-1, ddof=1) / scale / math.sqrt(reps)).tolist() if reps > 1 else [None] * len(cfg.rules)
     aggregates = tuple(
         RuleAggregate(rule.kind.value, mean, err, tuple(row))
-        for rule, mean, err, row in zip(cfg.rules, (scaled.mean(-1) / scale).tolist(), se.tolist(), rep_means.tolist())
+        for rule, mean, err, row in zip(cfg.rules, (scaled.mean(-1) / scale).tolist(), se, rep_means.tolist())
     )
     return ExperimentResult(
-        cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(mixture_crps), aggregates, _readonly(logs[:, :, 1:])
+        cfg, _readonly(weights[:, :, 1:]), model_crps, _readonly(scores), aggregates, _readonly(logs[:, :, 1:])
     )

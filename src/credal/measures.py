@@ -532,71 +532,48 @@ def expected_abs_difference(forecasts: Sequence[Forecast]) -> np.ndarray:
     return pair
 
 
-class MixtureCRPS:
-    """Exact CRPS of weighted mixtures of a fixed list of forecasts.
+def mixture_crps(pair, weights, component_crps):
+    """Exact CRPS of each weight row's mixture of the forecasts whose
+    ``pair`` matrix is P, at an outcome where they score ``component_crps``.
 
     CRPS(sum_i w_i F_i, x) = sum_i w_i E|X_i - x| - 1/2 sum_ij w_i w_j P[i, j]
     with P from :func:`expected_abs_difference` (Grimit, Gneiting, Berrocal
     & Johnson 2006).  Since crps(F_i, x) = E|X_i - x| - P[i, i]/2, the
     mixture's score at x is w.c + w.h - w'Pw/2 from the components' own
-    scores c at x and h = diag(P)/2.  P depends on the forecasts alone and
-    is built once; P and h are read-only properties, so they cannot drift apart.
-    :meth:`score` works on the last axis: weights and component scores of
-    shape ``[..., n]`` give one score per row.
+    scores c at x and h = diag(P)/2, taken from P on each call.  Weights and
+    scores are ``[..., n]`` and broadcast against each other; the result is
+    ``[...]``, a ``float`` for 1-d input.  The w'Pw term of every row is one
+    matrix product of the whole weight stack by P, since P is exactly
+    symmetric, followed by a row-wise dot with w, so P is read once per
+    matrix of rows instead of once per row.  The result is deterministic for
+    a given input, but a row's last bits depend on the BLAS and on the rows
+    it is scored with.
+
+    Bound: with S = |w|.|c| + |w|.h + |w|'P|w|/2, each score lies within
+    (n + 2) eps S + n (3 + ||w||_1) 2**-1074 of the exact value of
+    w.c + w.h - w'Pw/2 on the given floats.  The sums of n products
+    carry at most n eps S of error between them (w'Pw is two such sums,
+    each within n eps/2 relative), the last two roundings add eps S,
+    and every product that underflows adds at most 2**-1075.  One-hot
+    weights return that component's score exactly.
+    ``tests/compare_mixture.py`` and the tier-1 tests check both against
+    an exact rational oracle.
     """
-
-    __slots__ = ("_pair", "_half_self")
-
-    def __init__(self, forecasts: Sequence[Forecast]):
-        self._pair = expected_abs_difference(forecasts)
-        self._half_self = 0.5 * np.diag(self._pair)
-        self._pair.flags.writeable = False
-        self._half_self.flags.writeable = False
-
-    @property
-    def pair(self) -> np.ndarray:
-        return self._pair
-
-    @property
-    def half_self(self) -> np.ndarray:
-        return self._half_self
-
-    def score(self, weights, component_crps):
-        """Mixture CRPS of each row of ``weights`` at an outcome where the
-        components score the matching row of ``component_crps``.
-
-        Both are ``[..., n]`` and broadcast against each other; the result
-        is ``[...]``, a ``float`` for 1-d input.  The w'Pw term of every row
-        is one matrix product of the whole weight stack by P, since P is
-        exactly symmetric, followed by a row-wise dot with w, so P is read
-        once per matrix of rows instead of once per row.  The result is
-        deterministic for a given input, but a row's last bits depend on the
-        BLAS and on the rows it is scored with.
-
-        Bound: with S = |w|.|c| + |w|.h + |w|'P|w|/2, each score lies within
-        (n + 2) eps S + n (3 + ||w||_1) 2**-1074 of the exact value of
-        w.c + w.h - w'Pw/2 on the given floats.  The sums of n products
-        carry at most n eps S of error between them (w'Pw is two such sums,
-        each within n eps/2 relative), the last two roundings add eps S,
-        and every product that underflows adds at most 2**-1075.  One-hot
-        weights return that component's score exactly.
-        ``tests/compare_mixture.py`` and the tier-1 tests check both against
-        an exact rational oracle.
-        """
-        w = np.asarray(weights, dtype=float)
-        c = np.asarray(component_crps, dtype=float)
-        n = self.half_self.size
-        for name, a in (("weights", w), ("component scores", c)):
-            if a.shape[-1:] != (n,):
-                length = f"a last axis of length {a.shape[-1]}" if a.ndim else "no axis"
-                raise ValueError(f"{name} have {length}, the mixture has {n} components")
-        wc = np.einsum("...i,...i->...", w, c)
-        # one GEMM of every row (a non-contiguous stack is copied first): a
-        # stacked w @ P makes one per trailing matrix and packs P for each
-        wpw = np.einsum("...i,...i->...", (w.reshape(-1, n) @ self.pair).reshape(w.shape), w)
-        # grouped so that one-hot weights return that component's score exactly
-        out = wc + (w @ self.half_self - 0.5 * wpw)
-        return float(out) if out.ndim == 0 else out
+    half_self = 0.5 * np.diag(pair)
+    w = np.asarray(weights, dtype=float)
+    c = np.asarray(component_crps, dtype=float)
+    n = half_self.size
+    for name, a in (("weights", w), ("component scores", c)):
+        if a.shape[-1:] != (n,):
+            length = f"a last axis of length {a.shape[-1]}" if a.ndim else "no axis"
+            raise ValueError(f"{name} have {length}, the mixture has {n} components")
+    wc = np.einsum("...i,...i->...", w, c)
+    # one GEMM of every row (a non-contiguous stack is copied first): a
+    # stacked w @ P makes one per trailing matrix and packs P for each
+    wpw = np.einsum("...i,...i->...", (w.reshape(-1, n) @ pair).reshape(w.shape), w)
+    # grouped so that one-hot weights return that component's score exactly
+    out = wc + (w @ half_self - 0.5 * wpw)
+    return float(out) if out.ndim == 0 else out
 
 
 def crps_measure(forecasts: Sequence[Forecast], x: float, a: float) -> ScoreVector:

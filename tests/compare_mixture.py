@@ -1,4 +1,4 @@
-"""Compare ``MixtureCRPS.score`` on seeded stacks of weight rows with the
+"""Compare ``measures.mixture_crps`` on seeded stacks of weight rows with the
 exact rational mixture score of ``tests/oracles.py``.
 
     PYTHONPATH=src python tests/compare_mixture.py [--count N] [--seed S]
@@ -10,7 +10,7 @@ n = 2048, then ``N`` (default 20) seeded stacks whose n is spread evenly
 in log scale over [1, 2048], with as many rows as keep the exact sums
 small.  Each seeded stack is of one weight kind of ``kernel_weights`` in
 ``tests/test_measures.py`` (dirichlet, one-hot, zero-heavy, subnormal) in
-turn.  Every row must lie within the bound ``MixtureCRPS.score`` states
+turn.  Every row must lie within the bound ``mixture_crps`` states
 of the exact value, and every one-hot row must score its component
 exactly.  Prints the largest error as a share of its bound and every
 failing stack, and exits 1 if there is one.
@@ -26,7 +26,7 @@ import numpy as np
 from oracles import ExactMixture
 from test_measures import MIXTURE_KINDS, kernel_weights, mixture_forecasts, one_hot_misses
 
-from credal.measures import MixtureCRPS
+from credal.measures import expected_abs_difference, mixture_crps
 
 LARGEST = 2048
 #: rows times n^2 of a seeded stack, the exact integer products it costs
@@ -55,9 +55,9 @@ def seeded(rng: np.random.Generator, i: int) -> tuple[str, np.ndarray, np.ndarra
 
 def check(w: np.ndarray, c: np.ndarray, rng: np.random.Generator) -> tuple[float, int]:
     """``(largest error as a share of its bound, failures)`` of one stack."""
-    mixture = MixtureCRPS(mixture_forecasts(rng, w.shape[-1]))
-    out = mixture.score(w, c)
-    exact = ExactMixture(mixture.pair, mixture.half_self)
+    pair = expected_abs_difference(mixture_forecasts(rng, w.shape[-1]))
+    out = mixture_crps(pair, w, c)
+    exact = ExactMixture(pair, 0.5 * np.diag(pair))
     worst, failures = 0.0, one_hot_misses(w, c, out)
     for i in np.ndindex(out.shape):
         value, bound = exact.score(w[i], c[i[out.ndim - c.ndim + 1 :]])

@@ -297,7 +297,7 @@ class ExactMixture:
         weights with component scores ``c``.
 
         ``bound`` is the distance from the exact score that
-        :meth:`credal.measures.MixtureCRPS.score` states:
+        :func:`credal.measures.mixture_crps` states:
         (n + 2) eps S + n (3 + ||w||_1) 2**-1074, with S = w.|c| + w.h +
         w'Pw/2.
         """

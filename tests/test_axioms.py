@@ -161,3 +161,14 @@ def test_regularity_violation_report_needs_an_instance(n_instances):
     # it returned passed=True after checking nothing
     with pytest.raises(ValueError, match="n_instances must be at least 1"):
         regularity_violation_report(n_instances=n_instances)
+
+
+@pytest.mark.parametrize("tol, shown", [(-1.0, "-1.0"), (math.nan, "nan")])
+def test_a_negative_or_nan_tolerance_is_refused(tol, shown):
+    # both were accepted, and every check against tol failed: a usage error read as a failed axiom
+    message = f"tol must be non-negative, got {shown}"
+    with pytest.raises(ValueError, match=message):
+        check_combination_axioms(operator.mul, n_samples=5, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        check_commutation(Mode.MULTIPLICATIVE, lambda x: 2.0 * x, n_samples=5, tol=tol)
+    assert check_combination_axioms(operator.mul, n_samples=5, tol=math.inf).passed

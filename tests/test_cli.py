@@ -78,17 +78,29 @@ def test_update_general_bayes(tmp_path, capsys):
     assert summary["min_posterior"] == pytest.approx(1.0 / 17.0, rel=1e-15)
 
 
-def test_update_general_bayes_at_large_losses(tmp_path, capsys):
-    # exp(-800) and exp(-801) underflow to 0.0; the update takes the
-    # losses less 800
+@pytest.mark.parametrize(
+    "prior_values, loss_values, rate, written",
+    [
+        # exp(-800) and exp(-801) underflow to 0.0; the update takes the
+        # losses less 800
+        ([0.5, 0.5], [800.0, 801.0], [], b"label,value\r\nH1,0.7310585786300049\r\nH2,0.2689414213699951\r\n"),
+        # the smallest loss sits on a zero prior, so the shift is by 800
+        ([1.0, 0.0], [800.0, 0.0], [], b"label,value\r\nH1,1\r\nH2,0\r\n"),
+        # 10 * 1e308 overflows; that loss scores exp(-inf) = 0
+        ([0.5, 0.5], [1e308, 0.0], ["--rate", "10"], b"label,value\r\nH1,0\r\nH2,1\r\n"),
+    ],
+    ids=["underflow", "zero-prior", "overflow"],
+)
+def test_update_general_bayes_at_large_losses(tmp_path, capsys, prior_values, loss_values, rate, written):
+    # warnings are errors under pytest, as under python -W error
     prior, losses, out = tmp_path / "p.csv", tmp_path / "l.csv", tmp_path / "post.csv"
-    write_labeled_csv(prior, ["H1", "H2"], [0.5, 0.5])
-    write_labeled_csv(losses, ["H1", "H2"], [800.0, 801.0])
+    write_labeled_csv(prior, ["H1", "H2"], prior_values)
+    write_labeled_csv(losses, ["H1", "H2"], loss_values)
     args = ["update", "--rule", "general-bayes", "--prior", str(prior), "--scores", str(losses), "--out", str(out)]
-    assert dispatch(args) == 0
+    assert dispatch(args + rate) == 0
+    assert out.read_bytes() == written
     _, values = read_labeled_csv(out)
-    np.testing.assert_array_equal(values, [0.7310585786300049, 0.2689414213699951])
-    assert json.loads(capsys.readouterr().out) == {"rule": "general-bayes", "min_posterior": 0.2689414213699951}
+    assert json.loads(capsys.readouterr().out) == {"rule": "general-bayes", "min_posterior": values.min()}
 
 
 def test_update_general_bayes_rate_defaults_to_one(tmp_path, prior_csv):
@@ -263,6 +275,13 @@ def test_props_detects_forced_failure(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan")])
+def test_props_refuses_a_negative_or_nan_tolerance(tol, shown, capsys):
+    # such a tolerance failed the expected-pass suites: exit 1, read as a failed axiom
+    assert dispatch(["props", "--tol", tol, "--samples", "5"]) == 2
+    assert tuple(capsys.readouterr()) == ("", f"error: tol must be non-negative, got {shown}\n")
+
+
 def test_dispatch_deterministic(tmp_path, capsys):
     cred = tmp_path / "c.csv"
     write_labeled_csv(cred, ["H1", "H2", "H3"], [0.2, 0.9, 0.4])
@@ -329,6 +348,15 @@ def test_simulate_refuses_a_predictive_posterior_that_lost_its_mass(tmp_path, ca
     code, err = _simulate_text(tmp_path, capsys, json.dumps(cfg))
     assert code == 2
     assert err.startswith("error: replication 0, t = 1: the posterior sums to 0.0, not 1")
+
+
+def test_one_replication_leaves_the_standard_error_null(tmp_path, capsys):
+    # it printed 0.0, which reads as no uncertainty
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config(replications=1, rules=["predictive", "inferential"])))
+    assert dispatch(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert [a["se_mixture_crps"] for a in summary["aggregates"]] == [None, None]
 
 
 def _simulate_text(tmp_path, capsys, text):

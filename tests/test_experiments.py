@@ -29,7 +29,7 @@ from credal import (
     run_experiment,
 )
 from credal import core
-from credal.measures import MixtureCRPS
+from credal.measures import expected_abs_difference, mixture_crps
 from credal.updating import RuleKind, _trajectory
 
 
@@ -69,7 +69,7 @@ def test_generate_data_varies_by_replication():
 
 
 def mixture_score(weights, forecasts, x):
-    return MixtureCRPS(forecasts).score(weights, [crps(f, x) for f in forecasts])
+    return mixture_crps(expected_abs_difference(forecasts), weights, [crps(f, x) for f in forecasts])
 
 
 def test_weighted_score_single_component():

@@ -25,7 +25,8 @@ from credal import (
     sequential_update,
     uniform,
 )
-from credal.measures import MixtureCRPS
+from credal import experiments
+from credal.measures import expected_abs_difference
 from credal.updating import RuleKind
 
 # few distinct parameters, so that models tie and projections cut through ties
@@ -66,7 +67,7 @@ def assert_matches_reference(cfg, result):
     fields, and the predictive rule's ``posterior``, equal the reference's
     byte for byte.  The ratio-form posteriors and log-posteriors lie within
     the trajectory kernel's bound of the exact fold.  The mixture scores and
-    the aggregates lie within the bound that ``MixtureCRPS.score`` states of
+    the aggregates lie within the bound that ``measures.mixture_crps`` states of
     the exact scores of the harness's own pre-update weights."""
     text, folds = reference_harness(cfg)
     csv = result.to_csv_text()
@@ -87,8 +88,8 @@ def assert_matches_reference(cfg, result):
         worst, misses = fold_errors(prior, log_scores, posterior[k, rep], result.log_posterior[k, rep])
         assert misses == 0, (cfg.rules[k], rep, worst)
         assert np.isfinite(result.log_posterior[k, rep]).all()
-    mixture = MixtureCRPS([m.forecast for m in cfg.models])
-    exact = ExactMixture(mixture.pair, mixture.half_self)
+    pair = expected_abs_difference([m.forecast for m in cfg.models])
+    exact = ExactMixture(pair, 0.5 * np.diag(pair))
     # the pre-update weights: the uniform prior, then the posteriors of
     # steps 1 .. horizon - 1
     before = np.concatenate([np.broadcast_to(prior, (len(cfg.rules), reps, 1, n)), result.posterior[:, :, :-1]], 2)
@@ -106,10 +107,12 @@ def assert_matches_reference(cfg, result):
     tolerance = max(bound for _, bound in scores) + (horizon + reps + 4) * eps * largest
     assert [a.rule for a in result.aggregates] == [rule.kind.value for rule in cfg.rules]
     for agg, means in zip(result.aggregates, exact_means.tolist()):
-        se = float(np.std(means, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         assert len(agg.replication_means) == reps
-        pairs = [(agg.mean_mixture_crps, float(np.mean(means))), (agg.se_mixture_crps, se)]
-        pairs += zip(agg.replication_means, means)
+        pairs = [(agg.mean_mixture_crps, float(np.mean(means)))] + list(zip(agg.replication_means, means))
+        if reps > 1:
+            pairs.append((agg.se_mixture_crps, float(np.std(means, ddof=1) / math.sqrt(reps))))
+        else:  # one replication leaves the standard error undefined
+            assert agg.se_mixture_crps is None
         assert all(abs(a - b) <= tolerance for a, b in pairs), (agg, means, tolerance)
 
 
@@ -182,13 +185,13 @@ def test_harness_matches_reference_at_medium_shape():
 
 def test_mixture_scored_once_per_run(monkeypatch):
     calls = []
-    score = MixtureCRPS.score
+    score = experiments.mixture_crps
 
-    def counting_score(self, weights, component_crps):
+    def counting_score(pair, weights, component_crps):
         calls.append(np.shape(weights))
-        return score(self, weights, component_crps)
+        return score(pair, weights, component_crps)
 
-    monkeypatch.setattr(MixtureCRPS, "score", counting_score)
+    monkeypatch.setattr(experiments, "mixture_crps", counting_score)
     cfg = ExperimentConfig(1, Gaussian(0.0, 1.0), MEDIUM_MODELS, 7, ALL_RULES, replications=3)
     run_experiment(cfg)
     assert calls == [(3, 3, 7, 8)]

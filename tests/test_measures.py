@@ -40,11 +40,11 @@ from credal import (
     run_experiment,
 )
 from credal.measures import (
-    MixtureCRPS,
     _abs_normal_mean,
     _erf,
     crps_matrix,
     expected_abs_difference,
+    mixture_crps,
 )
 
 # closed-form value of the standard-normal CRPS at its mean: 2*phi(0) - 1/sqrt(pi)
@@ -566,7 +566,7 @@ def test_mixture_score_is_within_its_bound_of_the_exact_value(seed, lead, n, kin
     # the rows of a stack share matrix products, so a row's last bits may
     # depend on its neighbours and on the BLAS; the stated bound may not
     rng = np.random.default_rng(seed)
-    mixture = MixtureCRPS(mixture_forecasts(rng, n))
+    pair = expected_abs_difference(mixture_forecasts(rng, n))
     lead = tuple(lead)
     # a rule axis on the weights alone, broadcast against the scores as in the harness
     rules = (2,) if layout == "rule_axis" else ()
@@ -582,42 +582,39 @@ def test_mixture_score_is_within_its_bound_of_the_exact_value(seed, lead, n, kin
     c = rng.uniform(0.0, 4.0, lead + (n,)) if rules else rng.uniform(0.0, 4.0, shape)[view]
     assert w.shape == rules + c.shape and c.shape == lead + (n,)
 
-    out = mixture.score(w, c)
+    out = mixture_crps(pair, w, c)
     if rules + lead:
         assert out.shape == rules + lead
     else:
         assert type(out) is float
-    exact, scores = ExactMixture(mixture.pair, mixture.half_self), np.reshape(out, rules + lead)
+    exact, scores = ExactMixture(pair, 0.5 * np.diag(pair)), np.reshape(out, rules + lead)
     for i in np.ndindex(rules + lead):
         value, bound = exact.score(w[i], c[i[len(rules) :]])
         assert abs(Fraction(float(scores[i])) - value) <= bound
     assert one_hot_misses(w, c, out) == 0
-    assert np.array_equal(bits(mixture.score(w, c)), bits(out))
+    assert np.array_equal(bits(mixture_crps(pair, w, c)), bits(out))
 
 
-def test_mixture_arrays_are_read_only():
-    mixture = MixtureCRPS([Gaussian(0.0, 1.0), PointMass(2.0)])
-    for a in (mixture.pair, mixture.half_self):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1.0
-
-
-def test_mixture_arrays_cannot_be_rebound():
-    # a rebound pair kept the old diagonal in half_self: one-hot weights on
-    # the Gaussian scored 0.864 instead of its own 0.3, with no error
-    mixture = MixtureCRPS([Gaussian(0.0, 1.0), PointMass(2.0)])
-    for name, value in (("pair", np.zeros((2, 2))), ("half_self", np.zeros(2))):
-        with pytest.raises(AttributeError):
-            setattr(mixture, name, value)
-    assert mixture.score([1.0, 0.0], [0.3, 2.0]) == 0.3
+def test_the_self_term_comes_from_the_pair_matrix_given():
+    # h = diag(P)/2 is taken from the P given, so an edited diagonal cannot
+    # leave a stale h behind: one-hot weights still score each component's own
+    c = np.array([0.3, 2.0])
+    pair = expected_abs_difference([Gaussian(0.0, 1.0), PointMass(2.0)])
+    assert mixture_crps(pair, np.eye(2), c).tolist() == c.tolist()
+    pair[0, 0] = 3.0  # the same array, edited in place
+    exact = ExactMixture(pair, 0.5 * np.diag(pair))
+    for k, w in enumerate(np.eye(2)):
+        out = mixture_crps(pair, w, c)
+        assert out == c[k]
+        value, bound = exact.score(w, c)
+        assert abs(Fraction(out) - value) <= bound
 
 
 def test_mixture_score_names_both_lengths_on_a_mismatch():
-    mixture = MixtureCRPS([Gaussian(0.0, 1.0), PointMass(2.0), PointMass(-1.0)])
+    pair = expected_abs_difference([Gaussian(0.0, 1.0), PointMass(2.0), PointMass(-1.0)])
     with pytest.raises(ValueError, match="weights have a last axis of length 2, the mixture has 3 components"):
-        mixture.score([0.5, 0.5], [1.0, 2.0, 3.0])
+        mixture_crps(pair, [0.5, 0.5], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="component scores have a last axis of length 4, the mixture has 3"):
-        mixture.score(np.full((2, 3), 1 / 3), np.ones((2, 4)))
+        mixture_crps(pair, np.full((2, 3), 1 / 3), np.ones((2, 4)))
     with pytest.raises(ValueError, match="weights have no axis, the mixture has 3 components"):
-        mixture.score(1.0, [1.0, 2.0, 3.0])
+        mixture_crps(pair, 1.0, [1.0, 2.0, 3.0])
