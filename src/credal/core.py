@@ -447,7 +447,7 @@ def _format_block(x: np.ndarray, out: np.ndarray, words: np.ndarray) -> None:
 def _format_into(x, out: np.ndarray) -> None:
     """Write ``%.17g`` of every entry of ``x`` into the ``S24`` array ``out``
     of the same shape, ``FLOAT_BLOCK`` entries at a time.  ``out`` may be
-    strided, such as one field of a byte matrix of rows; one that no view
+    strided, such as one field of an array of records; one that no view
     can flatten is written through a copy."""
     x = np.asarray(x, dtype=float)
     if not isinstance(out, np.ndarray) or out.dtype != np.dtype(f"S{FLOAT_FIELD}") or out.shape != x.shape:

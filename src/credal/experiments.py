@@ -24,12 +24,13 @@ every rule, replication and step, with one matrix product of the whole
 weight stack by the mixture's pairwise matrix.  Results are kept as columns
 (:class:`ExperimentResult`).  The CSV encoder formats each distinct value
 once with the vectorized, exact ``%.17g`` of
-:func:`~credal.core.format_floats`, lays the rows out as byte matrices of
-NUL-padded fields, formats the posteriors straight into their field, and
-streams the file in blocks of at most ``FLOAT_BLOCK`` (8192) posterior
-values with the NULs dropped; no Python code runs per row or per value,
-and its bytes are those of the per-step loop it replaced.  An existing
-file is overwritten in place and shrunk at the end, not emptied first.
+:func:`~credal.core.format_floats`, lays the rows out as arrays of one
+numpy record type, whose NUL-padded text fields the CSV header names,
+formats the posteriors straight into their field, and streams the file
+in blocks of at most ``FLOAT_BLOCK`` (8192) posterior values with the NULs
+dropped; no Python code runs per row or per value, and its bytes are
+those of the per-step loop it replaced.  An existing file is overwritten
+in place and shrunk at the end, not emptied first.
 
 The mixture score is exact up to rounding, within the bound that
 :func:`~credal.measures.mixture_crps` states, so every rule is scored
@@ -53,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .core import FLOAT_FIELD, _format_into, format_floats, json_number, reject_unknown_keys, required_key
+from .core import _format_into, format_floats, json_number, reject_unknown_keys, required_key
 from .measures import (
     Forecast,
     Gaussian,
@@ -335,13 +336,15 @@ class ExperimentResult:
     def _csv_blocks(self) -> Iterator[bytes | np.ndarray]:
         """The CSV bytes as the header line, then blocks of rows in CSV order.
 
-        A block is a byte matrix of NUL-padded fields, one row per (rule,
-        replication, t, model), and it is yielded as the ``uint8`` array of
+        A block is an array of records, one per (rule, replication, t,
+        model), of one numpy record type: the seven NUL-padded text fields
+        that ``CSV_HEADER`` names, each followed by its separator byte, so
+        numpy places every field.  It is yielded as the ``uint8`` array of
         its bytes with the NULs dropped, so no Python code runs per row or
         per value.  ``crps`` and ``mixture_crps`` are each formatted once per
         run, by :func:`~credal.core.format_floats`; posteriors are
-        formatted straight into their field of the matrix, a block of at
-        most ``FLOAT_BLOCK`` values (or one step) at a time.
+        formatted straight into their field, a block of at most
+        ``FLOAT_BLOCK`` values (or one step) at a time.
         """
         yield (CSV_HEADER + "\n").encode()
         cfg = self.config
@@ -352,31 +355,25 @@ class ExperimentResult:
         label_text = np.array([m.label.encode() for m in cfg.models])
         crps_text = format_floats(self.crps).reshape(reps * horizon, n)
         mixture_text = format_floats(self.mixture_crps).reshape(len(cfg.rules), reps * horizon, 1)
-        # a row is its seven fields, each followed by a separator byte
-        widths = [a.itemsize for a in (rule_text, rep_text, t_text, label_text)] + [FLOAT_FIELD] * 3
-        ends = np.cumsum(np.array(widths) + 1)
-        steps = max(1, core.FLOAT_BLOCK // n)
-        rows = np.zeros((steps, n, ends[-1]), np.uint8)
-        rows[..., ends[:-1] - 1] = ord(",")
-        rows[..., -1] = ord("\n")
-        # each field as a fixed-width bytes view of the rows
-        rule_field, rep_field, t_field, label_field, post_field, crps_field, mix_field = (
-            rows[..., end - width - 1 : end - 1].view(f"S{width}")[..., 0] for end, width in zip(ends, widths)
-        )
-        label_field[...] = label_text
-        for k in range(len(cfg.rules)):
-            rule_field[...] = rule_text[k]
-            for start in range(0, reps * horizon, steps):
-                end = min(start + steps, reps * horizon)
-                rep, t = divmod(np.arange(start, end), horizon)
-                m = end - start
-                rep_field[:m] = rep_text[rep, None]
-                t_field[:m] = t_text[t, None]
-                _format_into(self.posterior[k, rep, t], post_field[:m])
-                crps_field[:m] = crps_text[start:end]
-                mix_field[:m] = mixture_text[k, start:end]
-                block = rows[:m]
-                yield block[block != 0]
+        # a row is its seven text fields, each followed by a separator byte
+        types = [a.dtype for a in (rule_text, rep_text, t_text, label_text)] + [crps_text.dtype] * 3
+        names = CSV_HEADER.split(",")
+        row = np.dtype([f for name, type_ in zip(names, types) for f in ((name, type_), (f"{name} end", "S1"))])
+        rows = np.zeros((max(1, core.FLOAT_BLOCK // n), n), row)
+        rows[...] = (b"", b",") * 6 + (b"", b"\n")
+        rows["model"] = label_text
+        for k, rule in enumerate(rule_text):
+            rows["rule"] = rule
+            for start in range(0, reps * horizon, len(rows)):
+                block = rows[: reps * horizon - start]
+                rep, t = divmod(np.arange(start, start + len(block)), horizon)
+                block["replication"] = rep_text[rep, None]
+                block["t"] = t_text[t, None]
+                _format_into(self.posterior[k, rep, t], block["posterior"])
+                block["crps"] = crps_text[start : start + len(block)]
+                block["mixture_crps"] = mixture_text[k, start : start + len(block)]
+                text = block.view(np.uint8)
+                yield text[text != 0]
 
     def to_csv_text(self) -> str:
         return b"".join(self._csv_blocks()).decode("utf-8")

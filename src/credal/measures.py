@@ -527,7 +527,7 @@ def expected_abs_difference(forecasts: Sequence[Forecast]) -> np.ndarray:
             if s == 0.0 and t == 0.0:
                 value = _mean(_mean_abs_difference(xs, np.asarray(ys)))
             else:
-                value = float(np.mean(_abs_normal_mean(xs[:, None] - np.asarray(ys), math.hypot(s, t))))
+                value = _mean(_abs_normal_mean(xs[:, None] - np.asarray(ys), math.hypot(s, t)))
             pair[i, j] = pair[j, i] = value
     return pair
 

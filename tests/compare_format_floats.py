@@ -13,7 +13,7 @@ Three passes, each over seeded random values:
   gather: the finite non-zero absolute values of the patterns, and ``N``
   log-uniform magnitudes from 1e-300 to 1e300;
 * both sets of values written into a strided ``S24`` field of a ``uint8``
-  row matrix, as ``results.csv`` writes its posteriors.
+  row matrix, strided as the posterior field of ``results.csv``'s rows.
 
 With ``--exponents``, a deterministic sweep instead: for every decimal
 exponent ``X`` of a positive double (-324 .. 308) and every number of

@@ -36,6 +36,16 @@ def test_update_inferential(tmp_path, capsys):
     assert summary["min_posterior"] == pytest.approx(0.2, rel=1e-15)
 
 
+def test_update_inferential_whose_weights_sum_past_the_largest_float(tmp_path, capsys):
+    # warnings are errors under pytest, as under python -W error
+    prior, scores, out = tmp_path / "p.csv", tmp_path / "s.csv", tmp_path / "post.csv"
+    write_labeled_csv(prior, ["H1", "H2"], [0.5000000004, 0.5])
+    write_labeled_csv(scores, ["H1", "H2"], [1.7976931348623157e308] * 2)
+    args = ["update", "--rule", "inferential", "--prior", str(prior), "--scores", str(scores), "--out", str(out)]
+    assert dispatch(args) == 0
+    assert out.read_bytes() == b"label,value\r\nH1,0.50000000020000002\r\nH2,0.49999999980000004\r\n"
+    assert json.loads(capsys.readouterr().out) == {"rule": "inferential", "min_posterior": 0.49999999980000004}
+
 def test_update_predictive_prints_summary(tmp_path, prior_csv, capsys):
     scores = tmp_path / "s.csv"
     out = tmp_path / "post.csv"

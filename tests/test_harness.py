@@ -128,6 +128,12 @@ MIXED = (
     ModelSpec("q", PointMass(0.0)),
     ModelSpec("e", Empirical([-1.0, 2.0, 2.0])),
 )
+# labels of three widths, beside replications 0 .. 10, whose field pads 0 .. 9
+UNEVEN = (
+    ModelSpec("g", Gaussian(0.0, 1.0)),
+    ModelSpec("wide", Gaussian(0.5, 2.0)),
+    ModelSpec("mid", Gaussian(-1.0, 0.5)),
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,6 +141,7 @@ MIXED = (
 @example(ExperimentConfig(5, Gaussian(0.0, 1.0), TWINS, 6, ALL_RULES, replications=4))
 @example(ExperimentConfig(6, Empirical([0.0, 1.0]), MIXED, 6, ALL_RULES[1:], replications=3))
 @example(ExperimentConfig(7, PointMass(0.0), MIXED[1:2], 3, ALL_RULES[1:], replications=1))
+@example(ExperimentConfig(8, Gaussian(0.0, 1.0), UNEVEN, 3, ALL_RULES, replications=11))
 def test_harness_matches_step_by_step_reference(cfg):
     assert_matches_reference(cfg, run_experiment(cfg))
 

@@ -154,6 +154,12 @@ def test_expected_abs_difference_matches_naive_forms():
                 assert pair[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+def test_an_empirical_by_gaussian_entry_near_the_largest_float_is_its_mean():
+    # three entries of 8e307 sum past the largest float (a warning is an
+    # error under this suite); their mean is taken as the point mass's is
+    pair = expected_abs_difference([Empirical([8e307] * 3), Gaussian(0.0, 1.0), PointMass(0.0)])
+    assert pair[0, 1] == pair[1, 0] == pair[0, 2] == 8e307
+
 def test_abs_normal_mean_is_within_4_eps_of_the_math_erf_form():
     # the two erfs differ by at most 1 ulp and the forms group their terms
     # differently; 2 eps was the largest relative gap measured

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,16 @@ def test_inferential_mode_and_underflow_errors():
     with pytest.raises(ValueError):
         inferential_update(p, ScoreVector([1.0, 1.0, 1.0], Mode.MULTIPLICATIVE))
 
+
+def test_inferential_update_whose_weights_sum_past_the_largest_float():
+    # both weights are finite, but their sum overflows (a warning is an
+    # error under this suite); the update is p / sum(p), to within 1 ulp
+    big = np.finfo(float).max
+    p = ProbabilityVector([0.5000000004, 0.5])
+    posterior = inferential_update(p, ScoreVector([big, big], Mode.MULTIPLICATIVE)).values
+    total = sum(map(Fraction, p.values))
+    for value, prior in zip(posterior.tolist(), p.values.tolist()):
+        assert abs(Fraction(value) - Fraction(prior) / total) <= math.ulp(value)
 
 def test_inferential_update_allocates_little_beyond_its_output():
     # the posterior takes 8n bytes; a second n-sized array for the
