@@ -421,13 +421,12 @@ def _layout(n: np.ndarray, x_exp: np.ndarray, text: np.ndarray) -> None:
         text[:, w] = (digits & keep) | (moved & tail) | lead[:, w]
 
 
-def _format_block(x: np.ndarray, out: np.ndarray, words: np.ndarray) -> None:
-    """Write ``%.17g`` of the 1-d float64 ``x`` into the ``S24`` array ``out``,
-    whose bytes ``words`` views as three little-endian words per entry."""
+def _format_block(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``%.17g`` of the 1-d float64 ``x`` into the contiguous ``S24`` array ``out``."""
     if x.min() > 0.0 and x.max() <= _MAX_FLOAT:
         # all positive and finite (a NaN fails both tests): no gather, no scatter
         n, x_exp, slow = _digits(x)
-        _layout(n, x_exp, words)
+        _layout(n, x_exp, out[:, None].view("<u8"))
     else:
         bits = x.view(np.int64)
         out[bits == 0] = b"0"
@@ -442,23 +441,6 @@ def _format_block(x: np.ndarray, out: np.ndarray, words: np.ndarray) -> None:
             slow[at[near]] = True
     if slow.any():
         out[slow] = [format(v, ".17g").encode() for v in x[slow].tolist()]
-
-
-def _format_into(x, out: np.ndarray) -> None:
-    """Write ``%.17g`` of every entry of ``x`` into the ``S24`` array ``out``
-    of the same shape, ``FLOAT_BLOCK`` entries at a time.  ``out`` may be
-    strided, such as one field of an array of records; one that no view
-    can flatten is written through a copy."""
-    x = np.asarray(x, dtype=float)
-    if not isinstance(out, np.ndarray) or out.dtype != np.dtype(f"S{FLOAT_FIELD}") or out.shape != x.shape:
-        raise ValueError(f"out must be an S{FLOAT_FIELD} array of shape {x.shape}")
-    x, flat = x.reshape(-1), out.reshape(-1)
-    words = flat[:, None].view("<u8")
-    for start in range(0, x.size, FLOAT_BLOCK):
-        end = start + FLOAT_BLOCK
-        _format_block(x[start:end], flat[start:end], words[start:end])
-    if not np.may_share_memory(flat, out):
-        out[...] = flat.reshape(out.shape)
 
 
 def format_floats(values) -> np.ndarray:
@@ -490,12 +472,14 @@ def format_floats(values) -> np.ndarray:
     rounding go either way; such an entry, in practice an exact tie like
     ``1000000000000000.25``, falls back to Python's ``format``.  So do
     zeros with the sign bit set, negative and non-finite entries.  +0.0 is
-    ``b"0"``.  The output is the same on every platform.  Work is done in
-    blocks of ``FLOAT_BLOCK`` entries, so temporaries stay small.
+    ``b"0"``.  The output is the same on every platform.  It is written
+    into a fresh array, ``FLOAT_BLOCK`` entries at a time, so temporaries stay small.
     """
     values = np.asarray(values, dtype=float)
     out = np.empty(values.shape, dtype=f"S{FLOAT_FIELD}")
-    _format_into(values, out)
+    x, flat = values.reshape(-1), out.reshape(-1)
+    for start in range(0, x.size, FLOAT_BLOCK):
+        _format_block(x[start : start + FLOAT_BLOCK], flat[start : start + FLOAT_BLOCK])
     return out
 
 

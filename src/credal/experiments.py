@@ -26,10 +26,10 @@ weight stack by the mixture's pairwise matrix.  Results are kept as columns
 once with the vectorized, exact ``%.17g`` of
 :func:`~credal.core.format_floats`, lays the rows out as arrays of one
 numpy record type, whose NUL-padded text fields the CSV header names,
-formats the posteriors straight into their field, and streams the file
-in blocks of at most ``FLOAT_BLOCK`` (8192) posterior values with the NULs
-dropped; no Python code runs per row or per value, and its bytes are
-those of the per-step loop it replaced.  An existing file is overwritten
+copies each block's formatted posteriors into their field, and streams
+the file in blocks of at most ``FLOAT_BLOCK`` (8192) posterior values
+with the NULs dropped; no Python code runs per row or per value, and its
+bytes are those of the per-step loop it replaced.  An existing file is overwritten
 in place and shrunk at the end, not emptied first.
 
 The mixture score is exact up to rounding, within the bound that
@@ -54,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .core import _format_into, format_floats, json_number, reject_unknown_keys, required_key
+from .core import format_floats, json_number, reject_unknown_keys, required_key
 from .measures import (
     Forecast,
     Gaussian,
@@ -343,8 +343,8 @@ class ExperimentResult:
         its bytes with the NULs dropped, so no Python code runs per row or
         per value.  ``crps`` and ``mixture_crps`` are each formatted once per
         run, by :func:`~credal.core.format_floats`; posteriors are
-        formatted straight into their field, a block of at most
-        ``FLOAT_BLOCK`` values (or one step) at a time.
+        formatted by it a block of at most ``FLOAT_BLOCK`` values (or one
+        step) at a time, and copied into their field.
         """
         yield (CSV_HEADER + "\n").encode()
         cfg = self.config
@@ -369,7 +369,7 @@ class ExperimentResult:
                 rep, t = divmod(np.arange(start, start + len(block)), horizon)
                 block["replication"] = rep_text[rep, None]
                 block["t"] = t_text[t, None]
-                _format_into(self.posterior[k, rep, t], block["posterior"])
+                block["posterior"] = format_floats(self.posterior[k, rep, t])
                 block["crps"] = crps_text[start : start + len(block)]
                 block["mixture_crps"] = mixture_text[k, start : start + len(block)]
                 text = block.view(np.uint8)

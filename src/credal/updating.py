@@ -111,19 +111,20 @@ def _paired(p: ProbabilityVector, s: ScoreVector, mode: Mode, op: str) -> tuple[
 def _ratio_update(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Ratio-form update of two 1-d vectors: ``w = s*p; w / w.sum()``.
 
-    The denominator is numpy's pairwise sum.  Where it overflows, the
-    weights are halved and summed again: a prior sums to at most
-    1 + ``DEFAULT_EPS``, so the halves of finite weights sum below the
-    largest float, and a power of two changes no ratio.  A sum of zero
-    makes the update undefined and raises :class:`UnderflowError`.  The
-    weights are divided in place, so the result is the only array made of
-    the inputs' size.
+    The denominator is numpy's pairwise sum.  Where it overflows, a
+    product or the sum, the weights are taken again as ``(s/2)*p`` and
+    summed: a prior entry is at most 1 + ``DEFAULT_EPS`` and the prior sums
+    to at most that, so neither these products nor their sum overflow, and
+    a power of two changes no ratio.  A sum of zero makes the update
+    undefined and raises :class:`UnderflowError`.  The weights are divided
+    in place, so the result is the only array made of the inputs' size.
     """
-    w = s * p
     with np.errstate(over="ignore"):
+        w = s * p
         denom = float(w.sum())
     if denom == math.inf:
-        w *= 0.5
+        np.multiply(s, 0.5, out=w)
+        w *= p
         denom = float(w.sum())
     if not 0.0 < denom < math.inf:
         raise UnderflowError(f"posterior weights sum to {denom!r}")

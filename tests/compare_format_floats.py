@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/compare_format_floats.py [--count N] [--seed S]
     PYTHONPATH=src python tests/compare_format_floats.py --exponents [--seed S]
 
-Three passes, each over seeded random values:
+Two passes, each over seeded random values:
 
 * ``N`` (default 10**6) random 64-bit patterns viewed as doubles, so
   negatives, subnormals, infinities and NaN payloads all occur, and their
@@ -11,17 +11,14 @@ Three passes, each over seeded random values:
   that gathers the positive finite entries;
 * positive finite values alone, so every block takes the path without a
   gather: the finite non-zero absolute values of the patterns, and ``N``
-  log-uniform magnitudes from 1e-300 to 1e300;
-* both sets of values written into a strided ``S24`` field of a ``uint8``
-  row matrix, strided as the posterior field of ``results.csv``'s rows.
+  log-uniform magnitudes from 1e-300 to 1e300.
 
 With ``--exponents``, a deterministic sweep instead: for every decimal
 exponent ``X`` of a positive double (-324 .. 308) and every number of
 significant digits ``nd`` from 1 to 17, the doubles nearest ``k * 10**(X -
 nd + 1)`` for 50 seeded ``nd``-digit integers ``k``, about 5 x 10**5 values,
-formatted into a fresh array and into a strided field, so that every
-exponent, in fixed and in exponent notation, is written with few and with
-many significant digits.
+so that every exponent, in fixed and in exponent notation, is written with
+few and with many significant digits.
 
 Prints the number of mismatches of each pass and the first few, and exits 1
 if there is any.
@@ -34,15 +31,7 @@ import sys
 
 import numpy as np
 
-from credal.core import FLOAT_FIELD, _format_into, format_floats
-
-
-def into_a_field(values: np.ndarray) -> np.ndarray:
-    """``%.17g`` of ``values`` written into a field of a row matrix, as ``S24``."""
-    rows = np.zeros((values.size, FLOAT_FIELD + 7), np.uint8)
-    field = rows[:, 3 : 3 + FLOAT_FIELD].view(f"S{FLOAT_FIELD}")[:, 0]
-    _format_into(values, field)
-    return field
+from credal.core import format_floats
 
 
 def exponent_sweep(rng: np.random.Generator, per_form: int = 50) -> np.ndarray:
@@ -67,24 +56,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
     if args.exponents:
-        sweep = exponent_sweep(rng)
-        passes = [
-            ("every exponent and digit count", sweep, format_floats),
-            ("the same, into a strided field", sweep, into_a_field),
-        ]
+        passes = [("every exponent and digit count", exponent_sweep(rng))]
     else:
         patterns = rng.integers(-(2**63), 2**63, args.count, dtype=np.int64).view(float)
         mixed = np.concatenate([patterns, np.abs(patterns)])
         finite = np.abs(patterns[np.isfinite(patterns) & (patterns != 0.0)])
         positive = np.concatenate([finite, 10.0 ** rng.uniform(-300.0, 300.0, args.count)])
         passes = [
-            ("bit patterns and their absolute values", mixed, format_floats),
-            ("positive finite values", positive, format_floats),
-            ("both, into a strided field", np.concatenate([mixed, positive]), into_a_field),
+            ("bit patterns and their absolute values", mixed),
+            ("positive finite values", positive),
         ]
     failed = False
-    for name, values, encode in passes:
-        got = encode(values).tolist()
+    for name, values in passes:
+        got = format_floats(values).tolist()
         bad = [(v, g) for v, g in zip(values.tolist(), got) if g != format(v, ".17g").encode()]
         print(f"{len(bad)} mismatches in {values.size} values, {name} (seed {args.seed})")
         for v, g in bad[:10]:

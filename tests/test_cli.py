@@ -36,15 +36,33 @@ def test_update_inferential(tmp_path, capsys):
     assert summary["min_posterior"] == pytest.approx(0.2, rel=1e-15)
 
 
-def test_update_inferential_whose_weights_sum_past_the_largest_float(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "prior, posterior",
+    [
+        # finite weights whose sum overflows
+        ([0.5000000004, 0.5], ["0.50000000020000002", "0.49999999980000004"]),
+        # a prior entry above 1 whose weight overflows itself
+        ([1.0000000004, 0.0], ["1", "0"]),
+    ],
+    ids=["sum", "product"],
+)
+def test_update_inferential_whose_weights_sum_past_the_largest_float(tmp_path, capsys, prior, posterior):
     # warnings are errors under pytest, as under python -W error
-    prior, scores, out = tmp_path / "p.csv", tmp_path / "s.csv", tmp_path / "post.csv"
-    write_labeled_csv(prior, ["H1", "H2"], [0.5000000004, 0.5])
+    prior_csv, scores, out = tmp_path / "p.csv", tmp_path / "s.csv", tmp_path / "post.csv"
+    write_labeled_csv(prior_csv, ["H1", "H2"], prior)
     write_labeled_csv(scores, ["H1", "H2"], [1.7976931348623157e308] * 2)
-    args = ["update", "--rule", "inferential", "--prior", str(prior), "--scores", str(scores), "--out", str(out)]
+    args = ["update", "--rule", "inferential", "--prior", str(prior_csv), "--scores", str(scores), "--out", str(out)]
     assert dispatch(args) == 0
-    assert out.read_bytes() == b"label,value\r\nH1,0.50000000020000002\r\nH2,0.49999999980000004\r\n"
-    assert json.loads(capsys.readouterr().out) == {"rule": "inferential", "min_posterior": 0.49999999980000004}
+    assert out.read_bytes() == f"label,value\r\nH1,{posterior[0]}\r\nH2,{posterior[1]}\r\n".encode()
+    assert json.loads(capsys.readouterr().out) == {"rule": "inferential", "min_posterior": float(posterior[1])}
+
+
+def test_help_names_every_command_and_no_command_is_a_usage_error(capsys):
+    assert dispatch(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert all(command in help_text for command in ("update", "simulate", "dominance", "props"))
+    assert dispatch([]) == 2
+
 
 def test_update_predictive_prints_summary(tmp_path, prior_csv, capsys):
     scores = tmp_path / "s.csv"

@@ -453,24 +453,7 @@ def test_format_floats_fallback_gives_the_same_bytes(monkeypatch):
     assert [b.decode() for b in slow.tolist()] == python_text(values)
 
 
-def formatted_into_a_field(values) -> np.ndarray:
-    """``core._format_into`` of ``values`` into a strided ``S24`` field of a
-    ``uint8`` row matrix; the bytes around the field must stay as they were."""
-    values = np.asarray(values, dtype=float)
-    rows = np.full(values.shape + (37,), 0xAB, np.uint8)
-    core._format_into(values, rows[..., 5:29].view("S24")[..., 0])
-    assert np.all(rows[..., :5] == 0xAB) and np.all(rows[..., 29:] == 0xAB)
-    return rows[..., 5:29]
-
-
-def assert_formats_into_a_field_like_python(values):
-    # the field's bytes, NUL padding included, are those of format_floats
-    expected = format_floats(values)[..., None].view(np.uint8)
-    assert np.array_equal(formatted_into_a_field(values), expected)
-    assert_formats_like_python(values)
-
-
-def field_values() -> np.ndarray:
+def signed_values() -> np.ndarray:
     """Boundary values, near and exact ties, zeros of both signs, subnormals,
     their negatives and the non-finite values."""
     subnormals = np.array([5e-324, 1e-320, np.nextafter(np.finfo(float).tiny, 0.0)])
@@ -479,14 +462,14 @@ def field_values() -> np.ndarray:
 
 
 @pytest.mark.parametrize("block", [7, None])
-def test_format_into_writes_a_strided_field(monkeypatch, block):
+def test_format_floats_matches_python_at_any_block_size(monkeypatch, block):
     if block:
         monkeypatch.setattr(core, "FLOAT_BLOCK", block)
-    values = field_values()
-    assert_formats_into_a_field_like_python(values)
-    assert_formats_into_a_field_like_python(values[: 2 * 3 * 101].reshape(2, 3, 101))
+    values = signed_values()
+    assert_formats_like_python(values)
+    assert_formats_like_python(values[: 2 * 3 * 101].reshape(2, 3, 101))
     # all positive and finite: the block is formatted without a gather
-    assert_formats_into_a_field_like_python(np.concatenate([NEAR_TIES, EXACT_TIES, 10.0 ** np.arange(-300.0, 301.0)]))
+    assert_formats_like_python(np.concatenate([NEAR_TIES, EXACT_TIES, 10.0 ** np.arange(-300.0, 301.0)]))
 
 
 def significant_digits(v: float) -> tuple[int, int]:
@@ -531,43 +514,50 @@ def test_every_exponent_notation_layout_formats_like_python():
     subnormals = np.random.default_rng(25).integers(1, 2**52, 2000, dtype=np.int64).view(float)
     extremes = [5e-324, np.nextafter(np.finfo(float).tiny, 0.0)]
     values = np.concatenate([np.array(list(found.values())), subnormals, extremes])
-    # into a fresh array and into a strided field, in blocks mixing signs and
-    # NaN (through the gather) and of positive values alone (without it)
-    assert_formats_into_a_field_like_python(values)
-    assert_formats_into_a_field_like_python(np.concatenate([values, -values, [np.nan]]))
-
-
-def test_format_into_writes_through_a_copy_where_no_view_flattens():
-    values = np.arange(1.0, 31.0).reshape(5, 6) / 7
-    rows = np.zeros((5, 6, 30), np.uint8)
-    field = rows[..., 3:27].view("S24")[..., 0]
-    core._format_into(values.T, field.T)
-    assert np.array_equal(field, format_floats(values))
+    # in blocks of positive values alone (without the gather) and mixing
+    # signs and NaN (through it)
+    assert_formats_like_python(values)
+    assert_formats_like_python(np.concatenate([values, -values, [np.nan]]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
-@example([0x7FEFFFFFFFFFFFFF, 1, 0, -(2**63), 0x3FEFFFFFFFFFFFFF])
-def test_format_into_matches_python_on_any_bit_pattern(bits):
-    values = np.array(bits, dtype=np.int64).view(float)
-    got = formatted_into_a_field(values)
-    assert [bytes(row).rstrip(b"\0") for row in got] == [format(v, ".17g").encode() for v in values.tolist()]
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64), st.integers(1, 8))
+@example([0x7FEFFFFFFFFFFFFF, 1, 0, -(2**63), 0x3FEFFFFFFFFFFFFF, 0x3FF0000000000000], 3)
+def test_format_floats_matches_python_on_any_bit_pattern_in_small_blocks(bits, block):
+    # blocks with and without the gather follow one another in one output
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "FLOAT_BLOCK", block)
+        assert_formats_like_python(np.array(bits, dtype=np.int64).view(float))
+
+
+def test_format_floats_returns_a_fresh_c_contiguous_array():
+    # from a view that no reshape flattens, so the input is copied first
+    values = (np.arange(1.0, 31.0).reshape(5, 6) / 7).T[::-1]
+    values.flags.writeable = False
+    got = format_floats(values)
+    assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+    assert not np.shares_memory(got, values)
+    assert [b.decode() for b in got.ravel().tolist()] == python_text(values)
 
 
 @pytest.mark.parametrize(
-    "out",
+    "values",
     [
-        np.empty(4, "S23"),
-        np.empty(4, "U24"),
-        np.empty((4, 24), np.uint8),
-        np.empty(5, "S24"),
-        np.empty((2, 2), "S24"),
-        [b"", b"", b"", b""],
+        np.array([0.1, 2.5, -0.0, np.inf], ">f8"),
+        np.array([0.1, 3.0, 1e-40, np.nan], np.float32),
+        [1, -2, 2**53 + 1, 10**20],
+        np.array([[0.1, 0.2, 5e-324], [0.3, 0.4, 1e308]], order="F"),
+        np.empty((0, 3)),
+        np.array([True, False]),
     ],
+    ids=["big-endian", "float32", "int-list", "fortran-order", "empty", "bool"],
 )
-def test_format_into_rejects_a_wrong_out(out):
-    with pytest.raises(ValueError, match="S24 array of shape"):
-        core._format_into(np.ones(4), out)
+def test_format_floats_converts_any_real_input_to_float64(values):
+    # each entry is formatted as the float64 it converts to, in native byte order
+    converted = np.asarray(values, dtype=float)
+    got = format_floats(values)
+    assert got.dtype == np.dtype("S24") and got.shape == converted.shape
+    assert [b.decode() for b in got.ravel().tolist()] == python_text(converted)
 
 
 def exact_fraction(v: float) -> Fraction:

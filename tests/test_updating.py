@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_normalize_oracle, fold_errors, sort_scan_fold, sort_scan_projection
 
@@ -89,6 +89,67 @@ def test_inferential_update_whose_weights_sum_past_the_largest_float():
     total = sum(map(Fraction, p.values))
     for value, prior in zip(posterior.tolist(), p.values.tolist()):
         assert abs(Fraction(value) - Fraction(prior) / total) <= math.ulp(value)
+
+
+@st.composite
+def prior_scores_and_scale(draw):
+    """A prior, up to 1 + 9e-10 in total, positive normal scores of the same
+    length, and a power ``k`` that moves their largest binary exponent
+    anywhere in range, often near either end.  In half the draws every
+    score is within a relative 1e-9 of the largest float, where the weights
+    or their sum may overflow; in the others their binary exponents lie
+    within 8 below a common one."""
+    n = draw(st.integers(1, 6))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    assume(raw.sum() > 0.0)
+    prior = raw / raw.sum() * (1.0 + draw(st.sampled_from([0.0, 4e-10, 9e-10])))
+    ends = st.one_of(st.integers(-1022, 1023), st.integers(1013, 1023), st.integers(-1022, -1012))
+    if draw(st.booleans()):
+        base = 1023
+        scores = np.finfo(float).max * (1.0 - np.array(draw(st.lists(st.floats(0.0, 1e-9), min_size=n, max_size=n))))
+    else:
+        base = draw(ends)
+        mantissas = draw(st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=n, max_size=n))
+        offsets = draw(st.lists(st.integers(-8, 0), min_size=n, max_size=n))
+        scores = np.ldexp(mantissas, np.maximum(base + np.array(offsets), -1022))
+    return prior.tolist(), scores.tolist(), draw(ends) - base
+
+
+def ratio_weights(p: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scores that the ratio-form update multiplies by ``p`` and its
+    weights: ``s`` and ``s * p``, or ``s / 2`` and ``(s / 2) * p`` where
+    the sum of ``s * p`` overflows."""
+    with np.errstate(over="ignore"):
+        if (s * p).sum() < math.inf:
+            return s, s * p
+    return 0.5 * s, (0.5 * s) * p
+
+
+def normal(x: np.ndarray) -> bool:
+    return bool(np.all((x >= np.finfo(float).tiny) & (x <= np.finfo(float).max)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior_scores_and_scale())
+@example(([1.0000000004, 0.0], [1.7976931348623157e308] * 2, -1))
+def test_inferential_update_is_power_of_two_equivariant(case):
+    # wherever the weights of the path taken, and the scores they come from,
+    # stay normal, scaling every score by 2**k scales the weights and their
+    # sum exactly, so the posterior keeps every bit; near the largest float
+    # the two sides may take different paths
+    prior, scores, k = case
+    p, s = np.array(prior), np.array(scores)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(s, k)
+    assume(normal(scaled))
+    for t in (s, scaled):
+        used, w = ratio_weights(p, t)
+        assume(normal(used) and normal(w[p > 0.0]))
+    pv = ProbabilityVector(p)
+    want = inferential_update(pv, ScoreVector(s, Mode.MULTIPLICATIVE)).values
+    got = inferential_update(pv, ScoreVector(scaled, Mode.MULTIPLICATIVE)).values
+    assert got.tobytes() == want.tobytes()
+
 
 def test_inferential_update_allocates_little_beyond_its_output():
     # the posterior takes 8n bytes; a second n-sized array for the
